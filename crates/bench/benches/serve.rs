@@ -1,10 +1,13 @@
 //! Serving-path throughput: the batched inference entry point that
 //! `ncl-serve`'s micro-batcher feeds, versus per-request forward calls,
-//! plus the scheduler's end-to-end overhead.
+//! plus the scheduler's end-to-end overhead and the JSON codec's cost on
+//! one paper-shape (700 ch x T=100) predict line.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ncl_data::generator::{self, ClassPrototype, ShdLikeConfig};
 use ncl_serve::batcher::{BatchConfig, Batcher};
 use ncl_serve::metrics::Metrics;
+use ncl_serve::protocol;
 use ncl_serve::registry::ModelRegistry;
 use ncl_snn::{Network, NetworkConfig};
 use ncl_spike::SpikeRaster;
@@ -59,6 +62,21 @@ fn bench_serve(c: &mut Criterion) {
         },
     )
     .unwrap();
+    // The codec on one paper-shape predict line (~2k spike indices): the
+    // client renders it, the router and the replica each parse it.
+    let config = ShdLikeConfig::paper();
+    let proto = ClassPrototype::derive(&config, 0);
+    let paper_raster = generator::draw_sample(&config, &proto, &mut Rng::seed_from_u64(1));
+    let paper_line = protocol::predict_request_line(1, &paper_raster);
+    group.bench_function("predict_request_line_paper", |b| {
+        b.iter(|| protocol::predict_request_line(1, std::hint::black_box(&paper_raster)))
+    });
+    group.bench_function("parse_request_paper", |b| {
+        b.iter(|| {
+            protocol::parse_request(std::hint::black_box(&paper_line), config.channels).unwrap()
+        })
+    });
+
     group.bench_function("batcher_submit_await_16", |b| {
         b.iter(|| {
             let receivers: Vec<_> = batch

@@ -59,6 +59,6 @@ fn main() {
     println!();
     println!(
         "paper reports: old 90.43% vs 86.22%, 4.88x latency, 20% memory, 36.43% energy \
-         (absolute values differ on synthetic data; see EXPERIMENTS.md)"
+         (absolute values differ on synthetic data)"
     );
 }

@@ -224,7 +224,7 @@ pub fn replay_per_class(config: &ScenarioConfig) -> usize {
 /// (~10⁴ optimizer steps). These reproductions take two to three orders of
 /// magnitude fewer steps, so the divisor is rescaled to keep the *total
 /// parameter displacement* of the careful-update mechanism comparable
-/// (calibrated with the `calibrate` binary; see EXPERIMENTS.md).
+/// (calibrated with the `calibrate` binary).
 #[must_use]
 pub fn cl_lr_divisor(scale: Scale) -> f32 {
     match scale {

@@ -164,7 +164,7 @@ impl MethodSpec {
     /// budget (~10⁴ optimizer steps). Reproductions running far fewer
     /// steps scale the divisor proportionally to keep the *mechanism*
     /// (careful updates, smoother convergence) at the same effective
-    /// strength; see EXPERIMENTS.md.
+    /// strength; the harness's divisors are `ncl_bench::cl_lr_divisor`.
     #[must_use]
     pub fn with_lr_divisor(mut self, divisor: f32) -> Self {
         self.lr_divisor = divisor;

@@ -9,13 +9,14 @@
 //! round trip succeeded (an errored connection is dropped, never
 //! reused: the protocol has no way to resynchronize a half-read line).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ncl_obs::{Counter, Gauge, Registry};
+use ncl_serve::protocol::{self, LineReader};
 use serde_json::Value;
 
 use crate::faults::{FaultAction, FaultPlan};
@@ -121,8 +122,8 @@ impl Breaker {
 /// One NDJSON connection to a replica.
 struct BackendConn {
     stream: TcpStream,
-    /// Bytes read past the last returned line (partial next line).
-    pending: Vec<u8>,
+    /// Response framing (keeps bytes read past the last returned line).
+    lines: LineReader,
 }
 
 impl BackendConn {
@@ -133,29 +134,25 @@ impl BackendConn {
         stream.set_write_timeout(Some(timeout))?;
         Ok(BackendConn {
             stream,
-            pending: Vec::new(),
+            lines: LineReader::new(),
         })
     }
 
     /// One request line out, one response line back.
     fn round_trip(&mut self, line: &str) -> std::io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()?;
-        let mut chunk = [0u8; 4096];
+        protocol::write_line(&mut self.stream, line)?;
         loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let line_bytes: Vec<u8> = self.pending.drain(..=pos).collect();
-                return Ok(String::from_utf8_lossy(&line_bytes).trim().to_owned());
+            if let Some(reply) = self.lines.next_line() {
+                return Ok(String::from_utf8_lossy(reply).trim().to_owned());
             }
-            match self.stream.read(&mut chunk) {
+            match self.lines.fill(&mut self.stream) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
                         "replica closed mid-response",
                     ))
                 }
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -576,7 +573,7 @@ impl Backend {
     /// The router's stats entry for this replica.
     #[must_use]
     pub fn status(&self) -> Value {
-        ncl_serve::protocol::object(vec![
+        protocol::object(vec![
             ("id", Value::from(self.id as u64)),
             ("addr", Value::from(self.addr.to_string())),
             ("healthy", Value::from(self.is_healthy())),

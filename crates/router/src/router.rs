@@ -10,7 +10,6 @@
 //! per-replica table; `health` reports the fleet; `swap` is refused
 //! (models change by replication, not by client pushes).
 
-use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -292,7 +291,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
         if let Ok(handle) = std::thread::Builder::new()
             .name("ncl-router-conn".into())
             .spawn(move || {
-                let _ = handle_connection(stream, &conn_shared);
+                let _ = protocol::serve_connection(stream, &conn_shared.stopping, |line| {
+                    handle_line(line, &conn_shared)
+                });
             })
         {
             connections.push(handle);
@@ -301,58 +302,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
     }
     for handle in connections {
         let _ = handle.join();
-    }
-}
-
-/// Same bound as the serve layer: a client cannot grow router memory
-/// without sending a newline.
-const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
-
-fn handle_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    stream.set_nodelay(true)?;
-    let mut read_half = stream.try_clone()?;
-    let mut writer = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match read_half.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line_bytes: Vec<u8> = pending.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line_bytes);
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    let (response, stop) = handle_line(trimmed, shared);
-                    writer.write_all(response.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    writer.flush()?;
-                    if stop {
-                        return Ok(());
-                    }
-                }
-                if pending.len() > MAX_LINE_BYTES {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "request line exceeds the size limit",
-                    ));
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.stopping.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! implementation `ncl-loadgen`, the integration tests and the examples
 //! all share.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -136,12 +136,8 @@ impl NclClient {
     /// Returns socket failures (`ErrorKind::TimedOut` when a configured
     /// timeout elapsed), or `InvalidData` for an unparseable response.
     pub fn round_trip(&mut self, line: &str) -> std::io::Result<Value> {
-        let send = |stream: &mut TcpStream| -> std::io::Result<()> {
-            stream.write_all(line.as_bytes())?;
-            stream.write_all(b"\n")?;
-            stream.flush()
-        };
-        send(&mut self.stream).map_err(|e| mark_timeout(e, &self.peer, "writing to"))?;
+        protocol::write_line(&mut self.stream, line)
+            .map_err(|e| mark_timeout(e, &self.peer, "writing to"))?;
         let mut response = String::new();
         self.reader
             .read_line(&mut response)

@@ -47,6 +47,10 @@
 //! line-safe.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 use ncl_obs::trace::{self, TraceContext, TraceFragment, TraceSpanRecord};
 use ncl_spike::SpikeRaster;
@@ -621,6 +625,154 @@ pub fn error_response(id: Option<u64>, error: &ServeError) -> String {
     object(pairs).to_json()
 }
 
+/// Upper bound on a buffered request line — a client that streams
+/// newline-free bytes must not grow server memory without limit. Large
+/// enough for a maximal predict request (4096 steps of indices).
+const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
+
+/// Bytes requested per socket read: a paper-shape predict line (~9 KB)
+/// usually arrives in one read.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// NDJSON framing over a byte stream: buffers what the socket returns
+/// and hands out complete lines.
+///
+/// Framing is done on raw bytes (split at `\n`, then validate UTF-8 per
+/// line) rather than `read_line`: a read timeout mid-line keeps every
+/// already-consumed byte buffered — `read_line` would discard a partial
+/// multi-byte UTF-8 character at the split point and corrupt the stream.
+/// Each byte is scanned for `\n` once, however many reads a line spans.
+#[derive(Debug, Default)]
+pub struct LineReader {
+    buf: Vec<u8>,
+    /// Start of the first line not yet returned.
+    start: usize,
+    /// `buf[start..scanned]` is known to hold no `\n`.
+    scanned: usize,
+}
+
+impl LineReader {
+    /// An empty reader.
+    #[must_use]
+    pub fn new() -> Self {
+        LineReader::default()
+    }
+
+    /// Reads once from `source` into the buffer, first dropping the lines
+    /// already returned. Returns the byte count (0 at EOF).
+    ///
+    /// # Errors
+    ///
+    /// Returns the read error (timeouts included) with the buffer intact.
+    pub fn fill(&mut self, source: &mut impl Read) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.scanned -= self.start;
+            self.start = 0;
+        }
+        let len = self.buf.len();
+        self.buf.resize(len + READ_CHUNK, 0);
+        let read = source.read(&mut self.buf[len..]);
+        self.buf.truncate(len + read.as_ref().map_or(0, |n| *n));
+        read
+    }
+
+    /// The next complete buffered line, without its `\n`.
+    pub fn next_line(&mut self) -> Option<&[u8]> {
+        match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(offset) => {
+                let (start, end) = (self.start, self.scanned + offset);
+                self.start = end + 1;
+                self.scanned = self.start;
+                Some(&self.buf[start..end])
+            }
+            None => {
+                self.scanned = self.buf.len();
+                None
+            }
+        }
+    }
+
+    /// Bytes buffered toward the next, still incomplete line.
+    #[must_use]
+    pub fn partial_len(&self) -> usize {
+        self.buf.len() - self.start
+    }
+}
+
+/// Sends `line` and its terminating `\n` in one write, so a
+/// `TCP_NODELAY` socket puts them in one segment.
+///
+/// # Errors
+///
+/// Returns the socket's write error.
+pub fn write_line(sink: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    sink.write_all(&framed)?;
+    sink.flush()
+}
+
+/// Serves one NDJSON connection: each non-blank request line (trimmed)
+/// goes to `handle`, whose response line is written back. Returns at
+/// client EOF, after a response whose handler flagged a stop, or when
+/// `stopping` is raised (observed within the 100 ms read timeout, even
+/// if the client goes quiet without closing).
+///
+/// # Errors
+///
+/// Returns socket errors, and `InvalidData` for a request line over
+/// 64 MiB.
+pub fn serve_connection(
+    stream: TcpStream,
+    stopping: &AtomicBool,
+    mut handle: impl FnMut(&str) -> (String, bool),
+) -> std::io::Result<()> {
+    // TCP_NODELAY keeps one-line responses from stalling behind Nagle +
+    // delayed ACK (~40 ms per round trip otherwise).
+    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    stream.set_nodelay(true)?;
+    let mut read_half = stream.try_clone()?;
+    let mut writer = stream;
+    let mut lines = LineReader::new();
+    loop {
+        match lines.fill(&mut read_half) {
+            Ok(0) => return Ok(()), // client closed
+            Ok(_) => {
+                while let Some(line) = lines.next_line() {
+                    let line = String::from_utf8_lossy(line);
+                    let trimmed = line.trim();
+                    if trimmed.is_empty() {
+                        continue;
+                    }
+                    let (response, stop) = handle(trimmed);
+                    write_line(&mut writer, &response)?;
+                    if stop {
+                        return Ok(());
+                    }
+                }
+                if lines.partial_len() > MAX_LINE_BYTES {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        "request line exceeds the size limit",
+                    ));
+                }
+            }
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                if stopping.load(Ordering::Acquire) {
+                    return Ok(());
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,5 +1090,79 @@ mod tests {
             .and_then(Value::as_str)
             .unwrap()
             .contains("shutting down"));
+    }
+
+    #[test]
+    fn rendered_lines_are_pinned_byte_for_byte() {
+        let raster = SpikeRaster::from_fn(700, 3, |n, t| n % 233 == t || n == 699);
+        assert_eq!(
+            predict_request_line((1 << 53) - 1, &raster),
+            "{\"id\":9007199254740991,\"input\":[[0,233,466,699],[1,234,467,699],[2,235,468,699]],\"op\":\"predict\"}"
+        );
+        let logits = [0.1f32, -0.0, 3.0, -2.5e-8, 1e30, f32::NAN];
+        assert_eq!(
+            predict_response(Some(0), 19, &logits, 12),
+            "{\"id\":0,\"logits\":[0.10000000149011612,-0,3,-0.000000025000000292152436,\
+             1000000015047466200000000000000,null],\"model_version\":12,\"ok\":true,\
+             \"op\":\"predict\",\"prediction\":19}"
+        );
+    }
+
+    /// Hands out a byte stream in fixed pieces, one per `read`.
+    struct Pieces(Vec<Vec<u8>>);
+
+    impl Read for Pieces {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Ok(0);
+            }
+            let piece = self.0.remove(0);
+            out[..piece.len()].copy_from_slice(&piece);
+            Ok(piece.len())
+        }
+    }
+
+    #[test]
+    fn line_reader_frames_across_and_within_reads() {
+        let euro = "€".as_bytes();
+        let mut source = Pieces(vec![
+            b"{\"a\":1}\n{\"b\"".to_vec(),
+            [b":\"".as_slice(), &euro[..1]].concat(),
+            [&euro[1..], b"\"}\n\n[1]\n[2".as_slice()].concat(),
+        ]);
+        let mut reader = LineReader::new();
+        let mut lines = Vec::new();
+        while reader.fill(&mut source).unwrap() > 0 {
+            while let Some(line) = reader.next_line() {
+                lines.push(String::from_utf8(line.to_vec()).unwrap());
+            }
+        }
+        assert_eq!(lines, ["{\"a\":1}", "{\"b\":\"€\"}", "", "[1]"]);
+        assert_eq!(
+            reader.partial_len(),
+            2,
+            "the unterminated \"[2\" stays buffered"
+        );
+    }
+
+    #[test]
+    fn write_line_sends_line_and_newline_in_one_write() {
+        /// Records the size of every `write` call.
+        #[derive(Default)]
+        struct Writes(Vec<usize>, Vec<u8>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Writes::default();
+        write_line(&mut sink, "{\"op\":\"ping\"}").unwrap();
+        assert_eq!(sink.0, [14]);
+        assert_eq!(sink.1, b"{\"op\":\"ping\"}\n");
     }
 }

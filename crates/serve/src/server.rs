@@ -9,11 +9,9 @@
 //! exchange is atomic, and every in-flight batch keeps the snapshot it
 //! started with — zero dropped requests across a swap.
 
-use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use serde_json::Value;
 
@@ -191,7 +189,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if let Ok(handle) = std::thread::Builder::new()
             .name("ncl-serve-conn".into())
             .spawn(move || {
-                let _ = handle_connection(stream, &conn_shared);
+                let _ = protocol::serve_connection(stream, &conn_shared.stopping, |line| {
+                    handle_line(line, &conn_shared)
+                });
             })
         {
             connections.push(handle);
@@ -202,69 +202,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
     for handle in connections {
         let _ = handle.join();
-    }
-}
-
-/// Upper bound on a buffered request line — a client that streams
-/// newline-free bytes must not grow server memory without limit. Large
-/// enough for a maximal predict request (4096 steps of indices).
-const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
-
-/// Serves one connection until EOF, a `shutdown` op, or a socket error.
-///
-/// Framing is done on raw bytes (split at `\n`, then validate UTF-8 per
-/// line) rather than `read_line`: a read timeout mid-line keeps every
-/// already-consumed byte buffered — `read_line` would discard a partial
-/// multi-byte UTF-8 character at the split point and corrupt the stream.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    // The read timeout lets the loop observe a server-side stop even if
-    // the client goes quiet without closing; TCP_NODELAY keeps one-line
-    // responses from stalling behind Nagle + delayed ACK (~40 ms per
-    // round trip otherwise).
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    stream.set_nodelay(true)?;
-    let mut read_half = stream.try_clone()?;
-    let mut writer = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match read_half.read(&mut chunk) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line_bytes: Vec<u8> = pending.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line_bytes);
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    let (response, stop) = handle_line(trimmed, shared);
-                    writer.write_all(response.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    writer.flush()?;
-                    if stop {
-                        return Ok(());
-                    }
-                }
-                if pending.len() > MAX_LINE_BYTES {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "request line exceeds the size limit",
-                    ));
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.stopping.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
     }
 }
 
