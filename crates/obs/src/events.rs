@@ -2,16 +2,14 @@
 //! scattered `eprintln!` calls.
 //!
 //! Every event increments a per-level counter (exposed as
-//! `obs_events_total{level=...}`), lands in a bounded ring for
-//! inspection over the wire, and — for `Warn`/`Error` — echoes one
+//! `obs_events_total{level=...}`), and `Warn`/`Error` events echo one
 //! structured line to stderr so operator logs and CI greps keep
 //! working without a log pipeline.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
-use crate::registry::{Counter, Gauge};
+use crate::registry::Counter;
 
 /// Event severity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -47,55 +45,36 @@ impl Level {
     }
 }
 
-/// One recorded event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Event {
-    /// Monotonic sequence number (1-based, never reused).
-    pub seq: u64,
-    /// Severity.
-    pub level: Level,
-    /// Human-readable message.
-    pub message: String,
-    /// Key/value context fields, in call order.
-    pub fields: Vec<(String, String)>,
+/// The single-line rendering used for the stderr echo:
+/// `[warn] message key="value" ...`.
+#[must_use]
+pub fn render_line(level: Level, message: &str, fields: &[(&str, &str)]) -> String {
+    let mut line = format!("[{}] {message}", level.as_str());
+    for (k, v) in fields {
+        line.push_str(&format!(" {k}={v:?}"));
+    }
+    line
 }
 
-impl Event {
-    /// The single-line rendering used for the stderr echo:
-    /// `[warn] message key="value" ...`.
-    #[must_use]
-    pub fn render_line(&self) -> String {
-        let mut line = format!("[{}] {}", self.level.as_str(), self.message);
-        for (k, v) in &self.fields {
-            line.push_str(&format!(" {k}={v:?}"));
-        }
-        line
+/// Per-level event counters plus the stderr echo switch.
+pub struct EventLog {
+    counters: [Arc<Counter>; 4],
+    echo: AtomicBool,
+}
+
+impl Default for EventLog {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
-/// Bounded ring of recent events plus per-level counters.
-pub struct EventLog {
-    ring: Mutex<VecDeque<Event>>,
-    cap: usize,
-    seq: AtomicU64,
-    counters: [Arc<Counter>; 4],
-    echo: AtomicBool,
-    dropped: Arc<Counter>,
-    occupancy: Arc<Gauge>,
-}
-
 impl EventLog {
-    /// An empty log retaining at most `cap` events.
+    /// A log with every level counter at zero and the echo on.
     #[must_use]
-    pub fn new(cap: usize) -> Self {
+    pub fn new() -> Self {
         EventLog {
-            ring: Mutex::new(VecDeque::with_capacity(cap)),
-            cap: cap.max(1),
-            seq: AtomicU64::new(0),
             counters: std::array::from_fn(|_| Arc::new(Counter::new())),
             echo: AtomicBool::new(true),
-            dropped: Arc::new(Counter::default()),
-            occupancy: Arc::new(Gauge::default()),
         }
     }
 
@@ -103,18 +82,6 @@ impl EventLog {
     #[must_use]
     pub fn counter(&self, level: Level) -> Arc<Counter> {
         Arc::clone(&self.counters[level.index()])
-    }
-
-    /// Events evicted by the bound (`obs_events_dropped_total`).
-    #[must_use]
-    pub fn dropped_handle(&self) -> Arc<Counter> {
-        Arc::clone(&self.dropped)
-    }
-
-    /// Current ring occupancy (`obs_event_ring_occupancy`).
-    #[must_use]
-    pub fn occupancy_handle(&self) -> Arc<Gauge> {
-        Arc::clone(&self.occupancy)
     }
 
     /// Enables/disables the `Warn`/`Error` stderr echo.
@@ -125,43 +92,9 @@ impl EventLog {
     /// Records an event.
     pub fn record(&self, level: Level, message: &str, fields: &[(&str, &str)]) {
         self.counters[level.index()].inc();
-        let event = Event {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
-            level,
-            message: message.to_owned(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
-        };
         if level >= Level::Warn && self.echo.load(Ordering::Relaxed) {
-            eprintln!("{}", event.render_line());
+            eprintln!("{}", render_line(level, message, fields));
         }
-        // A panic elsewhere while holding the lock leaves the ring in a
-        // valid state (every mutation below is total) — recover the
-        // guard instead of cascading the poison through the fleet.
-        let mut ring = self
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if ring.len() == self.cap {
-            ring.pop_front();
-            self.dropped.inc();
-        }
-        ring.push_back(event);
-        self.occupancy
-            .set(i64::try_from(ring.len()).unwrap_or(i64::MAX));
-    }
-
-    /// The retained events, oldest first.
-    #[must_use]
-    pub fn recent(&self) -> Vec<Event> {
-        self.ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
     }
 }
 
@@ -170,8 +103,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn events_count_per_level_and_stay_bounded() {
-        let log = EventLog::new(2);
+    fn events_count_per_level() {
+        let log = EventLog::new();
         log.set_echo(false);
         log.record(Level::Info, "first", &[]);
         log.record(Level::Warn, "second", &[("k", "v")]);
@@ -179,24 +112,16 @@ mod tests {
         assert_eq!(log.counter(Level::Info).get(), 1);
         assert_eq!(log.counter(Level::Warn).get(), 2);
         assert_eq!(log.counter(Level::Error).get(), 0);
-        let recent = log.recent();
-        assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].message, "second");
-        assert_eq!(recent[1].message, "third");
-        assert_eq!(recent[0].seq, 2);
-        assert_eq!(recent[0].fields, vec![("k".to_owned(), "v".to_owned())]);
     }
 
     #[test]
     fn render_line_is_greppable() {
-        let event = Event {
-            seq: 1,
-            level: Level::Warn,
-            message: "checkpoint write failed".to_owned(),
-            fields: vec![("error".to_owned(), "disk \"full\"".to_owned())],
-        };
         assert_eq!(
-            event.render_line(),
+            render_line(
+                Level::Warn,
+                "checkpoint write failed",
+                &[("error", "disk \"full\"")]
+            ),
             "[warn] checkpoint write failed error=\"disk \\\"full\\\"\""
         );
     }

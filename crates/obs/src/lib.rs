@@ -8,10 +8,10 @@
 //!   the request path and inside the training loop.
 //! * [`Stage`]/[`Span`] — `Instant`-pair timers for named stages
 //!   (ingest, train, checkpoint, ...) recording into a per-stage
-//!   histogram and a bounded ring of recent [`SpanRecord`]s.
-//! * [`Level`]/[`Event`] — structured, leveled events with key/value
-//!   fields replacing ad-hoc `eprintln!` diagnostics (warnings still
-//!   echo to stderr).
+//!   histogram.
+//! * [`Level`]/[`EventLog`] — structured, leveled events with key/value
+//!   fields replacing ad-hoc `eprintln!` diagnostics, counted per level
+//!   (warnings still echo to stderr).
 //! * [`Registry::render`] plus [`exposition::relabel`] and
 //!   [`exposition::merge`] — deterministic Prometheus-style text
 //!   exposition, scrapeable over the serve protocol's `metrics` op
@@ -28,10 +28,10 @@ pub mod registry;
 pub mod span;
 pub mod trace;
 
-pub use events::{Event, EventLog, Level};
+pub use events::{EventLog, Level};
 pub use histogram::{Log2Histogram, BUCKETS};
 pub use registry::{Counter, Gauge, Registry};
-pub use span::{Span, SpanRecord, SpanRing, Stage};
+pub use span::{Span, Stage};
 pub use trace::{
     stitch, NodeFragment, StitchedSpan, StitchedTrace, TraceConfig, TraceContext, TraceFragment,
     TraceSpan, TraceSpanRecord, Tracer,

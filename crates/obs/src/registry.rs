@@ -13,15 +13,10 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::events::{Event, EventLog, Level};
+use crate::events::{EventLog, Level};
 use crate::histogram::Log2Histogram;
-use crate::span::{SpanRecord, SpanRing, Stage};
+use crate::span::Stage;
 use crate::trace::{TraceConfig, Tracer};
-
-/// Recent-span ring capacity.
-pub const SPAN_RING_CAP: usize = 256;
-/// Structured-event ring capacity.
-pub const EVENT_RING_CAP: usize = 256;
 
 /// A monotonically increasing counter (relaxed atomics throughout).
 #[derive(Debug, Default)]
@@ -117,14 +112,13 @@ struct Family {
 /// The process-wide metric registry.
 ///
 /// One per process (or per server in tests); shared as
-/// `Arc<Registry>`. Also owns the recent-span ring and the structured
-/// event log so one handle carries the whole observability surface.
+/// `Arc<Registry>`. Also owns the structured event counters and the
+/// distributed tracer so one handle carries the whole observability
+/// surface.
 pub struct Registry {
     families: Mutex<BTreeMap<String, Family>>,
-    spans: Arc<SpanRing>,
     events: EventLog,
     tracer: Arc<Tracer>,
-    epoch: Instant,
 }
 
 impl Default for Registry {
@@ -143,17 +137,14 @@ fn sorted_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
 }
 
 impl Registry {
-    /// An empty registry (plus its event-level counters, ring drop/
-    /// occupancy series and the distributed-trace buffer counters).
+    /// An empty registry (plus its event-level counters and the
+    /// distributed-trace buffer counters).
     #[must_use]
     pub fn new() -> Self {
-        let epoch = Instant::now();
         let registry = Registry {
             families: Mutex::new(BTreeMap::new()),
-            spans: Arc::new(SpanRing::new(SPAN_RING_CAP)),
-            events: EventLog::new(EVENT_RING_CAP),
-            tracer: Arc::new(Tracer::new(0, TraceConfig::default(), epoch)),
-            epoch,
+            events: EventLog::new(),
+            tracer: Arc::new(Tracer::new(0, TraceConfig::default(), Instant::now())),
         };
         for level in Level::ALL {
             registry.adopt(
@@ -163,30 +154,6 @@ impl Registry {
                 Handle::Counter(registry.events.counter(level)),
             );
         }
-        let _ = registry.adopt_counter(
-            "obs_spans_dropped_total",
-            &[],
-            "Stage spans evicted from the bounded recent-span ring.",
-            registry.spans.dropped_handle(),
-        );
-        let _ = registry.adopt_gauge(
-            "obs_span_ring_occupancy",
-            &[],
-            "Stage spans currently held in the recent-span ring.",
-            registry.spans.occupancy_handle(),
-        );
-        let _ = registry.adopt_counter(
-            "obs_events_dropped_total",
-            &[],
-            "Structured events evicted from the bounded event ring.",
-            registry.events.dropped_handle(),
-        );
-        let _ = registry.adopt_gauge(
-            "obs_event_ring_occupancy",
-            &[],
-            "Structured events currently held in the event ring.",
-            registry.events.occupancy_handle(),
-        );
         let _ = registry.adopt_counter(
             "obs_traces_dropped_total",
             &[],
@@ -340,7 +307,7 @@ impl Registry {
     }
 
     /// A named stage timer: spans entered on it record wall time into
-    /// `metric{stage="..."}` and the recent-span ring.
+    /// `metric{stage="..."}`.
     #[must_use]
     pub fn stage(&self, metric: &str, stage: &'static str) -> Stage {
         let hist = self.histogram_with(
@@ -348,31 +315,13 @@ impl Registry {
             &[("stage", stage)],
             "Stage wall time in microseconds.",
         );
-        Stage::new(stage, hist, Arc::clone(&self.spans), self.epoch)
-    }
-
-    /// The most recent spans (oldest first), up to the ring capacity.
-    #[must_use]
-    pub fn recent_spans(&self) -> Vec<SpanRecord> {
-        self.spans.recent()
-    }
-
-    /// Total spans ever recorded (including ones evicted from the ring).
-    #[must_use]
-    pub fn spans_recorded(&self) -> u64 {
-        self.spans.total()
+        Stage::new(stage, hist)
     }
 
     /// Records a structured event (counted per level; `Warn`/`Error`
     /// echo to stderr unless muted).
     pub fn event(&self, level: Level, message: &str, fields: &[(&str, &str)]) {
         self.events.record(level, message, fields);
-    }
-
-    /// The most recent events (oldest first), up to the ring capacity.
-    #[must_use]
-    pub fn recent_events(&self) -> Vec<Event> {
-        self.events.recent()
     }
 
     /// Silences the stderr echo of `Warn`/`Error` events (tests).

@@ -1,125 +1,24 @@
-//! Stage spans: `Instant`-pair timers that record into a histogram
-//! and a bounded ring of recent spans.
+//! Stage spans: `Instant`-pair timers that record into a histogram.
 //!
 //! A [`Stage`] is created once (cold path, one registry lookup) and
 //! held by the instrumented loop; entering it costs two `Instant`
-//! reads plus one histogram record and one ring push on drop. The
-//! ring is a mutex-guarded `VecDeque`, which is fine because spans
-//! time *stages* (ingest, train, checkpoint) — millisecond-scale work
-//! off the request path — not individual requests.
+//! reads plus one histogram record on drop.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::histogram::Log2Histogram;
-use crate::registry::{Counter, Gauge};
 use crate::trace::{TraceContext, TraceSpan, Tracer};
-
-/// One completed span, timestamped relative to the registry's epoch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// The stage name (e.g. `"train"`).
-    pub name: &'static str,
-    /// Microseconds from registry creation to span start.
-    pub start_us: u64,
-    /// Span wall time in microseconds.
-    pub duration_us: u64,
-}
-
-/// Bounded ring of the most recent spans.
-#[derive(Debug)]
-pub struct SpanRing {
-    inner: Mutex<VecDeque<SpanRecord>>,
-    cap: usize,
-    total: AtomicU64,
-    dropped: Arc<Counter>,
-    occupancy: Arc<Gauge>,
-}
-
-impl SpanRing {
-    /// An empty ring holding at most `cap` spans.
-    #[must_use]
-    pub fn new(cap: usize) -> Self {
-        SpanRing {
-            inner: Mutex::new(VecDeque::with_capacity(cap)),
-            cap: cap.max(1),
-            total: AtomicU64::new(0),
-            dropped: Arc::new(Counter::default()),
-            occupancy: Arc::new(Gauge::default()),
-        }
-    }
-
-    /// Appends a record, evicting the oldest when full.
-    pub fn push(&self, record: SpanRecord) {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        // Ring mutations are total, so a poisoned lock still guards a
-        // valid ring — recover the guard rather than panic in obs code.
-        let mut ring = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if ring.len() == self.cap {
-            ring.pop_front();
-            self.dropped.inc();
-        }
-        ring.push_back(record);
-        self.occupancy
-            .set(i64::try_from(ring.len()).unwrap_or(i64::MAX));
-    }
-
-    /// Spans evicted by the bound (`obs_spans_dropped_total`).
-    #[must_use]
-    pub fn dropped_handle(&self) -> Arc<Counter> {
-        Arc::clone(&self.dropped)
-    }
-
-    /// Current ring occupancy (`obs_span_ring_occupancy`).
-    #[must_use]
-    pub fn occupancy_handle(&self) -> Arc<Gauge> {
-        Arc::clone(&self.occupancy)
-    }
-
-    /// The retained spans, oldest first.
-    #[must_use]
-    pub fn recent(&self) -> Vec<SpanRecord> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Spans ever pushed (including evicted ones).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-}
 
 /// A named, reusable stage timer bound to one histogram series.
 pub struct Stage {
     name: &'static str,
     hist: Arc<Log2Histogram>,
-    ring: Arc<SpanRing>,
-    epoch: Instant,
 }
 
 impl Stage {
-    pub(crate) fn new(
-        name: &'static str,
-        hist: Arc<Log2Histogram>,
-        ring: Arc<SpanRing>,
-        epoch: Instant,
-    ) -> Self {
-        Stage {
-            name,
-            hist,
-            ring,
-            epoch,
-        }
+    pub(crate) fn new(name: &'static str, hist: Arc<Log2Histogram>) -> Self {
+        Stage { name, hist }
     }
 
     /// The stage's name.
@@ -181,57 +80,28 @@ impl Span<'_> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let duration_us = self.started.elapsed().as_micros() as u64;
-        self.stage.hist.record(duration_us);
-        self.stage.ring.push(SpanRecord {
-            name: self.stage.name,
-            start_us: self
-                .started
-                .saturating_duration_since(self.stage.epoch)
-                .as_micros() as u64,
-            duration_us,
-        });
+        self.stage
+            .hist
+            .record(self.started.elapsed().as_micros() as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::registry::Registry;
 
     #[test]
-    fn spans_record_into_histogram_and_ring() {
+    fn spans_record_into_the_stage_histogram() {
         let r = Registry::new();
         let stage = r.stage("test_stage_us", "work");
         stage.time(|| std::thread::sleep(std::time::Duration::from_millis(2)));
         {
             let _guard = stage.enter();
         }
+        assert_eq!(stage.name(), "work");
         assert_eq!(stage.histogram().count(), 2);
         assert!(stage.histogram().max() >= 2_000);
-        let spans = r.recent_spans();
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().all(|s| s.name == "work"));
-        assert!(spans[0].start_us <= spans[1].start_us);
-        assert_eq!(r.spans_recorded(), 2);
-    }
-
-    #[test]
-    fn ring_is_bounded_and_keeps_the_newest() {
-        let ring = SpanRing::new(3);
-        for i in 0..10u64 {
-            ring.push(SpanRecord {
-                name: "s",
-                start_us: i,
-                duration_us: i,
-            });
-        }
-        let recent = ring.recent();
-        assert_eq!(recent.len(), 3);
-        assert_eq!(
-            recent.iter().map(|s| s.start_us).collect::<Vec<_>>(),
-            vec![7, 8, 9]
-        );
-        assert_eq!(ring.total(), 10);
+        // The registry hands out the same series for the same stage.
+        assert_eq!(r.stage("test_stage_us", "work").histogram().count(), 2);
     }
 }

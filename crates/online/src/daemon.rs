@@ -1210,7 +1210,12 @@ mod tests {
             summary.increments.len()
         )));
         assert!(text.contains(&format!("online_version {}", learner.version())));
-        assert!(learner.obs().spans_recorded() > 0, "spans were recorded");
+        let ingest = learner.obs().stage("online_stage_us", "ingest");
+        assert_eq!(
+            ingest.histogram().count(),
+            summary.events_applied as u64,
+            "one ingest span per applied event"
+        );
 
         // Every committed increment left a trace rooted at `increment`
         // with the lifecycle stages as children (the tail sampler keeps

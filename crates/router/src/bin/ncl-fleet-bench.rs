@@ -24,22 +24,19 @@
 //! ncl-fleet-bench [--quick] [--rounds N] [--out PATH]
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ncl_online::daemon::{OnlineConfig, OnlineLearner};
-use ncl_online::publish::DeltaPublisher;
 use ncl_online::stream::{SampleStream, StreamConfig};
-use ncl_online::Checkpoint;
 use ncl_router::backend::Backend;
 use ncl_router::faults::FaultPlan;
-use ncl_router::replica::{ElasticReplica, FollowerReplica, LearnerReplica};
 use ncl_router::router::{Router, RouterConfig};
+use ncl_router::testkit::{
+    self, percentile, start_node, start_synth_follower, Load, Node, SynthLearner,
+};
 use ncl_serve::client::NclClient;
 use ncl_serve::protocol::object;
-use ncl_serve::registry::ModelRegistry;
-use ncl_serve::server::{Server, ServerConfig};
 use ncl_serve::sync::ReplicaSync;
 use serde_json::Value;
 
@@ -104,48 +101,12 @@ fn fleet_config() -> (OnlineConfig, StreamConfig) {
     (config, stream)
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+/// Waits for `done`; a bench that times out has nothing to report.
+fn poll(what: &str, done: impl FnMut() -> bool) {
+    if let Err(e) = testkit::poll_until(Duration::from_secs(30), what, done) {
+        eprintln!("ncl-fleet-bench: {e}");
+        std::process::exit(1);
     }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-fn poll_until(deadline_secs: u64, what: &str, mut done: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(deadline_secs);
-    while !done() {
-        if Instant::now() > deadline {
-            eprintln!("ncl-fleet-bench: timed out waiting for {what}");
-            std::process::exit(1);
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-struct Node {
-    replica: Arc<ElasticReplica>,
-    server: Server,
-}
-
-fn start_node(config: &OnlineConfig, bootstrap: &Checkpoint, stream: &SampleStream) -> Node {
-    let obs = Arc::new(ncl_obs::Registry::new());
-    let replica = Arc::new(
-        ElasticReplica::follower(
-            config.clone(),
-            bootstrap.clone(),
-            stream.clone(),
-            Duration::from_millis(1),
-            Arc::clone(&obs),
-        )
-        .expect("elastic follower"),
-    );
-    replica.register_into(&obs);
-    let sync: Arc<dyn ReplicaSync> = Arc::clone(&replica) as Arc<dyn ReplicaSync>;
-    let server =
-        Server::start_with_obs(replica.registry(), ServerConfig::default(), Some(sync), obs)
-            .expect("replica server");
-    Node { replica, server }
 }
 
 /// Phase 1: failover rounds. Returns the JSON block plus the background
@@ -159,7 +120,10 @@ fn failover_phase(args: &Args) -> (Value, u64, u64, bool, u64) {
     drop(learner);
 
     let nodes: Vec<Node> = (0..3)
-        .map(|_| start_node(&config, &bootstrap, &stream))
+        .map(|_| {
+            start_node(&config, &bootstrap, &stream, Duration::from_millis(1))
+                .expect("elastic follower")
+        })
         .collect();
     let plan = Arc::new(FaultPlan::new(0xFA110));
     let backends: Vec<Arc<Backend>> = nodes
@@ -185,41 +149,18 @@ fn failover_phase(args: &Args) -> (Value, u64, u64, bool, u64) {
     let addr = router.local_addr();
 
     // Live client load across every partition in the phase.
-    let stop = Arc::new(AtomicBool::new(false));
-    let bg_ok = Arc::new(AtomicU64::new(0));
-    let bg_failed = Arc::new(AtomicU64::new(0));
-    let probe = stream.events()[0].raster.clone();
-    let load = {
-        let stop = Arc::clone(&stop);
-        let ok = Arc::clone(&bg_ok);
-        let failed = Arc::clone(&bg_failed);
-        std::thread::spawn(move || {
-            let mut client = NclClient::connect(addr).expect("bg connect");
-            let mut i = 0u64;
-            while !stop.load(Ordering::Acquire) {
-                match client.predict(i, &probe) {
-                    Ok(reply) if reply.get("ok").and_then(Value::as_bool) == Some(true) => {
-                        ok.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {
-                        failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                i += 1;
-            }
-        })
-    };
+    let load = Load::start(addr, &stream.events()[0].raster, 1);
 
     // Initial election: a fleet of followers has no learner, so after
     // `failover_ticks` learner-less ticks the router promotes one.
     let started = Instant::now();
-    poll_until(30, "the initial election", || router.promotions() >= 1);
+    poll("the initial election", || router.promotions() >= 1);
     let initial_election_ms = started.elapsed().as_millis() as u64;
     eprintln!("initial election in {initial_election_ms} ms");
 
     let mut detection_ms: Vec<u64> = Vec::new();
     for round in 0..args.rounds {
-        poll_until(30, "a single settled learner", || {
+        poll("a single settled learner", || {
             nodes
                 .iter()
                 .filter(|n| n.replica.role() == "learner")
@@ -235,23 +176,20 @@ fn failover_phase(args: &Args) -> (Value, u64, u64, bool, u64) {
 
         plan.partition(lid);
         let t0 = Instant::now();
-        poll_until(30, "failover promotion", || {
-            router.promotions() > promotions
-        });
+        poll("failover promotion", || router.promotions() > promotions);
         let latency = t0.elapsed().as_millis() as u64;
         detection_ms.push(latency);
         eprintln!("round {round}: partitioned learner {lid}, promoted a successor in {latency} ms");
 
         plan.heal(lid);
-        poll_until(30, "the deposed learner's demotion", || {
+        poll("the deposed learner's demotion", || {
             router.demotions() > demotions && nodes[lid].replica.role() == "follower"
         });
     }
 
     // Let in-flight requests settle, then stop the load.
     std::thread::sleep(Duration::from_millis(50));
-    stop.store(true, Ordering::Release);
-    load.join().expect("bg load thread");
+    let load = load.stop();
 
     // No increments ran (the stream is all warmup), so every survivor —
     // including each deposed learner, which fell back to its last
@@ -284,77 +222,27 @@ fn failover_phase(args: &Args) -> (Value, u64, u64, bool, u64) {
         ("final_epoch", Value::from(router.epoch())),
     ]);
 
-    let ok = bg_ok.load(Ordering::Relaxed);
-    let failed = bg_failed.load(Ordering::Relaxed);
     let promotions = router.promotions();
     router.shutdown();
     for node in nodes {
         node.server.shutdown();
     }
-    (block, ok, failed, bit_identical, promotions)
-}
-
-/// Hand-built checkpoint chain for the rejoin phase (versions differ in
-/// the trainable weights, so deltas are real payloads).
-fn synth(version: u64) -> Checkpoint {
-    use ncl_snn::{Network, NetworkConfig};
-    use ncl_spike::memory::Alignment;
-    use replay4ncl::buffer::LatentReplayBuffer;
-
-    let mut network = Network::new(NetworkConfig::tiny(6, 3)).expect("network");
-    network
-        .visit_trainable_mut(1, |slice| {
-            for v in slice.iter_mut() {
-                *v += version as f32 * 0.01;
-            }
-        })
-        .expect("bump weights");
-    Checkpoint {
-        version,
-        cursor: version * 10,
-        event_digest: version ^ 0xAB,
-        config_digest: 42,
-        known_classes: vec![0, 1],
-        network,
-        buffer: LatentReplayBuffer::with_capacity_bits(Alignment::Byte, 8_192),
-        pending: Vec::new(),
-    }
-}
-
-fn start_synth_follower() -> (Arc<FollowerReplica>, Server) {
-    let replica = Arc::new(FollowerReplica::new(synth(1)));
-    let sync: Arc<dyn ReplicaSync> = Arc::clone(&replica) as Arc<dyn ReplicaSync>;
-    let server = Server::start_with_sync(replica.registry(), ServerConfig::default(), Some(sync))
-        .expect("follower server");
-    (replica, server)
+    (block, load.ok, load.failed, bit_identical, promotions)
 }
 
 /// Phase 2: rejoin catch-up economics, delta ring vs full sync.
 /// Returns the JSON block plus each path's convergence verdict.
 fn rejoin_phase() -> (Value, bool, bool) {
     const RING: usize = 8;
-    let base = synth(1);
-    let registry = Arc::new(ModelRegistry::with_initial_version(
-        base.network.clone(),
-        "synth",
-        1,
-    ));
-    let publisher = Arc::new(DeltaPublisher::with_ring(base, RING));
-    let learner_sync: Arc<dyn ReplicaSync> = Arc::new(LearnerReplica::new(Arc::clone(&publisher)));
-    let learner_server = Server::start_with_sync(
-        Arc::clone(&registry),
-        ServerConfig::default(),
-        Some(learner_sync),
-    )
-    .expect("synth learner server");
-
-    let (near, near_server) = start_synth_follower();
-    let (far, far_server) = start_synth_follower();
+    let learner = SynthLearner::start(RING).expect("synth learner");
+    let publisher = &learner.publisher;
+    let near = start_synth_follower().expect("follower");
+    let far = start_synth_follower().expect("follower");
 
     let router = Router::start(
         vec![
-            Arc::new(Backend::new(0, learner_server.local_addr())),
-            Arc::new(Backend::new(1, near_server.local_addr())),
+            Arc::new(Backend::new(0, learner.server.local_addr())),
+            Arc::new(Backend::new(1, near.server.local_addr())),
         ],
         RouterConfig {
             // Driven manually with sync_now(): deterministic tick count.
@@ -366,15 +254,7 @@ fn rejoin_phase() -> (Value, bool, bool) {
 
     // Lag == ring capacity: catch-up is one retained delta per tick.
     let target = 1 + RING as u64;
-    let network = synth(target).network.clone();
-    while publisher.version() < target {
-        publisher
-            .publish(synth(publisher.version() + 1))
-            .expect("publish");
-    }
-    registry
-        .swap_network_at(network, "synth", target)
-        .expect("swap");
+    learner.advance_to(target).expect("publish");
     let delta_bytes: usize = (1..target)
         .map(|v| publisher.delta_from(v).expect("retained delta").1.len())
         .sum();
@@ -386,25 +266,21 @@ fn rejoin_phase() -> (Value, bool, bool) {
     // Verdict taken *now*: the full-sync scenario below publishes one
     // more version, which the sync loop would also walk `near` through.
     let near_deltas = near.deltas_applied();
-    let near_ok = near.registry().version() == target
+    let near_ok = near.replica.registry().version() == target
         && near_deltas == RING as u64
         && near.full_syncs() == 0
-        && near.checkpoint_bytes() == synth(target).to_bytes();
+        && near.replica.checkpoint_bytes() == publisher.checkpoint_bytes();
     eprintln!(
         "delta catch-up: lag {RING} -> {near_deltas} delta(s), {delta_bytes} B in {delta_wall_us} us"
     );
 
     // One more publish pushes v1 out of the ring; a fresh joiner at v1
     // must take the full-checkpoint path on its first sync.
-    let network = synth(target + 1).network.clone();
-    publisher.publish(synth(target + 1)).expect("publish");
-    registry
-        .swap_network_at(network, "synth", target + 1)
-        .expect("swap");
+    learner.advance_to(target + 1).expect("publish");
     let full_bytes = publisher.checkpoint_bytes().len();
     let mut control = NclClient::connect(router.local_addr()).expect("control");
     let joined = control
-        .join(&far_server.local_addr().to_string())
+        .join(&far.server.local_addr().to_string())
         .expect("join");
     assert_eq!(joined.get("ok").and_then(Value::as_bool), Some(true));
     let t0 = Instant::now();
@@ -416,10 +292,10 @@ fn rejoin_phase() -> (Value, bool, bool) {
         far.full_syncs(),
     );
 
-    let far_ok = far.registry().version() == target + 1
+    let far_ok = far.replica.registry().version() == target + 1
         && far.full_syncs() == 1
         && far.deltas_applied() == 0
-        && far.checkpoint_bytes() == publisher.checkpoint_bytes();
+        && far.replica.checkpoint_bytes() == publisher.checkpoint_bytes();
 
     let block = object(vec![
         ("ring", Value::from(RING)),
@@ -453,9 +329,9 @@ fn rejoin_phase() -> (Value, bool, bool) {
     ]);
 
     router.shutdown();
-    learner_server.shutdown();
-    near_server.shutdown();
-    far_server.shutdown();
+    learner.server.shutdown();
+    near.server.shutdown();
+    far.server.shutdown();
     (block, near_ok, far_ok)
 }
 

@@ -5,15 +5,18 @@
 //! starts from the same base — the property the delta chain relies on),
 //! then diverge:
 //!
-//! * `--role learner` runs the continual-learning stream: it ingests
-//!   events (paced by `--pace-ms` so increments land mid-load),
-//!   publishes a checkpoint delta after every increment, and answers
-//!   `delta`/`checkpoint` fetches. `--delta-ring N` sets how many
-//!   consecutive deltas it retains before laggards need a full sync.
 //! * `--role follower` mounts an elastic replica: it serves and applies
 //!   whatever the router relays, and can be *promoted* to learner over
 //!   the wire — it then resumes training from its last applied
 //!   checkpoint and continues the same deterministic stream.
+//! * `--role learner` is the same elastic replica, promoted at fleet
+//!   epoch 1 as soon as it has bootstrapped: it ingests the stream
+//!   (paced by `--pace-ms` so increments land mid-load), publishes a
+//!   checkpoint delta after every increment, and answers
+//!   `delta`/`checkpoint` fetches. `--delta-ring N` sets how many
+//!   consecutive deltas it retains before laggards need a full sync.
+//!   The router adopts the highest epoch it sees, so a fresh fleet
+//!   starts at epoch 1.
 //!
 //! Elastic-fleet flags: `--join ADDR` registers this replica with a
 //! running router once it is listening; `--bootstrap-from ADDR` skips
@@ -35,10 +38,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ncl_online::daemon::{IngestOutcome, OnlineConfig, OnlineLearner};
-use ncl_online::publish::DeltaPublisher;
+use ncl_online::daemon::{OnlineConfig, OnlineLearner};
 use ncl_online::stream::{SampleStream, StreamConfig};
-use ncl_router::replica::{ElasticReplica, LearnerReplica};
+use ncl_router::replica::ElasticReplica;
 use ncl_serve::client::NclClient;
 use ncl_serve::protocol::from_hex;
 use ncl_serve::server::{Server, ServerConfig};
@@ -204,9 +206,8 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // and the router merges it into the fleet exposition.
     let obs = Arc::new(ncl_obs::Registry::new());
 
-    // The deterministic event stream. The learner ingests it directly;
-    // an elastic follower keeps it dormant so a promotion can continue
-    // it from the promoted checkpoint's cursor.
+    // The deterministic event stream: dormant until a promotion, which
+    // continues it from the promoted checkpoint's cursor.
     let stream = SampleStream::generate(&StreamConfig {
         scenario: config.scenario.clone(),
         warmup_events: args.warmup,
@@ -220,118 +221,54 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         port: args.port,
         ..ServerConfig::default()
     };
-    match args.role {
-        Role::Follower => {
-            let replica = if let Some(router) = &args.bootstrap_from {
-                // Cold join: adopt the fleet's current state instead of
-                // re-deriving the v1 bootstrap locally.
-                let payload = fetch_checkpoint(router)?;
-                let replica = ElasticReplica::from_checkpoint_bytes(
-                    config,
-                    &payload,
-                    stream,
-                    pace,
-                    Arc::clone(&obs),
-                )?;
-                if !args.quiet {
-                    println!(
-                        "bootstrapped from the fleet via {router}: {} B checkpoint, model v{}",
-                        payload.len(),
-                        replica.registry().version()
-                    );
-                }
-                Arc::new(replica)
-            } else {
-                let learner = OnlineLearner::bootstrap_with_obs(config.clone(), Arc::clone(&obs))?;
-                if !args.quiet {
-                    println!(
-                        "bootstrapped: {} classes at {:.1}% test accuracy, {} latent entries",
-                        learner.known_classes().len(),
-                        learner.pretrain_acc() * 100.0,
-                        learner.buffer().len()
-                    );
-                }
-                Arc::new(ElasticReplica::follower(
-                    config,
-                    learner.checkpoint(),
-                    stream,
-                    pace,
-                    Arc::clone(&obs),
-                )?)
-            };
-            replica.register_into(&obs);
-            let registry = replica.registry();
-            let sync: Arc<dyn ReplicaSync> = replica;
-            let server =
-                Server::start_with_obs(registry, server_config, Some(sync), Arc::clone(&obs))?;
+    let replica = if let Some(router) = &args.bootstrap_from {
+        // Cold join: adopt the fleet's current state instead of
+        // re-deriving the v1 bootstrap locally.
+        let payload = fetch_checkpoint(router)?;
+        let replica = ElasticReplica::from_checkpoint_bytes(
+            config,
+            &payload,
+            stream,
+            pace,
+            Arc::clone(&obs),
+        )?;
+        if !args.quiet {
             println!(
-                "listening on {} (model v{}, role follower)",
-                server.local_addr(),
-                server.registry().version()
+                "bootstrapped from the fleet via {router}: {} B checkpoint, model v{}",
+                payload.len(),
+                replica.registry().version()
             );
-            if let Some(router) = &args.join {
-                join_fleet(router, &server.local_addr().to_string(), args.quiet)?;
-            }
-            server.wait();
         }
-        Role::Learner => {
-            let mut learner = OnlineLearner::bootstrap_with_obs(config.clone(), Arc::clone(&obs))?;
-            if !args.quiet {
-                println!(
-                    "bootstrapped: {} classes at {:.1}% test accuracy, {} latent entries",
-                    learner.known_classes().len(),
-                    learner.pretrain_acc() * 100.0,
-                    learner.buffer().len()
-                );
-            }
-            let publisher = Arc::new(DeltaPublisher::with_ring(
-                learner.checkpoint(),
-                config.delta_ring,
-            ));
-            let sync: Arc<dyn ReplicaSync> = Arc::new(LearnerReplica::new(Arc::clone(&publisher)));
-            let server = Server::start_with_obs(
-                learner.registry(),
-                server_config,
-                Some(sync),
-                Arc::clone(&obs),
-            )?;
+        replica
+    } else {
+        let learner = OnlineLearner::bootstrap_with_obs(config.clone(), Arc::clone(&obs))?;
+        if !args.quiet {
             println!(
-                "listening on {} (model v{}, role learner)",
-                server.local_addr(),
-                learner.version()
+                "bootstrapped: {} classes at {:.1}% test accuracy, {} latent entries",
+                learner.known_classes().len(),
+                learner.pretrain_acc() * 100.0,
+                learner.buffer().len()
             );
-            if let Some(router) = &args.join {
-                join_fleet(router, &server.local_addr().to_string(), args.quiet)?;
-            }
-
-            let delta_hist = obs.histogram(
-                "online_delta_bytes",
-                "Encoded size of published checkpoint deltas in bytes.",
-            );
-            let mut increments = 0usize;
-            for event in stream.events_from(learner.cursor()) {
-                if let IngestOutcome::Increment(report) = learner.ingest(event)? {
-                    increments += 1;
-                    let delta_bytes = publisher.publish(learner.checkpoint())?;
-                    delta_hist.record(delta_bytes as u64);
-                    println!(
-                        "increment v{}: learned class(es) {:?}, published a {} B delta",
-                        report.version, report.classes, delta_bytes
-                    );
-                }
-                if args.pace_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(args.pace_ms));
-                }
-            }
-            println!(
-                "stream done: {} events, {} increment(s), model v{}",
-                args.events,
-                increments,
-                learner.version()
-            );
-            server.wait();
         }
+        ElasticReplica::follower(config, learner.checkpoint(), stream, pace, Arc::clone(&obs))?
+    };
+    replica.register_into(&obs);
+    if args.role == Role::Learner {
+        replica.promote(1)?;
     }
+    let registry = replica.registry();
+    let role = replica.role();
+    let sync: Arc<dyn ReplicaSync> = Arc::new(replica);
+    let server = Server::start_with_obs(registry, server_config, Some(sync), Arc::clone(&obs))?;
+    println!(
+        "listening on {} (model v{}, role {role})",
+        server.local_addr(),
+        server.registry().version()
+    );
+    if let Some(router) = &args.join {
+        join_fleet(router, &server.local_addr().to_string(), args.quiet)?;
+    }
+    server.wait();
     println!("drained and stopped.");
     Ok(())
 }

@@ -1,9 +1,10 @@
 //! `ncl-router-bench` — measures the sharded-serving fleet and emits
 //! `BENCH_router.json`.
 //!
-//! Boots an in-process two-replica fleet (learner + follower, both
-//! from the same deterministic bootstrap) behind a router, then
-//! measures the three numbers the sharding design is accountable for:
+//! Boots an in-process two-replica fleet (elastic replicas from the
+//! same deterministic bootstrap; the first is promoted to learner once
+//! routing is measured) behind a router, then measures the three
+//! numbers the sharding design is accountable for:
 //!
 //! 1. **Routing overhead** — predict latency/throughput direct to a
 //!    replica vs through the router.
@@ -17,26 +18,24 @@
 //!
 //! Gates (exit 1 on violation): zero failed requests anywhere, every
 //! delta ≤ 10% of its full checkpoint, and the follower's final state
-//! **bit-identical** to the learner's checkpoint.
+//! **bit-identical** to the learner's checkpoint — which must itself be
+//! the one a never-faulted reference run publishes.
 //!
 //! ```sh
 //! ncl-router-bench [--quick] [--requests N] [--out PATH]
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ncl_data::ShdLikeConfig;
-use ncl_online::daemon::{IngestOutcome, OnlineConfig, OnlineLearner};
-use ncl_online::publish::DeltaPublisher;
+use ncl_online::daemon::OnlineConfig;
 use ncl_online::stream::{SampleStream, StreamConfig};
 use ncl_router::backend::Backend;
-use ncl_router::replica::{FollowerReplica, LearnerReplica};
 use ncl_router::router::{Router, RouterConfig};
+use ncl_router::testkit::{percentile, poll_until, reference_run, start_node, Load, Node};
 use ncl_serve::client::NclClient;
 use ncl_serve::protocol::object;
-use ncl_serve::server::{Server, ServerConfig};
 use ncl_serve::sync::ReplicaSync;
 use ncl_snn::NetworkConfig;
 use ncl_spike::SpikeRaster;
@@ -106,14 +105,6 @@ fn fleet_config() -> OnlineConfig {
     config
 }
 
-fn percentile_us(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 /// Drives `count` predicts against `addr`; returns (ok, failed,
 /// latencies µs, wall).
 fn drive(
@@ -148,8 +139,8 @@ fn load_block(ok: u64, failed: u64, latencies: &mut [u64], wall: Duration) -> Va
             "requests_per_sec",
             Value::from(ok as f64 / wall.as_secs_f64().max(1e-9)),
         ),
-        ("p50_us", Value::from(percentile_us(latencies, 0.50))),
-        ("p95_us", Value::from(percentile_us(latencies, 0.95))),
+        ("p50_us", Value::from(percentile(latencies, 0.50))),
+        ("p95_us", Value::from(percentile(latencies, 0.95))),
     ])
 }
 
@@ -157,40 +148,37 @@ fn main() {
     let args = parse_args();
     let total_start = Instant::now();
     let config = fleet_config();
+    let stream = SampleStream::generate(&StreamConfig {
+        scenario: config.scenario.clone(),
+        warmup_events: 16,
+        total_events: if args.quick { 40 } else { 56 },
+        novel_every: 3,
+        seed: 0xF1EE7,
+    })
+    .expect("stream");
 
     // --- fleet bootstrap ------------------------------------------------
+    // The reference run bootstraps the shared deterministic base and
+    // records what the learner must publish over the stream.
     eprintln!("bootstrapping the fleet (shared deterministic base)...");
-    let mut learner = OnlineLearner::bootstrap(config.clone()).expect("bootstrap");
-    let publisher = Arc::new(DeltaPublisher::new(learner.checkpoint()));
-    let learner_sync: Arc<dyn ReplicaSync> = Arc::new(LearnerReplica::new(Arc::clone(&publisher)));
-    let learner_server = Server::start_with_sync(
-        learner.registry(),
-        ServerConfig::default(),
-        Some(learner_sync),
-    )
-    .expect("learner server");
-
-    // The follower starts from the learner's checkpoint *bytes* — the
-    // same payload a cold follower would fetch over the wire.
-    let follower_ckpt = ncl_online::Checkpoint::from_bytes(&learner.checkpoint_bytes())
-        .expect("decode bootstrap checkpoint");
-    let follower = Arc::new(FollowerReplica::new(follower_ckpt));
-    let follower_sync: Arc<dyn ReplicaSync> = Arc::clone(&follower) as Arc<dyn ReplicaSync>;
-    let follower_server = Server::start_with_sync(
-        follower.registry(),
-        ServerConfig::default(),
-        Some(follower_sync),
-    )
-    .expect("follower server");
-
+    let reference = reference_run(&config, &stream).expect("reference run");
+    let nodes: Vec<Node> = (0..2)
+        .map(|_| {
+            start_node(&config, &reference.bootstrap, &stream, Duration::ZERO).expect("replica")
+        })
+        .collect();
+    let (learner, follower) = (&nodes[0], &nodes[1]);
     let backends = vec![
-        Arc::new(Backend::new(0, learner_server.local_addr())),
-        Arc::new(Backend::new(1, follower_server.local_addr())),
+        Arc::new(Backend::new(0, learner.server.local_addr())),
+        Arc::new(Backend::new(1, follower.server.local_addr())),
     ];
     let router = Router::start(
         backends,
         RouterConfig {
             sync_interval: Duration::from_millis(25),
+            // The learner is promoted by hand below; the router must
+            // not elect one of its own while routing is measured.
+            failover_ticks: u32::MAX,
             ..RouterConfig::default()
         },
     )
@@ -202,106 +190,72 @@ fn main() {
     // --- 1. routing overhead -------------------------------------------
     eprintln!("measuring direct vs routed predict paths...");
     let (d_ok, d_failed, mut d_lat, d_wall) =
-        drive(learner_server.local_addr(), &raster, args.requests);
+        drive(learner.server.local_addr(), &raster, args.requests);
     let (r_ok, r_failed, mut r_lat, r_wall) = drive(router.local_addr(), &raster, args.requests);
     let direct = load_block(d_ok, d_failed, &mut d_lat, d_wall);
     let routed = load_block(r_ok, r_failed, &mut r_lat, r_wall);
     let overhead_pct = {
-        let direct_p50 = percentile_us(&d_lat, 0.50).max(1) as f64;
-        let routed_p50 = percentile_us(&r_lat, 0.50) as f64;
+        let direct_p50 = percentile(&d_lat, 0.50).max(1) as f64;
+        let routed_p50 = percentile(&r_lat, 0.50) as f64;
         (routed_p50 - direct_p50) / direct_p50 * 100.0
     };
 
     // --- 2 + 3. stream increments: delta economy + propagation ----------
+    // Promote the learner at epoch 1 under background routed load; it
+    // ingests the stream and publishes a delta after every increment.
     eprintln!("running the learning stream under routed load...");
-    let stream = SampleStream::generate(&StreamConfig {
-        scenario: config.scenario.clone(),
-        warmup_events: 16,
-        total_events: if args.quick { 40 } else { 56 },
-        novel_every: 3,
-        seed: 0xF1EE7,
-    })
-    .expect("stream");
-
-    // Background routed load while increments propagate.
-    let stop_load = Arc::new(AtomicBool::new(false));
-    let bg_ok = Arc::new(AtomicU64::new(0));
-    let bg_failed = Arc::new(AtomicU64::new(0));
-    let bg_handle = {
-        let stop = Arc::clone(&stop_load);
-        let ok = Arc::clone(&bg_ok);
-        let failed = Arc::clone(&bg_failed);
-        let addr = router.local_addr();
-        let raster = raster.clone();
-        std::thread::spawn(move || {
-            let mut client = NclClient::connect(addr).expect("bg connect");
-            let mut i = 0u64;
-            while !stop.load(Ordering::Acquire) {
-                match client.predict(i, &raster) {
-                    Ok(reply) if reply.get("ok").and_then(Value::as_bool) == Some(true) => {
-                        ok.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {
-                        failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                i += 1;
-            }
-        })
-    };
-
+    let load = Load::start(router.local_addr(), &raster, 1);
+    learner.replica.promote(1).expect("promote the learner");
     let mut increments: Vec<Value> = Vec::new();
     let mut max_ratio = 0.0f64;
     let mut propagation_ms: Vec<u64> = Vec::new();
-    for event in stream.events_from(learner.cursor()) {
-        let outcome = learner.ingest(event).expect("ingest");
-        if let IngestOutcome::Increment(report) = outcome {
-            let delta_bytes = publisher.publish(learner.checkpoint()).expect("publish");
-            let full_bytes = publisher.checkpoint_bytes().len();
-            let ratio = delta_bytes as f64 / full_bytes as f64;
-            max_ratio = max_ratio.max(ratio);
-            // Propagation: publish -> follower registry serves the
-            // learner's exact version (the 25 ms sync loop relays it).
-            let published = Instant::now();
-            let target = learner.version();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while follower.registry().version() < target {
-                if Instant::now() > deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let reached = follower.registry().version() >= target;
-            let elapsed_ms = published.elapsed().as_millis() as u64;
-            propagation_ms.push(elapsed_ms);
-            eprintln!(
-                "increment v{}: delta {delta_bytes} B / full {full_bytes} B \
-                 (ratio {:.1}%), propagated in {elapsed_ms} ms{}",
-                report.version,
-                ratio * 100.0,
-                if reached { "" } else { " [TIMED OUT]" },
-            );
-            increments.push(object(vec![
-                ("version", Value::from(report.version)),
-                ("delta_bytes", Value::from(delta_bytes)),
-                ("full_checkpoint_bytes", Value::from(full_bytes)),
-                ("ratio", Value::from(ratio)),
-                ("propagation_ms", Value::from(elapsed_ms)),
-                ("propagated", Value::from(reached)),
-            ]));
+    for version in 2..=reference.version {
+        if let Err(e) = poll_until(Duration::from_secs(60), "the next increment", || {
+            learner.health_count("published_version") >= version
+        }) {
+            eprintln!("ncl-router-bench: {e}");
+            break;
         }
+        // Propagation: publish -> follower registry serves the
+        // learner's exact version (the 25 ms sync loop relays it).
+        let published = Instant::now();
+        let (_, delta) = learner
+            .replica
+            .fetch_delta(version - 1)
+            .expect("the ring retains the newest delta");
+        let delta_bytes = delta.len();
+        let full_bytes = learner.replica.checkpoint_bytes().len();
+        let ratio = delta_bytes as f64 / full_bytes as f64;
+        max_ratio = max_ratio.max(ratio);
+        let reached = poll_until(Duration::from_secs(10), "propagation", || {
+            follower.replica.registry().version() >= version
+        })
+        .is_ok();
+        let elapsed_ms = published.elapsed().as_millis() as u64;
+        propagation_ms.push(elapsed_ms);
+        eprintln!(
+            "increment v{version}: delta {delta_bytes} B / full {full_bytes} B \
+             (ratio {:.1}%), propagated in {elapsed_ms} ms{}",
+            ratio * 100.0,
+            if reached { "" } else { " [TIMED OUT]" },
+        );
+        increments.push(object(vec![
+            ("version", Value::from(version)),
+            ("delta_bytes", Value::from(delta_bytes)),
+            ("full_checkpoint_bytes", Value::from(full_bytes)),
+            ("ratio", Value::from(ratio)),
+            ("propagation_ms", Value::from(elapsed_ms)),
+            ("propagated", Value::from(reached)),
+        ]));
     }
-    stop_load.store(true, Ordering::Release);
-    bg_handle.join().expect("bg load thread");
+    let background = load.stop();
 
     // --- bit-identity ----------------------------------------------------
-    // The follower converges to the last *published* checkpoint; the
-    // learner's live state keeps drifting (cursor/pending advance on
-    // non-increment events), so the publisher's bytes are the target.
+    // The follower converges to the last *published* checkpoint, which
+    // must be the reference run's.
     router.sync_now();
-    let published_bytes = publisher.checkpoint_bytes();
-    let follower_bytes = follower.checkpoint_bytes();
-    let bit_identical = published_bytes == follower_bytes;
+    let bit_identical = follower.replica.checkpoint_bytes() == reference.published
+        && learner.replica.checkpoint_bytes() == reference.published;
 
     propagation_ms.sort_unstable();
     let report = object(vec![
@@ -314,11 +268,8 @@ fn main() {
         (
             "background",
             object(vec![
-                ("requests_ok", Value::from(bg_ok.load(Ordering::Relaxed))),
-                (
-                    "requests_failed",
-                    Value::from(bg_failed.load(Ordering::Relaxed)),
-                ),
+                ("requests_ok", Value::from(background.ok)),
+                ("requests_failed", Value::from(background.failed)),
             ]),
         ),
         (
@@ -334,8 +285,8 @@ fn main() {
         (
             "propagation",
             object(vec![
-                ("p50_ms", Value::from(percentile_us(&propagation_ms, 0.50))),
-                ("max_ms", Value::from(percentile_us(&propagation_ms, 1.0))),
+                ("p50_ms", Value::from(percentile(&propagation_ms, 0.50))),
+                ("max_ms", Value::from(percentile(&propagation_ms, 1.0))),
             ]),
         ),
         ("follower_bit_identical", Value::from(bit_identical)),
@@ -349,12 +300,13 @@ fn main() {
     eprintln!("wrote {}", args.out);
 
     router.shutdown();
-    learner_server.shutdown();
-    follower_server.shutdown();
+    for node in nodes {
+        node.server.shutdown();
+    }
 
     // --- gates -----------------------------------------------------------
     let mut bad = Vec::new();
-    if d_failed + r_failed + bg_failed.load(Ordering::Relaxed) > 0 {
+    if d_failed + r_failed + background.failed > 0 {
         bad.push("requests failed".to_owned());
     }
     if propagation_ms.is_empty() {

@@ -1,9 +1,9 @@
 //! **ncl-router** — a sharded serving fleet for Replay4NCL models.
 //!
-//! One learner replica keeps learning from the stream; N follower
-//! replicas serve the same model. The router fronts them all on the
-//! existing NDJSON-over-TCP protocol, so clients see one address and
-//! one monotonic `model_version`:
+//! Every replica is an [`ElasticReplica`]: one, promoted to learner,
+//! keeps learning from the stream; the followers serve the same model.
+//! The router fronts them all on the existing NDJSON-over-TCP protocol,
+//! so clients see one address and one monotonic `model_version`:
 //!
 //! ```text
 //!              ┌────────────┐   predict    ┌──────────────────┐
@@ -24,16 +24,19 @@
 //!   back to a full checkpoint. Followers apply bit-identically (the
 //!   delta's `target_crc` guarantees it) and hot-swap at the learner's
 //!   exact version.
-//! * [`replica`] — the [`ncl_serve::ReplicaSync`] implementations the
-//!   `ncl-replica` binary mounts: [`replica::LearnerReplica`] (publishes
-//!   deltas), [`replica::FollowerReplica`] (applies them), and
-//!   [`replica::ElasticReplica`] (a follower the router can promote to
-//!   learner over the wire).
+//! * [`replica`] — [`ElasticReplica`], the one
+//!   [`ncl_serve::ReplicaSync`] implementation the `ncl-replica` binary
+//!   mounts: a follower applying deltas that the router (or a fresh
+//!   fleet's start, at epoch 1) can promote to the learner publishing
+//!   them.
 //! * [`membership`] — the live backend set behind the `join` / `leave`
 //!   / `members` wire ops: replicas can enter and exit a running fleet.
 //! * [`faults`] — a deterministic, seeded fault-injection plan threaded
 //!   under every backend transport; the chaos suite replays the exact
 //!   same failure schedule on every run.
+//! * [`testkit`] — the fleet harness the integration tests and bench
+//!   binaries share: nodes, synthetic checkpoint chains, closed-loop
+//!   load, polling.
 //!
 //! The fleet is **elastic**: membership changes over the wire, a
 //! sustained learner outage triggers promotion of the most caught-up
@@ -52,10 +55,11 @@ pub mod membership;
 pub mod replica;
 pub mod router;
 pub mod sync;
+pub mod testkit;
 
 pub use backend::Backend;
 pub use faults::{FaultAction, FaultPlan, FaultRule};
 pub use membership::Membership;
-pub use replica::{ElasticReplica, FollowerReplica, LearnerReplica};
+pub use replica::ElasticReplica;
 pub use router::{DispatchPolicy, Router, RouterConfig};
 pub use sync::SyncStats;

@@ -14,7 +14,7 @@ extracted). `<role>` picks the layer coverage the scrape must show:
               serve_* series stamped with a replica="N" label
 
 Every role must also expose the registry's own obs_* self-metrics
-(ring occupancy/drops and the trace tail-sampler counters).
+(the per-level event counters and the trace tail-sampler counters).
 
 Beyond coverage, the exposition itself is checked for well-formedness:
 every sample parses, every family has exactly one HELP and TYPE comment

@@ -19,113 +19,42 @@
 //! * through all of it: **zero failed client requests** and no
 //!   client-visible `model_version` regression.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ncl_online::daemon::{IngestOutcome, OnlineConfig, OnlineLearner};
-use ncl_online::publish::DeltaPublisher;
-use ncl_online::stream::{SampleStream, StreamConfig};
+use ncl_online::stream::SampleStream;
 use ncl_online::Checkpoint;
 use ncl_router::backend::Backend;
 use ncl_router::faults::{FaultAction, FaultPlan, FaultRule};
-use ncl_router::replica::{ElasticReplica, FollowerReplica, LearnerReplica};
 use ncl_router::router::{Router, RouterConfig};
+use ncl_router::testkit::{
+    poll_until, reference_run, start_node, start_synth_follower, test_config, Load, Node,
+    SynthLearner,
+};
 use ncl_serve::client::NclClient;
 use ncl_serve::protocol;
-use ncl_serve::registry::ModelRegistry;
-use ncl_serve::server::{Server, ServerConfig};
 use ncl_serve::sync::ReplicaSync;
 use serde_json::Value;
 
-/// Debug-CI-sized config: bootstraps in seconds, still produces a real
-/// increment. The deliberately small delta ring makes ring overflow
-/// reachable in a test.
-fn test_config() -> (OnlineConfig, StreamConfig) {
-    let mut config = OnlineConfig::smoke();
-    config.scenario.pretrain_epochs = 4;
-    config.scenario.cl_epochs = 3;
-    config.scenario.parallelism = 2;
-    config.arrival_threshold = 3;
-    config.delta_ring = 2;
-    let stream = StreamConfig {
-        scenario: config.scenario.clone(),
-        warmup_events: 10,
-        total_events: 26,
-        novel_every: 2,
-        seed: 0x0DDB,
-    };
-    (config, stream)
-}
-
-struct Node {
-    replica: Arc<ElasticReplica>,
-    server: Server,
-}
-
-/// Boots an elastic follower from the shared bootstrap checkpoint and
-/// mounts it on a live server.
-fn start_node(
-    config: &OnlineConfig,
-    bootstrap: &Checkpoint,
-    stream: &SampleStream,
-    pace: Duration,
-) -> Node {
-    let obs = Arc::new(ncl_obs::Registry::new());
-    let replica = Arc::new(
-        ElasticReplica::follower(
-            config.clone(),
-            bootstrap.clone(),
-            stream.clone(),
-            pace,
-            Arc::clone(&obs),
-        )
-        .unwrap(),
-    );
-    replica.register_into(&obs);
-    let sync: Arc<dyn ReplicaSync> = Arc::clone(&replica) as Arc<dyn ReplicaSync>;
-    let server =
-        Server::start_with_obs(replica.registry(), ServerConfig::default(), Some(sync), obs)
-            .unwrap();
-    Node { replica, server }
-}
-
-fn poll_until(deadline_secs: u64, what: &str, mut done: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(deadline_secs);
-    while !done() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 #[test]
 fn learner_kill_promotes_a_follower_and_survivors_converge_bit_identically() {
-    let (config, stream_config) = test_config();
+    let (mut config, stream_config) = test_config();
+    // A deliberately small delta ring makes ring overflow reachable.
+    config.delta_ring = 2;
     let stream = SampleStream::generate(&stream_config).unwrap();
 
     // The never-faulted reference: bootstrap once, ingest the whole
-    // stream. Determinism makes its final checkpoint the bytes every
-    // survivor of the chaos below must end on.
-    let mut reference = OnlineLearner::bootstrap(config.clone()).unwrap();
-    let bootstrap = reference.checkpoint();
-    // Survivors converge to the last *published* checkpoint — the state
-    // at the final increment. The learner's live state keeps drifting
-    // after it (cursor/pending advance on non-increment events), so
-    // capture the reference bytes at the increment, not at stream end.
-    let mut expected = Vec::new();
-    for event in stream.events_from(reference.cursor()) {
-        if let IngestOutcome::Increment(_) = reference.ingest(event).unwrap() {
-            expected = reference.checkpoint_bytes();
-        }
-    }
-    let target = reference.version();
+    // stream. Determinism makes its last published checkpoint the bytes
+    // every survivor of the chaos below must end on.
+    let reference = reference_run(&config, &stream).unwrap();
+    let (expected, target) = (reference.published, reference.version);
     assert!(target > 1, "the stream must produce an increment");
 
     // Three elastic replicas from the identical bootstrap; replica 0 is
     // pre-promoted to learner at epoch 1 and starts ingesting.
     let pace = Duration::from_millis(20);
     let nodes: Vec<Node> = (0..3)
-        .map(|_| start_node(&config, &bootstrap, &stream, pace))
+        .map(|_| start_node(&config, &reference.bootstrap, &stream, pace).unwrap())
         .collect();
     nodes[0].replica.promote(1).unwrap();
 
@@ -159,47 +88,7 @@ fn learner_kill_promotes_a_follower_and_survivors_converge_bit_identically() {
 
     // Client load for the whole scenario: count outcomes and watch for
     // any per-connection model_version regression.
-    let stop = Arc::new(AtomicBool::new(false));
-    let ok = Arc::new(AtomicU64::new(0));
-    let failed = Arc::new(AtomicU64::new(0));
-    let regressed = Arc::new(AtomicBool::new(false));
-    let probe = stream.events()[0].raster.clone();
-    let load: Vec<_> = (0..2)
-        .map(|_| {
-            let stop = Arc::clone(&stop);
-            let ok = Arc::clone(&ok);
-            let failed = Arc::clone(&failed);
-            let regressed = Arc::clone(&regressed);
-            let probe = probe.clone();
-            std::thread::spawn(move || {
-                let Ok(mut client) = NclClient::connect(addr) else {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                    return;
-                };
-                let mut id = 0u64;
-                let mut last_version = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    match client.round_trip(&protocol::predict_request_line(id, &probe)) {
-                        Ok(reply) if reply.get("ok").and_then(Value::as_bool) == Some(true) => {
-                            ok.fetch_add(1, Ordering::Relaxed);
-                            let version = reply
-                                .get("model_version")
-                                .and_then(Value::as_u64)
-                                .unwrap_or(0);
-                            if version < last_version {
-                                regressed.store(true, Ordering::Relaxed);
-                            }
-                            last_version = version;
-                        }
-                        _ => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    id += 1;
-                }
-            })
-        })
-        .collect();
+    let load = Load::start(addr, &stream.events()[0].raster, 2);
 
     std::thread::sleep(Duration::from_millis(100));
 
@@ -224,9 +113,12 @@ fn learner_kill_promotes_a_follower_and_survivors_converge_bit_identically() {
     // Well before its first increment (paced events make the increment
     // land seconds in), so the whole learning run happens post-failover.
     plan.partition(0);
-    poll_until(30, "the router to promote a follower", || {
-        router.promotions() >= 1
-    });
+    poll_until(
+        Duration::from_secs(30),
+        "the router to promote a follower",
+        || router.promotions() >= 1,
+    )
+    .unwrap();
     assert_eq!(router.epoch(), 2, "promotion must bump the fleet epoch");
     assert_eq!(
         nodes[1].replica.role(),
@@ -237,39 +129,51 @@ fn learner_kill_promotes_a_follower_and_survivors_converge_bit_identically() {
     // The deposed learner returns: it still claims learner at epoch 1,
     // which is behind the fleet — it must be demoted, not re-elected.
     plan.heal(0);
-    poll_until(30, "the returning learner to be demoted", || {
-        router.demotions() >= 1
-    });
-    poll_until(30, "the deposed learner to step down", || {
-        nodes[0].replica.role() == "follower"
-    });
+    poll_until(
+        Duration::from_secs(30),
+        "the returning learner to be demoted",
+        || router.demotions() >= 1,
+    )
+    .unwrap();
+    poll_until(
+        Duration::from_secs(30),
+        "the deposed learner to step down",
+        || nodes[0].replica.role() == "follower",
+    )
+    .unwrap();
 
     // The promoted learner continues the deterministic stream; every
     // survivor must land on the reference run's exact bytes.
-    poll_until(120, "every survivor to reach the reference version", || {
-        nodes
-            .iter()
-            .all(|n| n.replica.registry().version() >= target)
-    });
-    poll_until(30, "byte-identical convergence", || {
-        nodes
-            .iter()
-            .all(|n| n.replica.checkpoint_bytes() == expected)
-    });
+    poll_until(
+        Duration::from_secs(120),
+        "every survivor to reach the reference version",
+        || {
+            nodes
+                .iter()
+                .all(|n| n.replica.registry().version() >= target)
+        },
+    )
+    .unwrap();
+    poll_until(
+        Duration::from_secs(30),
+        "byte-identical convergence",
+        || {
+            nodes
+                .iter()
+                .all(|n| n.replica.checkpoint_bytes() == expected)
+        },
+    )
+    .unwrap();
 
     std::thread::sleep(Duration::from_millis(50));
-    stop.store(true, Ordering::Relaxed);
-    for handle in load {
-        handle.join().unwrap();
-    }
-    assert!(ok.load(Ordering::Relaxed) > 0, "load made progress");
+    let load = load.stop();
+    assert!(load.ok > 0, "load made progress");
     assert_eq!(
-        failed.load(Ordering::Relaxed),
-        0,
+        load.failed, 0,
         "learner death + membership flapping must not fail a single request"
     );
-    assert!(
-        !regressed.load(Ordering::Relaxed),
+    assert_eq!(
+        load.regressions, 0,
         "clients must never observe a model_version regression"
     );
     assert!(plan.injected() >= 1, "the fault plan must have fired");
@@ -280,30 +184,18 @@ fn learner_kill_promotes_a_follower_and_survivors_converge_bit_identically() {
     let ck = control.checkpoint().unwrap();
     assert_eq!(ck.get("ok").and_then(Value::as_bool), Some(true));
     let payload = protocol::from_hex(ck.get("payload").and_then(Value::as_str).unwrap()).unwrap();
-    let obs = Arc::new(ncl_obs::Registry::new());
-    let cold = Arc::new(
-        ElasticReplica::from_checkpoint_bytes(
-            config,
-            &payload,
-            stream.clone(),
-            pace,
-            Arc::clone(&obs),
-        )
-        .unwrap(),
-    );
-    let cold_sync: Arc<dyn ReplicaSync> = Arc::clone(&cold) as Arc<dyn ReplicaSync>;
-    let cold_server = Server::start_with_obs(
-        cold.registry(),
-        ServerConfig::default(),
-        Some(cold_sync),
-        obs,
+    let cold = start_node(
+        &config,
+        &Checkpoint::from_bytes(&payload).unwrap(),
+        &stream,
+        pace,
     )
     .unwrap();
-    let joined = control.join(&cold_server.local_addr().to_string()).unwrap();
+    let joined = control.join(&cold.server.local_addr().to_string()).unwrap();
     assert_eq!(joined.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(joined.get("id").and_then(Value::as_u64), Some(4));
-    assert_eq!(cold.registry().version(), target);
-    assert_eq!(cold.checkpoint_bytes(), expected);
+    assert_eq!(cold.replica.registry().version(), target);
+    assert_eq!(cold.replica.checkpoint_bytes(), expected);
     let members = control.members().unwrap();
     let rows = members
         .get("members")
@@ -313,100 +205,22 @@ fn learner_kill_promotes_a_follower_and_survivors_converge_bit_identically() {
     assert_eq!(rows, 4, "replicas 0, 1, rejoined 3 and cold-joined 4");
 
     router.shutdown();
-    cold_server.shutdown();
+    cold.server.shutdown();
     for node in nodes {
         node.server.shutdown();
     }
 }
 
-/// A hand-built checkpoint at `version` with distinct weights, so
-/// deltas between versions are non-empty. Lets the ring tests walk many
-/// versions without paying for real training.
-fn synth(version: u64) -> Checkpoint {
-    use ncl_snn::{Network, NetworkConfig};
-    use ncl_spike::memory::Alignment;
-    use replay4ncl::buffer::LatentReplayBuffer;
-
-    let mut network = Network::new(NetworkConfig::tiny(6, 3)).unwrap();
-    network
-        .visit_trainable_mut(1, |slice| {
-            for v in slice.iter_mut() {
-                *v += version as f32 * 0.01;
-            }
-        })
-        .unwrap();
-    Checkpoint {
-        version,
-        cursor: version * 10,
-        event_digest: version ^ 0xAB,
-        config_digest: 42,
-        known_classes: vec![0, 1],
-        network,
-        buffer: LatentReplayBuffer::with_capacity_bits(Alignment::Byte, 8_192),
-        pending: Vec::new(),
-    }
-}
-
-/// A synthetic learner fleet: a ring-limited publisher fronted by a
-/// real server, whose registry is bumped alongside every publish (what
-/// the learner's internal swap does in production).
-struct SynthLearner {
-    publisher: Arc<DeltaPublisher>,
-    registry: Arc<ModelRegistry>,
-    server: Server,
-}
-
-fn start_synth_learner(ring: usize) -> SynthLearner {
-    let base = synth(1);
-    let registry = Arc::new(ModelRegistry::with_initial_version(
-        base.network.clone(),
-        "synth",
-        1,
-    ));
-    let publisher = Arc::new(DeltaPublisher::with_ring(base, ring));
-    let sync: Arc<dyn ReplicaSync> = Arc::new(LearnerReplica::new(Arc::clone(&publisher)));
-    let server =
-        Server::start_with_sync(Arc::clone(&registry), ServerConfig::default(), Some(sync))
-            .unwrap();
-    SynthLearner {
-        publisher,
-        registry,
-        server,
-    }
-}
-
-impl SynthLearner {
-    fn advance_to(&self, version: u64) {
-        let ckpt = synth(version);
-        let network = ckpt.network.clone();
-        while self.publisher.version() < version {
-            let next = self.publisher.version() + 1;
-            self.publisher.publish(synth(next)).unwrap();
-        }
-        self.registry
-            .swap_network_at(network, "synth", version)
-            .unwrap();
-    }
-}
-
-fn start_synth_follower() -> (Arc<FollowerReplica>, Server) {
-    let replica = Arc::new(FollowerReplica::new(synth(1)));
-    let sync: Arc<dyn ReplicaSync> = Arc::clone(&replica) as Arc<dyn ReplicaSync>;
-    let server =
-        Server::start_with_sync(replica.registry(), ServerConfig::default(), Some(sync)).unwrap();
-    (replica, server)
-}
-
 #[test]
 fn follower_partitioned_past_ring_depth_catches_up_via_full_sync() {
     const RING: usize = 2;
-    let learner = start_synth_learner(RING);
-    let (follower, follower_server) = start_synth_follower();
+    let learner = SynthLearner::start(RING).unwrap();
+    let follower = start_synth_follower().unwrap();
 
     let plan = Arc::new(FaultPlan::new(0xFA117));
     let backends = vec![
         Arc::new(Backend::new(0, learner.server.local_addr())),
-        Arc::new(Backend::new(1, follower_server.local_addr())),
+        Arc::new(Backend::new(1, follower.server.local_addr())),
     ];
     for backend in &backends {
         backend.configure_breaker(Duration::from_millis(1), Duration::from_millis(1));
@@ -425,9 +239,13 @@ fn follower_partitioned_past_ring_depth_catches_up_via_full_sync() {
     // Partition the follower, then advance the learner far enough that
     // the ring no longer reaches the follower's version.
     plan.partition(1);
-    learner.advance_to(1 + RING as u64 + 1);
+    learner.advance_to(1 + RING as u64 + 1).unwrap();
     router.sync_now();
-    assert_eq!(follower.registry().version(), 1, "partitioned: no progress");
+    assert_eq!(
+        follower.replica.registry().version(),
+        1,
+        "partitioned: no progress"
+    );
     assert!(plan.injected() >= 1, "the partition must have dropped ops");
 
     // Heal. The follower's base (v1) fell out of the ring, so catch-up
@@ -435,31 +253,31 @@ fn follower_partitioned_past_ring_depth_catches_up_via_full_sync() {
     plan.heal(1);
     std::thread::sleep(Duration::from_millis(5));
     router.sync_now();
-    assert_eq!(follower.registry().version(), 1 + RING as u64 + 1);
+    assert_eq!(follower.replica.registry().version(), 1 + RING as u64 + 1);
     assert_eq!(follower.full_syncs(), 1, "catch-up used the full-sync path");
     assert_eq!(follower.deltas_applied(), 0);
     assert_eq!(router.sync_stats().full_syncs.get(), 1);
     assert_eq!(
-        follower.checkpoint_bytes(),
+        follower.replica.checkpoint_bytes(),
         learner.publisher.checkpoint_bytes(),
         "full sync must land on the learner's exact bytes"
     );
 
     router.shutdown();
     learner.server.shutdown();
-    follower_server.shutdown();
+    follower.server.shutdown();
 }
 
 #[test]
 fn delta_ring_covers_lag_up_to_capacity_and_full_syncs_past_it() {
     const RING: usize = 2;
-    let learner = start_synth_learner(RING);
-    let (near, near_server) = start_synth_follower();
-    let (far, far_server) = start_synth_follower();
+    let learner = SynthLearner::start(RING).unwrap();
+    let near = start_synth_follower().unwrap();
+    let far = start_synth_follower().unwrap();
 
     let backends = vec![
         Arc::new(Backend::new(0, learner.server.local_addr())),
-        Arc::new(Backend::new(1, near_server.local_addr())),
+        Arc::new(Backend::new(1, near.server.local_addr())),
     ];
     let router = Router::start(
         backends,
@@ -472,33 +290,33 @@ fn delta_ring_covers_lag_up_to_capacity_and_full_syncs_past_it() {
 
     // Lag exactly == capacity: every needed delta is still retained, so
     // the follower walks up one delta per tick, never full-syncing.
-    learner.advance_to(1 + RING as u64);
+    learner.advance_to(1 + RING as u64).unwrap();
     for _ in 0..RING {
         router.sync_now();
     }
-    assert_eq!(near.registry().version(), 1 + RING as u64);
+    assert_eq!(near.replica.registry().version(), 1 + RING as u64);
     assert_eq!(near.deltas_applied(), RING as u64, "deltas only");
     assert_eq!(near.full_syncs(), 0, "lag == capacity must not full-sync");
 
     // One more publish pushes the second follower's base out of the
     // ring: lag == capacity + 1 must fall back to a full checkpoint.
     // It joins the live fleet over the wire (the elastic path).
-    learner.advance_to(2 + RING as u64);
+    learner.advance_to(2 + RING as u64).unwrap();
     let mut control = NclClient::connect(router.local_addr()).unwrap();
-    let joined = control.join(&far_server.local_addr().to_string()).unwrap();
+    let joined = control.join(&far.server.local_addr().to_string()).unwrap();
     assert_eq!(joined.get("ok").and_then(Value::as_bool), Some(true));
     router.sync_now();
-    assert_eq!(far.registry().version(), 2 + RING as u64);
+    assert_eq!(far.replica.registry().version(), 2 + RING as u64);
     assert_eq!(far.full_syncs(), 1, "lag == capacity + 1 must full-sync");
     assert_eq!(far.deltas_applied(), 0);
     assert_eq!(
-        far.checkpoint_bytes(),
+        far.replica.checkpoint_bytes(),
         learner.publisher.checkpoint_bytes(),
         "either path must converge bit-identically"
     );
 
     router.shutdown();
     learner.server.shutdown();
-    near_server.shutdown();
-    far_server.shutdown();
+    near.server.shutdown();
+    far.server.shutdown();
 }

@@ -1,87 +1,42 @@
 //! End-to-end sharded-serving integration: a live learner + two
 //! follower replicas behind an `ncl_router::Router`, over real TCP.
 //! One follower is killed mid-load (the acceptance bar: zero failed
-//! requests — failover absorbs the loss), the learner runs a real
-//! continual-learning increment, and the surviving follower converges
-//! to the learner's published checkpoint **bit-identically** via the
-//! delta path.
+//! requests — failover absorbs the loss), the learner (a replica
+//! promoted at epoch 1) runs a real continual-learning increment, and
+//! the surviving follower converges to the learner's published
+//! checkpoint **bit-identically** via the delta path.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ncl_online::daemon::{IngestOutcome, OnlineConfig, OnlineLearner};
-use ncl_online::publish::DeltaPublisher;
-use ncl_online::stream::{SampleStream, StreamConfig};
-use ncl_online::Checkpoint;
+use ncl_online::stream::SampleStream;
 use ncl_router::backend::Backend;
-use ncl_router::replica::{FollowerReplica, LearnerReplica};
 use ncl_router::router::{Router, RouterConfig};
+use ncl_router::testkit::{make_server, poll_until, reference_run, start_node, test_config, Load};
 use ncl_serve::client::NclClient;
-use ncl_serve::protocol;
-use ncl_serve::server::{Server, ServerConfig};
 use ncl_serve::sync::ReplicaSync;
 use serde_json::Value;
-
-/// Same debug-CI-sized configuration the online integration tests use:
-/// small enough to bootstrap in seconds, big enough to produce a real
-/// increment (novel class + threshold arrivals) on this stream.
-fn test_config() -> (OnlineConfig, StreamConfig) {
-    let mut config = OnlineConfig::smoke();
-    config.scenario.pretrain_epochs = 4;
-    config.scenario.cl_epochs = 3;
-    config.scenario.parallelism = 2;
-    config.arrival_threshold = 3;
-    let stream = StreamConfig {
-        scenario: config.scenario.clone(),
-        warmup_events: 10,
-        total_events: 26,
-        novel_every: 2,
-        seed: 0x0DDB,
-    };
-    (config, stream)
-}
-
-struct FollowerNode {
-    replica: Arc<FollowerReplica>,
-    server: Server,
-}
-
-/// Boots a follower from checkpoint *bytes* — the exact payload a cold
-/// replica would fetch over the wire.
-fn start_follower(bytes: &[u8]) -> FollowerNode {
-    let ckpt = Checkpoint::from_bytes(bytes).expect("decode bootstrap checkpoint");
-    let replica = Arc::new(FollowerReplica::new(ckpt));
-    let sync: Arc<dyn ReplicaSync> = Arc::clone(&replica) as Arc<dyn ReplicaSync>;
-    let server = Server::start_with_sync(replica.registry(), ServerConfig::default(), Some(sync))
-        .expect("follower server");
-    FollowerNode { replica, server }
-}
 
 #[test]
 fn fleet_survives_replica_loss_and_converges_bit_identically() {
     let (config, stream_config) = test_config();
     let stream = SampleStream::generate(&stream_config).unwrap();
+    // What the learner must publish: a never-faulted reference run.
+    let reference = reference_run(&config, &stream).unwrap();
+    let target = reference.version;
+    assert!(target > 1, "the stream must produce an increment");
 
-    // Learner replica: daemon + delta publisher + replication handler.
-    let mut learner = OnlineLearner::bootstrap(config).unwrap();
-    let publisher = Arc::new(DeltaPublisher::new(learner.checkpoint()));
-    let learner_sync: Arc<dyn ReplicaSync> = Arc::new(LearnerReplica::new(Arc::clone(&publisher)));
-    let learner_server = Server::start_with_sync(
-        learner.registry(),
-        ServerConfig::default(),
-        Some(learner_sync),
-    )
-    .unwrap();
-
-    // Two followers from the learner's bootstrap bytes (identical
-    // configs yield bit-identical bases — the delta chain's anchor).
-    let bootstrap = learner.checkpoint_bytes();
-    let survivor = start_follower(&bootstrap);
-    let casualty = start_follower(&bootstrap);
+    // Three replicas from the identical bootstrap (identical configs
+    // yield bit-identical bases — the delta chain's anchor); the first
+    // is pre-promoted to learner at epoch 1 and starts ingesting. Paced
+    // events make its increments land after the kill below.
+    let pace = Duration::from_millis(20);
+    let start = || start_node(&config, &reference.bootstrap, &stream, pace).unwrap();
+    let (learner, survivor, casualty) = (start(), start(), start());
+    learner.replica.promote(1).unwrap();
 
     let backends = vec![
-        Arc::new(Backend::new(0, learner_server.local_addr())),
+        Arc::new(Backend::new(0, learner.server.local_addr())),
         Arc::new(Backend::new(1, survivor.server.local_addr())),
         Arc::new(Backend::new(2, casualty.server.local_addr())),
     ];
@@ -94,80 +49,39 @@ fn fleet_survives_replica_loss_and_converges_bit_identically() {
     )
     .unwrap();
     let addr = router.local_addr();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let ok = Arc::new(AtomicU64::new(0));
-    let failed = Arc::new(AtomicU64::new(0));
-    let probe = stream.events()[0].raster.clone();
-    let load: Vec<_> = (0..2)
-        .map(|_| {
-            let (stop, ok, failed) = (Arc::clone(&stop), Arc::clone(&ok), Arc::clone(&failed));
-            let probe = probe.clone();
-            std::thread::spawn(move || {
-                let Ok(mut client) = NclClient::connect(addr) else {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                    return;
-                };
-                let mut id = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    match client.round_trip(&protocol::predict_request_line(id, &probe)) {
-                        Ok(reply) if reply.get("ok").and_then(Value::as_bool) == Some(true) => {
-                            ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    id += 1;
-                }
-            })
-        })
-        .collect();
+    let load = Load::start(addr, &stream.events()[0].raster, 2);
 
     // Let load reach the whole fleet, then kill one follower mid-load.
     // Failover must absorb the loss without a single failed request.
     std::thread::sleep(Duration::from_millis(120));
     casualty.server.shutdown();
 
-    // Run the learning stream; publish a delta after each increment.
-    let mut increments = 0usize;
-    let mut last_delta_bytes = 0usize;
-    for event in stream.events_from(learner.cursor()) {
-        if let IngestOutcome::Increment(_) = learner.ingest(event).unwrap() {
-            increments += 1;
-            last_delta_bytes = publisher.publish(learner.checkpoint()).unwrap();
-        }
-    }
-    assert!(increments >= 1, "the stream must produce an increment");
-    assert!(last_delta_bytes > 0, "increments must publish deltas");
-    assert!(
-        last_delta_bytes < publisher.checkpoint_bytes().len(),
-        "a delta must be smaller than the full checkpoint"
-    );
-
-    // The router's sync loop relays the deltas; wait for the surviving
-    // follower to serve the learner's exact version.
-    let target = learner.version();
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while survivor.replica.registry().version() < target {
-        assert!(
-            Instant::now() < deadline,
-            "follower stuck at v{} (learner at v{target})",
-            survivor.replica.registry().version()
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // The learner publishes a delta after each increment and the
+    // router's sync loop relays them; wait for the surviving follower
+    // to serve the learner's final version.
+    poll_until(
+        Duration::from_secs(60),
+        "the survivor to reach the final version",
+        || survivor.replica.registry().version() >= target,
+    )
+    .unwrap();
 
     std::thread::sleep(Duration::from_millis(80));
-    stop.store(true, Ordering::Relaxed);
-    for handle in load {
-        handle.join().unwrap();
-    }
-    assert!(ok.load(Ordering::Relaxed) > 0, "load made progress");
+    let load = load.stop();
+    assert!(load.ok > 0, "load made progress");
     assert_eq!(
-        failed.load(Ordering::Relaxed),
-        0,
+        load.failed, 0,
         "killing a replica mid-load must not fail a single request"
+    );
+
+    // The learner published the reference run's bytes, in deltas
+    // smaller than the full checkpoint.
+    assert_eq!(learner.replica.checkpoint_bytes(), reference.published);
+    let (_, delta) = learner.replica.fetch_delta(target - 1).unwrap();
+    assert!(!delta.is_empty(), "increments must publish deltas");
+    assert!(
+        delta.len() < reference.published.len(),
+        "a delta must be smaller than the full checkpoint"
     );
 
     // The survivor's serialized state matches the learner's published
@@ -175,11 +89,11 @@ fn fleet_survives_replica_loss_and_converges_bit_identically() {
     router.sync_now();
     assert_eq!(
         survivor.replica.checkpoint_bytes(),
-        publisher.checkpoint_bytes(),
+        reference.published,
         "follower must converge bit-identically"
     );
     assert!(
-        survivor.replica.deltas_applied() >= 1,
+        survivor.deltas_applied() >= 1,
         "convergence must use the delta path, not full-checkpoint fallback"
     );
 
@@ -215,22 +129,14 @@ fn fleet_survives_replica_loss_and_converges_bit_identically() {
     );
 
     router.shutdown();
-    learner_server.shutdown();
+    learner.server.shutdown();
     survivor.server.shutdown();
 }
 
 #[test]
 fn metrics_op_merges_the_fleet_and_stats_marks_unreachable_replicas() {
-    use ncl_serve::registry::ModelRegistry;
-    use ncl_snn::{Network, NetworkConfig};
-
-    let make_server = || {
-        let network = Network::new(NetworkConfig::tiny(6, 3)).unwrap();
-        let registry = Arc::new(ModelRegistry::new(network, "test"));
-        Server::start(registry, ServerConfig::default()).unwrap()
-    };
-    let alive = make_server();
-    let doomed = make_server();
+    let alive = make_server().unwrap();
+    let doomed = make_server().unwrap();
     let backends = vec![
         Arc::new(Backend::new(0, alive.local_addr())),
         Arc::new(Backend::with_timeout(
@@ -299,11 +205,8 @@ fn metrics_op_merges_the_fleet_and_stats_marks_unreachable_replicas() {
 
 #[test]
 fn router_refuses_swaps_and_reports_fleet_health() {
-    let (config, _) = test_config();
-    let learner = OnlineLearner::bootstrap(config).unwrap();
-    let follower = start_follower(&learner.checkpoint_bytes());
-
-    let backends = vec![Arc::new(Backend::new(0, follower.server.local_addr()))];
+    let replica = make_server().unwrap();
+    let backends = vec![Arc::new(Backend::new(0, replica.local_addr()))];
     let router = Router::start(backends, RouterConfig::default()).unwrap();
     let mut client = NclClient::connect(router.local_addr()).unwrap();
 
@@ -330,10 +233,10 @@ fn router_refuses_swaps_and_reports_fleet_health() {
     let bye = client.shutdown().unwrap();
     assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
     router.wait();
-    let mut direct = NclClient::connect(follower.server.local_addr()).unwrap();
+    let mut direct = NclClient::connect(replica.local_addr()).unwrap();
     assert_eq!(
         direct.ping().unwrap().get("ok").and_then(Value::as_bool),
         Some(true)
     );
-    follower.server.shutdown();
+    replica.shutdown();
 }

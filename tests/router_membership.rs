@@ -10,32 +10,23 @@
 //! * the churn itself never fails a client request.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ncl_router::backend::Backend;
 use ncl_router::router::{Router, RouterConfig};
+use ncl_router::testkit::{make_server, Load};
 use ncl_serve::client::NclClient;
-use ncl_serve::protocol;
-use ncl_serve::registry::ModelRegistry;
-use ncl_serve::server::{Server, ServerConfig};
-use ncl_snn::{Network, NetworkConfig};
+use ncl_serve::server::Server;
 use ncl_spike::SpikeRaster;
 use serde_json::Value;
-
-fn make_server() -> Server {
-    let network = Network::new(NetworkConfig::tiny(6, 3)).unwrap();
-    let registry = Arc::new(ModelRegistry::new(network, "test"));
-    Server::start(registry, ServerConfig::default()).unwrap()
-}
 
 #[test]
 fn churn_never_routes_to_removed_backends_and_never_reuses_ids() {
     const ROUNDS: usize = 4;
 
-    let anchor = make_server();
-    let churn: Vec<Server> = (0..2).map(|_| make_server()).collect();
+    let anchor = make_server().unwrap();
+    let churn: Vec<Server> = (0..2).map(|_| make_server().unwrap()).collect();
 
     let router = Router::start(
         vec![Arc::new(Backend::new(0, anchor.local_addr()))],
@@ -47,34 +38,11 @@ fn churn_never_routes_to_removed_backends_and_never_reuses_ids() {
     .unwrap();
     let addr = router.local_addr();
 
-    let stop = AtomicBool::new(false);
-    let ok = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
     let raster = SpikeRaster::from_fn(6, 8, |n, t| (n + t) % 3 == 0);
+    let load = Load::start(addr, &raster, 2);
 
     let mut all_ids: Vec<u64> = vec![0];
     std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| {
-                let Ok(mut client) = NclClient::connect(addr) else {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                    return;
-                };
-                let mut id = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    match client.round_trip(&protocol::predict_request_line(id, &raster)) {
-                        Ok(reply) if reply.get("ok").and_then(Value::as_bool) == Some(true) => {
-                            ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    id += 1;
-                }
-            });
-        }
-
         let router = &router;
         let churners: Vec<_> = churn
             .iter()
@@ -130,13 +98,12 @@ fn churn_never_routes_to_removed_backends_and_never_reuses_ids() {
         for churner in churners {
             all_ids.extend(churner.join().unwrap());
         }
-        stop.store(true, Ordering::Relaxed);
     });
 
-    assert!(ok.load(Ordering::Relaxed) > 0, "load made progress");
+    let load = load.stop();
+    assert!(load.ok > 0, "load made progress");
     assert_eq!(
-        failed.load(Ordering::Relaxed),
-        0,
+        load.failed, 0,
         "membership churn must not fail a single request"
     );
     let unique: HashSet<u64> = all_ids.iter().copied().collect();
