@@ -23,10 +23,13 @@
 //!   scale-at-apply.
 //!
 //! Before timing, the tool verifies the two paths produce **byte-identical
-//! trained weights** at every worker count (`bit_identical` in the
-//! output); a benchmark of a wrong optimization would be meaningless.
+//! trained weights** at every worker count; a benchmark of a wrong
+//! optimization would be meaningless. The report uses the shared
+//! [`ncl_serve::bench`] format (kind `train`); the binary exits 1 if any
+//! gate failed, divergent weights included.
 
 use ncl_bench::train_demo;
+use ncl_serve::bench::{self, Op, Report};
 use ncl_serve::protocol::object;
 use ncl_snn::optimizer::Optimizer;
 use ncl_snn::trainer::{self, TrainOptions, TrainScratch};
@@ -227,11 +230,19 @@ fn samples_per_sec(epoch_us: &[u64], samples: usize) -> f64 {
     samples as f64 / (median as f64 / 1e6)
 }
 
-/// Benchmarks one scenario: bit-identity gate, then timed reference
+/// One benchmarked scenario: its JSON block and the numbers gated on.
+struct ScenarioRun {
+    block: Value,
+    reference_sps: f64,
+    pool_sps: Vec<f64>,
+    best_speedup: f64,
+    bit_identical: bool,
+}
+
+/// Benchmarks one scenario: bit-identity check, then timed reference
 /// (workspace-default parallelism 2 and serial) and pool (1/2/4 workers)
-/// runs. Returns the scenario's JSON block plus (best speedup,
-/// bit-identical flag).
-fn bench_scenario(scenario: &Scenario, args: &Args) -> (Value, f64, bool) {
+/// runs.
+fn bench_scenario(scenario: &Scenario, args: &Args) -> ScenarioRun {
     let net = train_demo::network();
     let data = train_demo::rasters(scenario.input_neurons, scenario.steps, args.samples);
     let refs: Vec<(&SpikeRaster, u16)> = data.iter().map(|(r, l)| (r, *l)).collect();
@@ -257,9 +268,6 @@ fn bench_scenario(scenario: &Scenario, args: &Args) -> (Value, f64, bool) {
         let (_, bytes) = run_path(&Path::Pool { workers }, &net, &refs, stage, args.batch, 2);
         bytes == oracle_bytes
     });
-    if !bit_identical {
-        eprintln!("ncl-train-bench: WARNING: pool path diverged from the reference weights");
-    }
 
     // ---- Timed runs ----------------------------------------------------
     // Baseline: the pre-PR trainer at the workspace-default parallelism 2
@@ -292,6 +300,7 @@ fn bench_scenario(scenario: &Scenario, args: &Args) -> (Value, f64, bool) {
     );
 
     let mut pool_entries = Vec::new();
+    let mut pool_sps = Vec::new();
     let mut best_speedup = 0.0f64;
     for &workers in &pool_workers {
         let (us, _) = run_path(
@@ -309,6 +318,7 @@ fn bench_scenario(scenario: &Scenario, args: &Args) -> (Value, f64, bool) {
             0.0
         };
         best_speedup = best_speedup.max(speedup);
+        pool_sps.push(sps);
         println!(
             "  pool w{workers} (arena): {sps:.0} samples/s, epoch p50 {} us, {speedup:.2}x vs reference",
             p50(us.clone())
@@ -355,26 +365,27 @@ fn bench_scenario(scenario: &Scenario, args: &Args) -> (Value, f64, bool) {
         ("best_speedup_vs_reference", Value::from(best_speedup)),
         ("bit_identical_to_reference", Value::from(bit_identical)),
     ]);
-    (block, best_speedup, bit_identical)
+    ScenarioRun {
+        block,
+        reference_sps,
+        pool_sps,
+        best_speedup,
+        bit_identical,
+    }
 }
 
 fn main() {
     let args = parse_args();
-    let mut scenario_blocks = Vec::new();
-    let mut best_overall = 0.0f64;
-    let mut all_bit_identical = true;
-    for scenario in scenarios(args.steps) {
-        let (block, best, bit_identical) = bench_scenario(&scenario, &args);
-        scenario_blocks.push(block);
-        best_overall = best_overall.max(best);
-        all_bit_identical &= bit_identical;
-    }
-
-    let report = object(vec![
-        ("bench", Value::from("train")),
-        ("scenarios", Value::Array(scenario_blocks)),
+    let runs: Vec<ScenarioRun> = scenarios(args.steps)
+        .iter()
+        .map(|scenario| bench_scenario(scenario, &args))
+        .collect();
+    let best_overall = runs.iter().map(|r| r.best_speedup).fold(0.0, f64::max);
+    let bit_identical = runs.iter().all(|r| r.bit_identical);
+    let results = object(vec![
+        ("scenarios", runs.iter().map(|r| r.block.clone()).collect()),
         ("best_speedup_vs_reference", Value::from(best_overall)),
-        ("bit_identical_to_reference", Value::from(all_bit_identical)),
+        ("bit_identical_to_reference", Value::from(bit_identical)),
         (
             "allocs_note",
             Value::from(
@@ -386,10 +397,25 @@ fn main() {
             ),
         ),
     ]);
-    let json = report.to_json_pretty();
-    std::fs::write(&args.out, format!("{json}\n")).unwrap_or_else(|e| {
-        eprintln!("ncl-train-bench: cannot write {}: {e}", args.out);
-        std::process::exit(1);
-    });
-    println!("wrote {}", args.out);
+
+    let mut report = Report::new(
+        "train",
+        object(vec![
+            ("network", Value::from("48-24-16-4 recurrent (demo scale)")),
+            ("samples", Value::from(args.samples)),
+            ("steps", Value::from(args.steps)),
+            ("batch_size", Value::from(args.batch)),
+            ("epochs_timed", Value::from(args.epochs)),
+        ]),
+    );
+    report.check("pool_bit_identical", bit_identical);
+    report.gate("scenarios", runs.len() as f64, Op::Ge, 2.0);
+    // `samples_per_sec` is 0 exactly when the epoch p50 is 0 µs.
+    let reference_sps = bench::min(runs.iter().map(|r| r.reference_sps));
+    report.gate("reference_samples_per_sec_min", reference_sps, Op::Gt, 0.0);
+    let pool_runs = bench::min(runs.iter().map(|r| r.pool_sps.len() as f64));
+    report.gate("pool_runs_min", pool_runs, Op::Ge, 1.0);
+    let pool_sps = bench::min(runs.iter().flat_map(|r| r.pool_sps.iter().copied()));
+    report.gate("pool_samples_per_sec_min", pool_sps, Op::Gt, 0.0);
+    report.finish(results, &args.out);
 }

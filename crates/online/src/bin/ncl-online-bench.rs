@@ -22,8 +22,9 @@
 //! * **checkpoint cost** — encode/decode wall time, size, and the
 //!   canonical-form round-trip check.
 //!
-//! The binary exits non-zero if any prediction failed or the checkpoint
-//! does not round-trip — a benchmark of a broken loop is meaningless.
+//! The report uses the shared [`ncl_serve::bench`] format (kind `online`,
+//! headline `warm_events_per_sec`); the binary exits 1 if any gate failed
+//! — a benchmark of a broken loop is meaningless.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,6 +33,7 @@ use std::time::Instant;
 use ncl_online::checkpoint::Checkpoint;
 use ncl_online::daemon::{IngestOutcome, OnlineConfig, OnlineLearner};
 use ncl_online::stream::{SampleStream, StreamConfig};
+use ncl_serve::bench::{self, Op, Report};
 use ncl_serve::client::NclClient;
 use ncl_serve::protocol::{self, object};
 use ncl_serve::server::{Server, ServerConfig};
@@ -220,25 +222,7 @@ fn main() {
     server.shutdown();
 
     let swap_latency_us_max = increments.iter().map(|&(_, _, s, _)| s).max().unwrap_or(0);
-    let report = object(vec![
-        ("bench", Value::from("online")),
-        (
-            "config",
-            object(vec![
-                ("scenario", Value::from("smoke 48ch x 40 steps, 4 classes")),
-                ("events", Value::from(stream.len())),
-                ("warmup_events", Value::from(stream_config.warmup_events)),
-                ("novel_every", Value::from(stream_config.novel_every)),
-                ("workers", Value::from(args.workers)),
-                ("cl_epochs", Value::from(args.cl_epochs)),
-                ("arrival_threshold", Value::from(config.arrival_threshold)),
-                ("capture_every", Value::from(config.capture_every)),
-                (
-                    "capacity_bits",
-                    Value::from(config.capacity_bits.unwrap_or(0)),
-                ),
-            ]),
-        ),
+    let results = object(vec![
         (
             "ingest",
             object(vec![
@@ -291,31 +275,31 @@ fn main() {
             Value::from(learner.buffer().footprint().total_bits),
         ),
     ]);
-    std::fs::write(&args.out, format!("{}\n", report.to_json())).expect("write report");
-    println!(
-        "online bench: {:.0} events/s warm ingest ({:.0} overall incl. increments), \
-         {} increment(s), swap {} µs max, {} predictions ({} failed), \
-         checkpoint {} bytes -> {}",
-        warm_events_per_sec,
-        events_per_sec,
-        increments.len(),
-        swap_latency_us_max,
-        requests_ok,
-        requests_failed,
-        ckpt_bytes.len(),
-        args.out
+    let mut report = Report::new(
+        "online",
+        object(vec![
+            ("scenario", Value::from("smoke 48ch x 40 steps, 4 classes")),
+            ("events", Value::from(stream.len())),
+            ("warmup_events", Value::from(stream_config.warmup_events)),
+            ("novel_every", Value::from(stream_config.novel_every)),
+            ("workers", Value::from(args.workers)),
+            ("cl_epochs", Value::from(args.cl_epochs)),
+            ("arrival_threshold", Value::from(config.arrival_threshold)),
+            ("capture_every", Value::from(config.capture_every)),
+            (
+                "capacity_bits",
+                Value::from(config.capacity_bits.unwrap_or(0)),
+            ),
+        ]),
     );
-
-    if requests_failed > 0 {
-        eprintln!("ncl-online-bench: {requests_failed} prediction(s) failed during the run");
-        std::process::exit(1);
-    }
-    if !round_trip_ok {
-        eprintln!("ncl-online-bench: checkpoint did not round-trip bit-exactly");
-        std::process::exit(1);
-    }
-    if increments.is_empty() {
-        eprintln!("ncl-online-bench: the stream never triggered an increment");
-        std::process::exit(1);
-    }
+    report.headline("warm_events_per_sec", warm_events_per_sec);
+    report.gate("events_per_sec", events_per_sec, Op::Gt, 0.0);
+    report.gate("warm_events_per_sec", warm_events_per_sec, Op::Gt, 0.0);
+    report.gate("increments", increments.len() as f64, Op::Ge, 1.0);
+    let train_ms = increments.iter().map(|&(_, ms, _, _)| ms);
+    report.gate("train_wall_ms_min", bench::min(train_ms), Op::Gt, 0.0);
+    report.gate("predictions_failed", requests_failed as f64, Op::Eq, 0.0);
+    report.check("checkpoint_round_trip", round_trip_ok);
+    report.gate("final_version", learner.version() as f64, Op::Ge, 2.0);
+    report.finish(results, &args.out);
 }

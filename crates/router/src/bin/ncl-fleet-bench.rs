@@ -14,11 +14,8 @@
 //!    checkpoint fallback). Reports wall time and bytes shipped on
 //!    each path.
 //!
-//! Gates (exit 1 on violation): zero failed client requests through
-//! every partition, one promotion per round plus the initial election,
-//! survivors byte-identical after the chaos, the delta path applying
-//! exactly `ring` deltas with zero full syncs, the full-sync path
-//! shipping a checkpoint no smaller than any single delta.
+//! The report uses the shared [`ncl_serve::bench`] format (kind
+//! `fleet`); the binary exits 1 if any gate failed.
 //!
 //! ```sh
 //! ncl-fleet-bench [--quick] [--rounds N] [--out PATH]
@@ -35,6 +32,7 @@ use ncl_router::router::{Router, RouterConfig};
 use ncl_router::testkit::{
     self, percentile, start_node, start_synth_follower, Load, Node, SynthLearner,
 };
+use ncl_serve::bench::{Op, Report};
 use ncl_serve::client::NclClient;
 use ncl_serve::protocol::object;
 use ncl_serve::sync::ReplicaSync;
@@ -109,9 +107,9 @@ fn poll(what: &str, done: impl FnMut() -> bool) {
     }
 }
 
-/// Phase 1: failover rounds. Returns the JSON block plus the background
-/// load outcome (ok, failed), survivor bit-identity and promotion count.
-fn failover_phase(args: &Args) -> (Value, u64, u64, bool, u64) {
+/// Phase 1: failover rounds. Adds its gates to `report`; returns the
+/// failover and background-load blocks and survivor bit-identity.
+fn failover_phase(args: &Args, report: &mut Report) -> (Value, Value, bool) {
     let (config, stream_config) = fleet_config();
     let stream = SampleStream::generate(&stream_config).expect("stream");
     eprintln!("bootstrapping the elastic fleet (shared deterministic base)...");
@@ -222,17 +220,33 @@ fn failover_phase(args: &Args) -> (Value, u64, u64, bool, u64) {
         ("final_epoch", Value::from(router.epoch())),
     ]);
 
-    let promotions = router.promotions();
+    let (rounds, promotions) = (args.rounds as f64, router.promotions() as f64);
+    let (samples, failed) = (detection_ms.len() as f64, load.failed as f64);
+    report.gate("replicas", nodes.len() as f64, Op::Ge, 3.0);
+    report.gate("failover_rounds", rounds, Op::Ge, 1.0);
+    report.gate("failover_latency_samples", samples, Op::Eq, rounds);
+    // Initial election + one promotion per round; every promotion bumps
+    // the epoch, so the final epoch tracks the promotion count.
+    report.gate("promotions", promotions, Op::Eq, rounds + 1.0);
+    report.gate("final_epoch", router.epoch() as f64, Op::Eq, promotions);
+    report.gate("background_requests_ok", load.ok as f64, Op::Gt, 0.0);
+    report.gate("background_requests_failed", failed, Op::Eq, 0.0);
+    report.check("survivors_bit_identical", bit_identical);
+    let background = object(vec![
+        ("requests_ok", Value::from(load.ok)),
+        ("requests_failed", Value::from(load.failed)),
+    ]);
+
     router.shutdown();
     for node in nodes {
         node.server.shutdown();
     }
-    (block, load.ok, load.failed, bit_identical, promotions)
+    (block, background, bit_identical)
 }
 
-/// Phase 2: rejoin catch-up economics, delta ring vs full sync.
-/// Returns the JSON block plus each path's convergence verdict.
-fn rejoin_phase() -> (Value, bool, bool) {
+/// Phase 2: rejoin catch-up economics, delta ring vs full sync. Adds its
+/// gates to `report`; returns the rejoin block.
+fn rejoin_phase(report: &mut Report) -> Value {
     const RING: usize = 8;
     let learner = SynthLearner::start(RING).expect("synth learner");
     let publisher = &learner.publisher;
@@ -328,31 +342,39 @@ fn rejoin_phase() -> (Value, bool, bool) {
         ),
     ]);
 
+    let (near_full, far_full) = (near.full_syncs() as f64, far.full_syncs() as f64);
+    let (near_hops, far_hops) = (near_deltas as f64, far.deltas_applied() as f64);
+    let (ring, hop) = (RING as f64, (delta_bytes / RING) as f64);
+    report.check("rejoin_delta_converged", near_ok);
+    report.check("rejoin_full_sync_converged", far_ok);
+    report.gate("rejoin_delta_full_syncs", near_full, Op::Eq, 0.0);
+    report.gate("rejoin_delta_deltas_applied", near_hops, Op::Eq, ring);
+    report.gate("rejoin_full_sync_full_syncs", far_full, Op::Eq, 1.0);
+    report.gate("rejoin_full_sync_deltas_applied", far_hops, Op::Eq, 0.0);
+    report.gate("rejoin_delta_bytes_per_hop", hop, Op::Le, full_bytes as f64);
+
     router.shutdown();
     learner.server.shutdown();
     near.server.shutdown();
     far.server.shutdown();
-    (block, near_ok, far_ok)
+    block
 }
 
 fn main() {
     let args = parse_args();
     let total_start = Instant::now();
-
-    let (failover, bg_ok, bg_failed, survivors_identical, promotions) = failover_phase(&args);
-    let (rejoin, delta_converged, full_converged) = rejoin_phase();
-
-    let report = object(vec![
-        ("bench", Value::from("fleet")),
-        ("replicas", Value::from(3u64)),
+    let mut report = Report::new(
+        "fleet",
+        object(vec![
+            ("replicas", Value::from(3u64)),
+            ("rounds", Value::from(args.rounds)),
+        ]),
+    );
+    let (failover, background, survivors_identical) = failover_phase(&args, &mut report);
+    let rejoin = rejoin_phase(&mut report);
+    let results = object(vec![
         ("failover", failover),
-        (
-            "background",
-            object(vec![
-                ("requests_ok", Value::from(bg_ok)),
-                ("requests_failed", Value::from(bg_failed)),
-            ]),
-        ),
+        ("background", background),
         ("survivors_bit_identical", Value::from(survivors_identical)),
         ("rejoin", rejoin),
         (
@@ -360,40 +382,5 @@ fn main() {
             Value::from(total_start.elapsed().as_secs_f64()),
         ),
     ]);
-    std::fs::write(&args.out, format!("{}\n", report.to_json_pretty())).expect("write report");
-    println!("{}", report.to_json_pretty());
-    eprintln!("wrote {}", args.out);
-
-    // --- gates -----------------------------------------------------------
-    let mut bad = Vec::new();
-    if bg_failed > 0 {
-        bad.push(format!(
-            "{bg_failed} client request(s) failed during failover"
-        ));
-    }
-    if bg_ok == 0 {
-        bad.push("the background load made no progress".to_owned());
-    }
-    if !survivors_identical {
-        bad.push("survivors diverged after the failover rounds".to_owned());
-    }
-    if promotions != args.rounds as u64 + 1 {
-        bad.push(format!(
-            "expected {} promotion(s) (initial election + one per round), saw {promotions}",
-            args.rounds + 1
-        ));
-    }
-    if !delta_converged {
-        bad.push("the delta catch-up path did not converge".to_owned());
-    }
-    if !full_converged {
-        bad.push("the full-sync catch-up path did not converge".to_owned());
-    }
-    if !bad.is_empty() {
-        for problem in &bad {
-            eprintln!("ncl-fleet-bench: GATE FAILED: {problem}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("all gates passed");
+    report.finish(results, &args.out);
 }

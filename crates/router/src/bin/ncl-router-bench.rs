@@ -16,10 +16,8 @@
 //!    increment to the follower serving that exact version, while
 //!    routed load keeps flowing.
 //!
-//! Gates (exit 1 on violation): zero failed requests anywhere, every
-//! delta ≤ 10% of its full checkpoint, and the follower's final state
-//! **bit-identical** to the learner's checkpoint — which must itself be
-//! the one a never-faulted reference run publishes.
+//! The report uses the shared [`ncl_serve::bench`] format (kind
+//! `router`); the binary exits 1 if any gate failed.
 //!
 //! ```sh
 //! ncl-router-bench [--quick] [--requests N] [--out PATH]
@@ -34,6 +32,7 @@ use ncl_online::stream::{SampleStream, StreamConfig};
 use ncl_router::backend::Backend;
 use ncl_router::router::{Router, RouterConfig};
 use ncl_router::testkit::{percentile, poll_until, reference_run, start_node, Load, Node};
+use ncl_serve::bench::{Op, Report};
 use ncl_serve::client::NclClient;
 use ncl_serve::protocol::object;
 use ncl_serve::sync::ReplicaSync;
@@ -207,6 +206,7 @@ fn main() {
     let load = Load::start(router.local_addr(), &raster, 1);
     learner.replica.promote(1).expect("promote the learner");
     let mut increments: Vec<Value> = Vec::new();
+    let (mut unpropagated, mut oversized) = (0u64, 0u64);
     let mut max_ratio = 0.0f64;
     let mut propagation_ms: Vec<u64> = Vec::new();
     for version in 2..=reference.version {
@@ -239,6 +239,8 @@ fn main() {
             ratio * 100.0,
             if reached { "" } else { " [TIMED OUT]" },
         );
+        unpropagated += u64::from(!reached);
+        oversized += u64::from(delta_bytes >= full_bytes);
         increments.push(object(vec![
             ("version", Value::from(version)),
             ("delta_bytes", Value::from(delta_bytes)),
@@ -258,10 +260,7 @@ fn main() {
         && learner.replica.checkpoint_bytes() == reference.published;
 
     propagation_ms.sort_unstable();
-    let report = object(vec![
-        ("bench", Value::from("router")),
-        ("replicas", Value::from(2u64)),
-        ("requests_per_phase", Value::from(args.requests)),
+    let results = object(vec![
         ("direct", direct),
         ("routed", routed),
         ("router_overhead_pct", Value::from(overhead_pct)),
@@ -295,37 +294,30 @@ fn main() {
             Value::from(total_start.elapsed().as_secs_f64()),
         ),
     ]);
-    std::fs::write(&args.out, format!("{}\n", report.to_json_pretty())).expect("write report");
-    println!("{}", report.to_json_pretty());
-    eprintln!("wrote {}", args.out);
+
+    let mut report = Report::new(
+        "router",
+        object(vec![
+            ("replicas", Value::from(nodes.len())),
+            ("requests_per_phase", Value::from(args.requests)),
+        ]),
+    );
+    report.gate("replicas", nodes.len() as f64, Op::Ge, 2.0);
+    report.gate("direct_requests_ok", d_ok as f64, Op::Gt, 0.0);
+    report.gate("routed_requests_ok", r_ok as f64, Op::Gt, 0.0);
+    report.gate("direct_requests_failed", d_failed as f64, Op::Eq, 0.0);
+    report.gate("routed_requests_failed", r_failed as f64, Op::Eq, 0.0);
+    let bg_failed = background.failed as f64;
+    report.gate("background_requests_failed", bg_failed, Op::Eq, 0.0);
+    report.gate("increments", propagation_ms.len() as f64, Op::Ge, 1.0);
+    report.gate("delta_max_ratio", max_ratio, Op::Le, 0.10);
+    report.gate("unpropagated_increments", unpropagated as f64, Op::Eq, 0.0);
+    report.gate("oversized_deltas", oversized as f64, Op::Eq, 0.0);
+    report.check("follower_bit_identical", bit_identical);
 
     router.shutdown();
     for node in nodes {
         node.server.shutdown();
     }
-
-    // --- gates -----------------------------------------------------------
-    let mut bad = Vec::new();
-    if d_failed + r_failed + background.failed > 0 {
-        bad.push("requests failed".to_owned());
-    }
-    if propagation_ms.is_empty() {
-        bad.push("no increments ran".to_owned());
-    }
-    if max_ratio > 0.10 {
-        bad.push(format!(
-            "delta ratio {:.1}% exceeds the 10% gate",
-            max_ratio * 100.0
-        ));
-    }
-    if !bit_identical {
-        bad.push("follower checkpoint is not bit-identical to the learner's".to_owned());
-    }
-    if !bad.is_empty() {
-        for problem in &bad {
-            eprintln!("ncl-router-bench: GATE FAILED: {problem}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("all gates passed");
+    report.finish(results, &args.out);
 }

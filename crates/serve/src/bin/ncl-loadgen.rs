@@ -11,9 +11,10 @@
 //! requests back-to-back for `--duration-ms`, and measures end-to-end
 //! latency per request client-side. With `--swap-model`, a control
 //! connection triggers a hot swap mid-run (`--swap-at-ms`, default
-//! half-way) — the acceptance bar is zero failed requests across the
-//! swap. Results (p50/p95/p99 µs, requests/s, per-version request
-//! counts, server-side stats) are written to `--out` as JSON.
+//! half-way). Results (p50/p95/p99 µs, requests/s, per-version request
+//! counts, server-side stats) and their gates are written to `--out` in
+//! the shared [`ncl_serve::bench`] report format (kind `serve`, headline
+//! `requests_per_sec`); the process exits 1 if any gate failed.
 //!
 //! With `--trace`, every predict request originates a distributed
 //! trace context (ids minted deterministically from `--seed` and the
@@ -24,6 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ncl_serve::bench::{Op, Report};
 use ncl_serve::client::{ClientConfig, NclClient};
 use ncl_serve::protocol;
 use ncl_spike::SpikeRaster;
@@ -336,44 +338,35 @@ fn main() {
         ]),
         None => protocol::object(vec![("requested", Value::from(false))]),
     };
-    let report = protocol::object(vec![
-        ("bench", Value::from("serve")),
-        ("addr", Value::from(args_shared.addr.as_str())),
-        ("connections", Value::from(args_shared.connections)),
+    let results = protocol::object(vec![
         ("duration_ms", Value::from(elapsed.as_millis() as u64)),
-        ("steps_per_request", Value::from(args_shared.steps)),
         ("requests_ok", Value::from(ok)),
         ("requests_failed", Value::from(failed)),
         ("requests_per_sec", Value::from(rps)),
-        ("traced", Value::from(args_shared.trace)),
         ("latency_us", latency_block),
         ("requests_by_model_version", versions_block),
         ("hot_swap", hot_swap_block),
         ("server_stats", final_stats),
     ]);
 
-    let json = report.to_json_pretty();
-    std::fs::write(&args_shared.out, format!("{json}\n")).unwrap_or_else(|e| {
-        eprintln!("ncl-loadgen: cannot write {}: {e}", args_shared.out);
-        std::process::exit(1);
-    });
-
     println!(
         "ncl-loadgen: {ok} ok / {failed} failed over {:.2}s ({rps:.0} req/s)",
         elapsed.as_secs_f64()
     );
     println!("latency µs: p50={p50} p95={p95} p99={p99} mean={mean:.1}");
-    if let Some((swapped, version, detail)) = &swap_outcome {
-        if *swapped {
-            println!("hot swap: v{start_version} -> v{version} under load");
-        } else {
-            println!("hot swap FAILED: {detail}");
-        }
-    }
-    println!("report written to {}", args_shared.out);
 
-    let swap_failed = matches!(&swap_outcome, Some((false, _, _)));
-    if ok == 0 || swap_failed {
-        std::process::exit(1);
-    }
+    let mut report = Report::new(
+        "serve",
+        protocol::object(vec![
+            ("addr", Value::from(args_shared.addr.as_str())),
+            ("connections", Value::from(args_shared.connections)),
+            ("steps_per_request", Value::from(args_shared.steps)),
+            ("traced", Value::from(args_shared.trace)),
+        ]),
+    );
+    report.headline("requests_per_sec", rps);
+    report.gate("requests_ok", ok as f64, Op::Gt, 0.0);
+    report.gate("requests_failed", failed as f64, Op::Eq, 0.0);
+    report.check("hot_swap_ok", !matches!(&swap_outcome, Some((false, _, _))));
+    report.finish(results, &args_shared.out);
 }

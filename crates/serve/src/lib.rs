@@ -45,9 +45,11 @@
 //!
 //! The `ncl-serve` binary wraps this into a process; `ncl-loadgen`
 //! drives it and records `BENCH_serve.json` (latency percentiles,
-//! requests/s, hot-swap outcome).
+//! requests/s, hot-swap outcome) in the [`bench`](mod@bench) report format that
+//! every bench emitter in the workspace shares.
 
 pub mod batcher;
+pub mod bench;
 pub mod client;
 pub mod error;
 pub mod metrics;

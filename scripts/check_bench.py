@@ -1,23 +1,51 @@
 #!/usr/bin/env python3
-"""Shared validator for the committed/fresh BENCH_*.json datapoints.
-
-CI previously carried three near-identical inline Python validators (one
-per smoke job); this script is the single source of truth they now call:
+"""Generic validator for BENCH_*.json reports (the `ncl_serve::bench` format).
 
     python3 scripts/check_bench.py <kind> <file> [<file> ...]
 
-Kinds: train, serve, online, router. Each check enforces the report
-schema plus the perf/correctness floors the corresponding bench gates on
-(nonzero throughput, zero failed requests, bit-identity flags, delta
-ratio). When a serve/online call passes a fresh file followed by the
-committed datapoint, the fresh run's headline throughput must also stay
-within noise of the committed one (>= 50% — wide enough for runner
-variance, tight enough to catch instrumentation wrecking a hot path).
-Exits nonzero with a pointed message on the first violation.
+Each file must have exactly the keys bench (== kind), config, results and
+gates (+ an optional headline {name, value}); every gate {name, value, op,
+bound, pass} must re-evaluate `value op bound` to its own pass flag and
+pass (a null value, how a non-finite float is written, fails every op);
+and every gate REQUIRED_GATES lists for the kind must be present. With two
+or more files, the first is a fresh run and the last the committed
+datapoint: a committed headline must be matched by a fresh one at no less
+than NOISE_FLOOR of its value. Exits 1 naming the gate on a violation.
 """
 
 import json
+import math
+import operator
 import sys
+
+OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le, "==": operator.eq}
+
+# Adding a gate: one gate call in the emitter plus its name here.
+REQUIRED_GATES = {
+    "train": ("pool_bit_identical", "scenarios", "reference_samples_per_sec_min",
+              "pool_runs_min", "pool_samples_per_sec_min"),
+    "serve": ("requests_ok", "requests_failed", "hot_swap_ok"),
+    "online": ("events_per_sec", "warm_events_per_sec", "increments", "train_wall_ms_min",
+               "predictions_failed", "checkpoint_round_trip", "final_version"),
+    "router": ("replicas", "direct_requests_ok", "routed_requests_ok", "direct_requests_failed",
+               "routed_requests_failed", "background_requests_failed", "increments",
+               "delta_max_ratio", "unpropagated_increments", "oversized_deltas",
+               "follower_bit_identical"),
+    "fleet": ("replicas", "failover_rounds", "failover_latency_samples", "promotions",
+              "final_epoch", "background_requests_ok", "background_requests_failed",
+              "survivors_bit_identical", "rejoin_delta_converged", "rejoin_full_sync_converged",
+              "rejoin_delta_full_syncs", "rejoin_delta_deltas_applied",
+              "rejoin_full_sync_full_syncs", "rejoin_full_sync_deltas_applied",
+              "rejoin_delta_bytes_per_hop"),
+}
+
+REPORT_KEYS = {"bench", "config", "results", "gates"}
+GATE_KEYS = {"name", "value", "op", "bound", "pass"}
+
+# A fresh run may be slower than the committed datapoint (different
+# runner, cold caches), but not catastrophically: instrumentation on the
+# hot path must stay within noise, not halve throughput.
+NOISE_FLOOR = 0.5
 
 
 class CheckFailure(AssertionError):
@@ -29,285 +57,92 @@ def ensure(condition, message):
         raise CheckFailure(message)
 
 
-def require_keys(obj, keys, where):
-    for key in keys:
-        ensure(key in obj, f"{where} lacks {key}")
+def is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def check_train(r, path):
-    ensure(r["bench"] == "train", f"{path}: bench kind is not train")
+def check_report(kind, path):
+    """Validates one report file; returns it."""
+    with open(path) as handle:
+        report = json.load(handle)
+    ensure(isinstance(report, dict), f"{path}: not a JSON object")
     ensure(
-        r["bit_identical_to_reference"] is True,
-        f"{path}: pool diverged from the reference weights",
+        set(report) - {"headline"} == REPORT_KEYS,
+        f"{path}: top-level keys {sorted(report)} are not {sorted(REPORT_KEYS)}"
+        " (+ optional headline)",
     )
-    ensure(r["scenarios"], f"{path}: no scenarios")
-    for s in r["scenarios"]:
-        where = f"{path}:{s.get('name')}"
-        require_keys(
-            s,
-            (
-                "name",
-                "config",
-                "reference",
-                "reference_serial",
-                "pool",
-                "best_speedup_vs_reference",
-                "bit_identical_to_reference",
-            ),
-            where,
-        )
-        ensure(s["reference"]["samples_per_sec"] > 0, f"{where}: zero reference throughput")
-        ensure(s["reference"]["epoch_p50_us"] > 0, f"{where}: zero reference epoch time")
-        ensure(s["pool"], f"{where}: no pool entries")
-        for p in s["pool"]:
-            ensure(
-                p["samples_per_sec"] > 0,
-                f"{where}: zero throughput at w{p['workers']}",
-            )
-    ensure("allocs_note" in r, f"{path} lacks allocs_note")
-    cl = next(s for s in r["scenarios"] if s["name"] == "cl_phase")
-    return (
-        f"CL-phase pool best "
-        f"{max(p['samples_per_sec'] for p in cl['pool']):.0f} samples/s "
-        f"({cl['best_speedup_vs_reference']:.2f}x vs reference), "
-        f"bit-identical weights"
-    )
-
-
-def check_serve(r, path):
-    ensure(r["bench"] == "serve", f"{path}: bench kind is not serve")
-    require_keys(
-        r,
-        (
-            "requests_ok",
-            "requests_failed",
-            "requests_per_sec",
-            "latency_us",
-            "hot_swap",
-            "requests_by_model_version",
-        ),
-        path,
-    )
-    for q in ("p50", "p95", "p99", "mean"):
-        ensure(q in r["latency_us"], f"{path} lacks latency_us.{q}")
-    ensure(r["requests_ok"] > 0, f"{path}: zero throughput")
-    ensure(r["requests_failed"] == 0, f"{path}: requests failed")
-    if r["hot_swap"].get("requested"):
-        ensure(r["hot_swap"]["succeeded"] is True, f"{path}: hot swap failed")
-    return (
-        f"{r['requests_ok']} requests at {r['requests_per_sec']:.0f} req/s, "
-        f"p99 {r['latency_us']['p99']} us"
-        + (" across a hot swap" if r["hot_swap"].get("requested") else "")
-    )
-
-
-def check_online(r, path):
-    ensure(r["bench"] == "online", f"{path}: bench kind is not online")
-    require_keys(
-        r,
-        (
-            "config",
-            "ingest",
-            "increments",
-            "swap",
-            "checkpoint",
-            "final_version",
-            "event_digest",
-        ),
-        path,
-    )
-    ensure(r["ingest"]["events_per_sec"] > 0, f"{path}: zero ingest throughput")
-    ensure(r["ingest"]["warm_events_per_sec"] > 0, f"{path}: zero warm throughput")
-    ensure(r["increments"], f"{path}: no increments")
-    for inc in r["increments"]:
-        ensure(inc["train_wall_ms"] > 0, f"{path}: an increment trained in zero time")
-    ensure(r["swap"]["stall_free"] is True, f"{path}: swap stalled")
-    ensure(r["swap"]["predictions_failed"] == 0, f"{path}: predictions dropped")
-    ensure(r["checkpoint"]["round_trip_ok"] is True, f"{path}: checkpoint round trip failed")
-    ensure(r["final_version"] >= 2, f"{path}: no increment reached the registry")
-    return (
-        f"{r['ingest']['events_per_sec']:.0f} events/s, "
-        f"swap {r['swap']['latency_us_max']} us max, "
-        f"checkpoint {r['checkpoint']['bytes']} bytes"
-    )
-
-
-def check_router(r, path):
-    ensure(r["bench"] == "router", f"{path}: bench kind is not router")
-    require_keys(
-        r,
-        (
-            "replicas",
-            "direct",
-            "routed",
-            "background",
-            "delta",
-            "propagation",
-            "follower_bit_identical",
-        ),
-        path,
-    )
-    ensure(r["replicas"] >= 2, f"{path}: a fleet needs at least 2 replicas")
-    for phase in ("direct", "routed"):
-        ensure(r[phase]["requests_ok"] > 0, f"{path}: zero {phase} throughput")
-        ensure(r[phase]["requests_failed"] == 0, f"{path}: {phase} requests failed")
+    ensure(report["bench"] == kind, f"{path}: bench kind {report['bench']!r} is not {kind!r}")
+    ensure(isinstance(report["config"], dict), f"{path}: config is not an object")
+    ensure(isinstance(report["results"], dict), f"{path}: results is not an object")
+    head = report.get("headline")
     ensure(
-        r["background"]["requests_failed"] == 0,
-        f"{path}: routed requests failed during replication",
+        head is None or isinstance(head, dict) and set(head) == {"name", "value"}
+        and isinstance(head["name"], str) and is_number(head["value"]),
+        f"{path}: malformed headline {head!r}",
     )
-    delta = r["delta"]
-    ensure(delta["increments"] >= 1, f"{path}: no increments ran")
-    ensure(
-        delta["max_ratio"] <= 0.10,
-        f"{path}: delta ratio {delta['max_ratio']:.1%} exceeds the 10% gate",
-    )
-    for inc in delta["per_increment"]:
-        ensure(inc["propagated"] is True, f"{path}: v{inc['version']} never propagated")
+    ensure(isinstance(report["gates"], list), f"{path}: gates is not a list")
+    seen = set()
+    for gate in report["gates"]:
         ensure(
-            inc["delta_bytes"] < inc["full_checkpoint_bytes"],
-            f"{path}: v{inc['version']} delta is not smaller than the checkpoint",
+            isinstance(gate, dict) and set(gate) == GATE_KEYS,
+            f"{path}: malformed gate {gate!r}",
         )
-    ensure(
-        r["follower_bit_identical"] is True,
-        f"{path}: follower diverged from the published checkpoint",
-    )
-    ensure("p50_ms" in r["propagation"], f"{path} lacks propagation.p50_ms")
-    return (
-        f"{delta['increments']} increment(s), delta ratio "
-        f"{delta['max_ratio']:.1%} of full checkpoint, propagation p50 "
-        f"{r['propagation']['p50_ms']} ms, routed p50 {r['routed']['p50_us']} us "
-        f"(direct {r['direct']['p50_us']} us), bit-identical follower"
-    )
+        name, value, op, bound = gate["name"], gate["value"], gate["op"], gate["bound"]
+        ensure(name not in seen, f"{path}: gate {name} appears twice")
+        seen.add(name)
+        ensure(op in OPS, f"{path}: gate {name} has unknown op {op!r}")
+        ensure(is_number(bound), f"{path}: gate {name} bound {bound!r} is not a number")
+        ensure(
+            value is None or is_number(value),
+            f"{path}: gate {name} value {value!r} is not a number",
+        )
+        holds = value is not None and math.isfinite(value) and OPS[op](value, bound)
+        ensure(
+            gate["pass"] is holds,
+            f"{path}: gate {name} says pass={gate['pass']!r} but {value} {op} {bound} is {holds}",
+        )
+        ensure(holds, f"{path}: gate {name} failed: {value} {op} {bound} does not hold")
+    missing = [name for name in REQUIRED_GATES[kind] if name not in seen]
+    ensure(not missing, f"{path}: missing required gate(s) {', '.join(missing)}")
+    return report
 
 
-def check_fleet(r, path):
-    ensure(r["bench"] == "fleet", f"{path}: bench kind is not fleet")
-    require_keys(
-        r,
-        ("replicas", "failover", "background", "survivors_bit_identical", "rejoin"),
-        path,
-    )
-    ensure(r["replicas"] >= 3, f"{path}: failover needs at least 3 replicas")
-    fo = r["failover"]
-    require_keys(
-        fo,
-        ("rounds", "detection_to_promotion_ms", "p50_ms", "promotions", "demotions", "final_epoch"),
-        f"{path}:failover",
-    )
-    ensure(fo["rounds"] >= 1, f"{path}: no failover rounds ran")
+def check_headline(fresh_path, fresh, committed_path, committed):
+    base = committed.get("headline")
+    if base is None:
+        return
+    name = base["name"]
+    head = fresh.get("headline")
     ensure(
-        len(fo["detection_to_promotion_ms"]) == fo["rounds"],
-        f"{path}: one latency sample per round",
-    )
-    # Initial election + one promotion per round; every promotion bumps
-    # the epoch, so the final epoch tracks the promotion count.
-    ensure(
-        fo["promotions"] == fo["rounds"] + 1,
-        f"{path}: expected {fo['rounds'] + 1} promotions, saw {fo['promotions']}",
+        head is not None and head["name"] == name,
+        f"{fresh_path}: lacks the headline {name} that {committed_path} carries",
     )
     ensure(
-        fo["final_epoch"] == fo["promotions"],
-        f"{path}: epoch {fo['final_epoch']} does not track promotions",
+        head["value"] >= base["value"] * NOISE_FLOOR,
+        f"{fresh_path}: headline {name} {head['value']:.0f} is below "
+        f"{NOISE_FLOOR:.0%} of the committed {base['value']:.0f} ({committed_path})",
     )
-    ensure(r["background"]["requests_ok"] > 0, f"{path}: zero background throughput")
-    ensure(
-        r["background"]["requests_failed"] == 0,
-        f"{path}: client requests failed during failover",
-    )
-    ensure(
-        r["survivors_bit_identical"] is True,
-        f"{path}: survivors diverged after the failover rounds",
-    )
-    rejoin = r["rejoin"]
-    delta, full = rejoin["delta"], rejoin["full_sync"]
-    ensure(delta["converged"] is True, f"{path}: delta catch-up did not converge")
-    ensure(full["converged"] is True, f"{path}: full-sync catch-up did not converge")
-    ensure(
-        delta["full_syncs"] == 0 and delta["deltas_applied"] == rejoin["ring"],
-        f"{path}: lag == ring must catch up on deltas alone",
-    )
-    ensure(
-        full["full_syncs"] == 1 and full["deltas_applied"] == 0,
-        f"{path}: lag past the ring must take exactly one full sync",
-    )
-    ensure(
-        delta["bytes_per_hop"] <= full["bytes"],
-        f"{path}: a delta hop shipped more than a full checkpoint",
-    )
-    return (
-        f"{fo['rounds']} failover round(s), detection->promotion p50 "
-        f"{fo['p50_ms']} ms (max {fo['max_ms']} ms), epoch {fo['final_epoch']}, "
-        f"rejoin delta {delta['bytes_per_hop']} B/hop vs full {full['bytes']} B, "
-        f"zero failed requests"
-    )
-
-
-CHECKS = {
-    "train": check_train,
-    "serve": check_serve,
-    "online": check_online,
-    "router": check_router,
-    "fleet": check_fleet,
-}
-
-# kind -> (label, extractor) for the headline throughput of a report.
-THROUGHPUT = {
-    "serve": ("requests/s", lambda r: r["requests_per_sec"]),
-    # Warm-phase ingest: the steady-state hot path, independent of how
-    # many events amortize the increment's fixed train/checkpoint cost
-    # (overall events/s is not comparable between --quick and full runs).
-    "online": ("warm events/s", lambda r: r["ingest"]["warm_events_per_sec"]),
-}
-
-# A fresh run may be slower than the committed datapoint (different
-# runner, cold caches), but not catastrophically: instrumentation on
-# the hot path must stay within noise, not halve throughput.
-NOISE_FLOOR = 0.5
-
-
-def check_throughput_noise(kind, fresh_path, committed_path):
-    label, extract = THROUGHPUT[kind]
-    with open(fresh_path) as handle:
-        fresh = extract(json.load(handle))
-    with open(committed_path) as handle:
-        committed = extract(json.load(handle))
-    ensure(
-        fresh >= committed * NOISE_FLOOR,
-        f"{fresh_path}: {fresh:.0f} {label} is below "
-        f"{NOISE_FLOOR:.0%} of the committed {committed:.0f} {label} "
-        f"({committed_path})",
-    )
-    print(
-        f"{kind} throughput within noise: fresh {fresh:.0f} vs "
-        f"committed {committed:.0f} {label}"
-    )
+    print(f"headline {name} within noise: fresh {head['value']:.0f} vs committed {base['value']:.0f}")
 
 
 def main(argv):
-    if len(argv) < 3 or argv[1] not in CHECKS:
-        kinds = "|".join(sorted(CHECKS))
+    if len(argv) < 3 or argv[1] not in REQUIRED_GATES:
+        kinds = "|".join(sorted(REQUIRED_GATES))
         print(f"usage: check_bench.py <{kinds}> <file> [<file> ...]", file=sys.stderr)
         return 2
     kind, paths = argv[1], argv[2:]
-    check = CHECKS[kind]
-    for path in paths:
-        try:
-            with open(path) as handle:
-                report = json.load(handle)
-            summary = check(report, path)
-        except CheckFailure as failure:
-            print(f"check_bench: FAILED: {failure}", file=sys.stderr)
-            return 1
-        except (OSError, ValueError, KeyError, StopIteration) as problem:
-            print(f"check_bench: FAILED: {path}: {problem!r}", file=sys.stderr)
-            return 1
-        print(f"{kind} bench ok ({path}): {summary}")
-    if len(paths) >= 2 and kind in THROUGHPUT:
-        try:
-            check_throughput_noise(kind, paths[0], paths[-1])
-        except CheckFailure as failure:
-            print(f"check_bench: FAILED: {failure}", file=sys.stderr)
-            return 1
+    try:
+        reports = [check_report(kind, path) for path in paths]
+        for path, report in zip(paths, reports):
+            print(f"{kind} bench ok ({path}): {len(report['gates'])} gates passed")
+        if len(paths) >= 2:
+            check_headline(paths[0], reports[0], paths[-1], reports[-1])
+    except CheckFailure as failure:
+        print(f"check_bench: FAILED: {failure}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as problem:
+        print(f"check_bench: FAILED: {problem!r}", file=sys.stderr)
+        return 1
     return 0
 
 
