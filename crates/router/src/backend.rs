@@ -12,7 +12,7 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ncl_obs::{Counter, Gauge, Registry};
@@ -197,6 +197,9 @@ pub struct Backend {
     breaker: Mutex<Breaker>,
     state_gauge: Arc<Gauge>,
     faults: Mutex<Option<Arc<FaultPlan>>>,
+    /// The health probe line naming the router's address, once
+    /// [`Backend::announce_router`] has set it.
+    health_probe: OnceLock<String>,
 }
 
 impl Backend {
@@ -235,6 +238,7 @@ impl Backend {
             breaker: Mutex::new(Breaker::new(BREAKER_INITIAL_BACKOFF, BREAKER_MAX_BACKOFF)),
             state_gauge,
             faults: Mutex::new(None),
+            health_probe: OnceLock::new(),
         }
     }
 
@@ -258,6 +262,20 @@ impl Backend {
             .faults
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(plan);
+    }
+
+    /// Makes every later health probe carry `router` as the prober's
+    /// address, so the replica knows where to send its `published`
+    /// nudges. The first announcement sticks: a backend belongs to one
+    /// router.
+    pub fn announce_router(&self, router: SocketAddr) {
+        let _ = self.health_probe.set(
+            protocol::object(vec![
+                ("op", Value::from("health")),
+                ("router", Value::from(router.to_string())),
+            ])
+            .to_json(),
+        );
     }
 
     /// Exposes this backend's counters in `registry` as
@@ -511,8 +529,9 @@ impl Backend {
             .set(i64::from(gauge_value(breaker.phase())));
     }
 
-    /// Probes `{"op":"health"}` and refreshes health, role, version and
-    /// epoch. Returns the parsed response when the replica answered.
+    /// Probes `{"op":"health"}` (naming the router, once announced) and
+    /// refreshes health, role, version and epoch. Returns the parsed
+    /// response when the replica answered.
     ///
     /// The probe is gated by the breaker: while the circuit is open,
     /// this returns `None` without touching the socket, so a dead
@@ -531,7 +550,11 @@ impl Backend {
                 return None;
             }
         }
-        let response = match self.request(r#"{"op":"health"}"#) {
+        let probe = self
+            .health_probe
+            .get()
+            .map_or(r#"{"op":"health"}"#, String::as_str);
+        let response = match self.request(probe) {
             Ok(response) => response,
             Err(_) => {
                 // request() already marked us unhealthy; also drop every

@@ -14,7 +14,10 @@
 //!    the regime the paper's frozen-backbone design creates).
 //! 3. **Propagation latency** — time from the learner publishing an
 //!    increment to the follower serving that exact version, while
-//!    routed load keeps flowing.
+//!    routed load keeps flowing, in µs. The learner's `published` nudge
+//!    runs the router's sync pass at once, so propagation is gated at a
+//!    fifth of the sync interval: a fleet that waited for the tick
+//!    would average half of it.
 //!
 //! The report uses the shared [`ncl_serve::bench`] format (kind
 //! `router`); the binary exits 1 if any gate failed.
@@ -31,7 +34,7 @@ use ncl_online::daemon::OnlineConfig;
 use ncl_online::stream::{SampleStream, StreamConfig};
 use ncl_router::backend::Backend;
 use ncl_router::router::{Router, RouterConfig};
-use ncl_router::testkit::{percentile, poll_until, reference_run, start_node, Load, Node};
+use ncl_router::testkit::{percentile, reference_run, start_node, Load, Node};
 use ncl_serve::bench::{Op, Report};
 use ncl_serve::client::NclClient;
 use ncl_serve::protocol::object;
@@ -143,6 +146,42 @@ fn load_block(ok: u64, failed: u64, latencies: &mut [u64], wall: Duration) -> Va
     ])
 }
 
+/// Longest the follower may take to serve a published increment.
+const PROPAGATION_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Waits for the learner to publish `version` and then for the follower
+/// to serve it, polling both on one 50 µs loop so the two instants share
+/// a resolution. Returns when the publish was seen and, unless
+/// propagation timed out, when the follower was; `None` if the publish
+/// never came.
+fn await_propagation(
+    learner: &Node,
+    follower: &Node,
+    version: u64,
+) -> Option<(Instant, Option<Instant>)> {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let published = loop {
+        let now = Instant::now();
+        if learner.health_count("published_version") >= version {
+            break now;
+        }
+        if now > deadline {
+            return None;
+        }
+        std::thread::sleep(Duration::from_micros(50));
+    };
+    loop {
+        let now = Instant::now();
+        if follower.replica.registry().version() >= version {
+            return Some((published, Some(now)));
+        }
+        if now - published > PROPAGATION_TIMEOUT {
+            return Some((published, None));
+        }
+        std::thread::sleep(Duration::from_micros(50));
+    }
+}
+
 fn main() {
     let args = parse_args();
     let total_start = Instant::now();
@@ -171,10 +210,12 @@ fn main() {
         Arc::new(Backend::new(0, learner.server.local_addr())),
         Arc::new(Backend::new(1, follower.server.local_addr())),
     ];
+    // The default tick: propagation is gated against it, and only the
+    // publish nudge makes that gate reachable.
+    let sync_interval_us = RouterConfig::default().sync_interval.as_micros() as u64;
     let router = Router::start(
         backends,
         RouterConfig {
-            sync_interval: Duration::from_millis(25),
             // The learner is promoted by hand below; the router must
             // not elect one of its own while routing is measured.
             failover_ticks: u32::MAX,
@@ -208,17 +249,12 @@ fn main() {
     let mut increments: Vec<Value> = Vec::new();
     let (mut unpropagated, mut oversized) = (0u64, 0u64);
     let mut max_ratio = 0.0f64;
-    let mut propagation_ms: Vec<u64> = Vec::new();
+    let mut propagation_us: Vec<u64> = Vec::new();
     for version in 2..=reference.version {
-        if let Err(e) = poll_until(Duration::from_secs(60), "the next increment", || {
-            learner.health_count("published_version") >= version
-        }) {
-            eprintln!("ncl-router-bench: {e}");
+        let Some((published, reached)) = await_propagation(learner, follower, version) else {
+            eprintln!("ncl-router-bench: timed out waiting for the next increment");
             break;
-        }
-        // Propagation: publish -> follower registry serves the
-        // learner's exact version (the 25 ms sync loop relays it).
-        let published = Instant::now();
+        };
         let (_, delta) = learner
             .replica
             .fetch_delta(version - 1)
@@ -227,27 +263,24 @@ fn main() {
         let full_bytes = learner.replica.checkpoint_bytes().len();
         let ratio = delta_bytes as f64 / full_bytes as f64;
         max_ratio = max_ratio.max(ratio);
-        let reached = poll_until(Duration::from_secs(10), "propagation", || {
-            follower.replica.registry().version() >= version
-        })
-        .is_ok();
-        let elapsed_ms = published.elapsed().as_millis() as u64;
-        propagation_ms.push(elapsed_ms);
+        let elapsed = reached.map_or(PROPAGATION_TIMEOUT, |at| at - published);
+        let elapsed_us = elapsed.as_micros() as u64;
+        propagation_us.push(elapsed_us);
+        let note = reached.map_or(" [TIMED OUT]", |_| "");
         eprintln!(
             "increment v{version}: delta {delta_bytes} B / full {full_bytes} B \
-             (ratio {:.1}%), propagated in {elapsed_ms} ms{}",
+             (ratio {:.1}%), propagated in {elapsed_us} µs{note}",
             ratio * 100.0,
-            if reached { "" } else { " [TIMED OUT]" },
         );
-        unpropagated += u64::from(!reached);
+        unpropagated += u64::from(reached.is_none());
         oversized += u64::from(delta_bytes >= full_bytes);
         increments.push(object(vec![
             ("version", Value::from(version)),
             ("delta_bytes", Value::from(delta_bytes)),
             ("full_checkpoint_bytes", Value::from(full_bytes)),
             ("ratio", Value::from(ratio)),
-            ("propagation_ms", Value::from(elapsed_ms)),
-            ("propagated", Value::from(reached)),
+            ("propagation_us", Value::from(elapsed_us)),
+            ("propagated", Value::from(reached.is_some())),
         ]));
     }
     let background = load.stop();
@@ -259,7 +292,8 @@ fn main() {
     let bit_identical = follower.replica.checkpoint_bytes() == reference.published
         && learner.replica.checkpoint_bytes() == reference.published;
 
-    propagation_ms.sort_unstable();
+    propagation_us.sort_unstable();
+    let propagation_p50_us = percentile(&propagation_us, 0.50);
     let results = object(vec![
         ("direct", direct),
         ("routed", routed),
@@ -284,8 +318,8 @@ fn main() {
         (
             "propagation",
             object(vec![
-                ("p50_ms", Value::from(percentile(&propagation_ms, 0.50))),
-                ("max_ms", Value::from(percentile(&propagation_ms, 1.0))),
+                ("p50_us", Value::from(propagation_p50_us)),
+                ("max_us", Value::from(percentile(&propagation_us, 1.0))),
             ]),
         ),
         ("follower_bit_identical", Value::from(bit_identical)),
@@ -300,6 +334,7 @@ fn main() {
         object(vec![
             ("replicas", Value::from(nodes.len())),
             ("requests_per_phase", Value::from(args.requests)),
+            ("sync_interval_us", Value::from(sync_interval_us)),
         ]),
     );
     report.gate("replicas", nodes.len() as f64, Op::Ge, 2.0);
@@ -309,9 +344,13 @@ fn main() {
     report.gate("routed_requests_failed", r_failed as f64, Op::Eq, 0.0);
     let bg_failed = background.failed as f64;
     report.gate("background_requests_failed", bg_failed, Op::Eq, 0.0);
-    report.gate("increments", propagation_ms.len() as f64, Op::Ge, 1.0);
+    report.gate("increments", propagation_us.len() as f64, Op::Ge, 1.0);
     report.gate("delta_max_ratio", max_ratio, Op::Le, 0.10);
     report.gate("unpropagated_increments", unpropagated as f64, Op::Eq, 0.0);
+    // A pass that waited for the tick would take half of it on average.
+    let push_bound = sync_interval_us as f64 / 5.0;
+    let p50_us = propagation_p50_us as f64;
+    report.gate("propagation_p50_us", p50_us, Op::Le, push_bound);
     report.gate("oversized_deltas", oversized as f64, Op::Eq, 0.0);
     report.check("follower_bit_identical", bit_identical);
 

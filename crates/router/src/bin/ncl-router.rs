@@ -4,7 +4,9 @@
 //! dispatched to the least-loaded healthy replica (or by consistent
 //! hash of the request id), transport failures fail over to the
 //! survivors, and the built-in sync loop keeps followers converged on
-//! the learner's checkpoints by relaying KB-scale deltas.
+//! the learner's checkpoints by relaying KB-scale deltas — at once when
+//! the learner's `published` nudge arrives, and every `--sync-ms` as
+//! the health/failover tick and the fallback for a lost nudge.
 //!
 //! The fleet is elastic: replicas can `join`/`leave` over the wire, and
 //! `--failover-ticks N` sets how many consecutive learner-less sync

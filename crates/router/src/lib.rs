@@ -19,9 +19,10 @@
 //! * [`router::Router`] — the front server: least-loaded (or
 //!   consistent-hash) predict dispatch with failover, aggregate stats.
 //! * [`sync`] — the replication loop: after each learner increment the
-//!   router pulls the published [`ncl_online::CheckpointDelta`] and
-//!   pushes it to every follower that is behind; any mismatch falls
-//!   back to a full checkpoint. Followers apply bit-identically (the
+//!   learner nudges the router (`published`), which at once pulls the
+//!   published [`ncl_online::CheckpointDelta`] and pushes it to every
+//!   follower that is behind (a clock tick is the fallback); any
+//!   mismatch falls back to a full checkpoint. Followers apply bit-identically (the
 //!   delta's `target_crc` guarantees it) and hot-swap at the learner's
 //!   exact version.
 //! * [`replica`] — [`ElasticReplica`], the one

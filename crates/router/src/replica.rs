@@ -11,9 +11,12 @@
 //! full checkpoint. Promoted, it trains from the stream and publishes a
 //! checkpoint delta after every increment, answering `delta` /
 //! `checkpoint` fetches and refusing applies (nothing overwrites the
-//! learner's state but its own training). A fresh fleet's learner is
-//! simply a replica promoted at epoch 1.
+//! learner's state but its own training). After every publish it
+//! nudges the router that last probed it (`published`), so the router's
+//! sync pass relays the delta at once rather than on its next tick. A
+//! fresh fleet's learner is simply a replica promoted at epoch 1.
 
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -25,10 +28,15 @@ use ncl_online::delta::CheckpointDelta;
 use ncl_online::error::OnlineError;
 use ncl_online::publish::DeltaPublisher;
 use ncl_online::stream::SampleStream;
+use ncl_serve::client::{ClientConfig, NclClient};
 use ncl_serve::error::ServeError;
 use ncl_serve::registry::ModelRegistry;
 use ncl_serve::sync::ReplicaSync;
 use serde_json::Value;
+
+/// Connect/read/write cap on one `published` nudge. The router answers
+/// at once; a lost nudge only costs the wait for its next tick.
+const NUDGE_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Maps a replication-layer decode/apply failure onto the wire error.
 fn repl(e: &OnlineError) -> ServeError {
@@ -134,7 +142,11 @@ pub struct ElasticReplica {
     pace: Duration,
     registry: Arc<ModelRegistry>,
     obs: Arc<Registry>,
-    epoch: AtomicU64,
+    /// Shared with the ingest thread, which stamps its nudges with it.
+    epoch: Arc<AtomicU64>,
+    /// The router whose health probe arrived last: where the ingest
+    /// thread sends its `published` nudges.
+    router: Arc<Mutex<Option<SocketAddr>>>,
     role: Mutex<RoleState>,
     deltas_applied: Arc<Counter>,
     full_syncs: Arc<Counter>,
@@ -180,7 +192,8 @@ impl ElasticReplica {
             pace,
             registry,
             obs,
-            epoch: AtomicU64::new(0),
+            epoch: Arc::new(AtomicU64::new(0)),
+            router: Arc::new(Mutex::new(None)),
             role: Mutex::new(RoleState::Follower {
                 state: Box::new(initial),
             }),
@@ -296,17 +309,34 @@ impl Drop for ElasticReplica {
     }
 }
 
+/// Tells `router` (if any has probed this replica) that the learner at
+/// `epoch` published `version`. Best effort: errors are ignored, since
+/// the router's tick covers a lost nudge.
+fn nudge_router(router: &Mutex<Option<SocketAddr>>, version: u64, epoch: u64) {
+    let Some(router) = *router
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    else {
+        return;
+    };
+    if let Ok(mut client) =
+        NclClient::connect_with(router, ClientConfig::with_timeout(NUDGE_TIMEOUT))
+    {
+        let _ = client.published(version, epoch);
+    }
+}
+
 /// The promoted learner's ingest loop: continue the deterministic
 /// stream from the resumed checkpoint's cursor, publish after every
-/// increment (recording the delta's size), stop on demand. Runs on its
-/// own thread; must never panic — failures park in `ingest_error` and
-/// end the loop.
+/// increment and hand `published` the new version and the delta's
+/// size, stop on demand. Runs on its own thread; must never panic —
+/// failures park in `ingest_error` and end the loop.
 fn run_ingest(
     mut learner: OnlineLearner,
     stream: &SampleStream,
     pace: Duration,
     publisher: &DeltaPublisher,
-    delta_bytes: &Log2Histogram,
+    published: impl Fn(u64, usize),
     stop: &AtomicBool,
     ingest_error: &Mutex<Option<String>>,
 ) {
@@ -322,7 +352,7 @@ fn run_ingest(
         }
         match learner.ingest(event) {
             Ok(IngestOutcome::Increment(_)) => match publisher.publish(learner.checkpoint()) {
-                Ok(size) => delta_bytes.record(size as u64),
+                Ok(size) => published(publisher.version(), size),
                 Err(e) => {
                     fail(format!("publishing an increment failed: {e}"));
                     return;
@@ -376,6 +406,13 @@ impl ReplicaSync for ElasticReplica {
         self.epoch.load(Ordering::Acquire)
     }
 
+    fn observe_router(&self, router: SocketAddr) {
+        *self
+            .router
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(router);
+    }
+
     fn observe_epoch(&self, epoch: u64) -> Result<(), ServeError> {
         // fetch_max adopts a newer epoch and reports the old fence in
         // one atomic step.
@@ -426,7 +463,15 @@ impl ReplicaSync for ElasticReplica {
                 let thread_publisher = Arc::clone(&publisher);
                 let thread_stop = Arc::clone(&stop);
                 let thread_error = Arc::clone(&self.ingest_error);
-                let thread_delta_bytes = Arc::clone(&self.delta_bytes);
+                let (delta_bytes, router, epoch) = (
+                    Arc::clone(&self.delta_bytes),
+                    Arc::clone(&self.router),
+                    Arc::clone(&self.epoch),
+                );
+                let published = move |version: u64, size: usize| {
+                    delta_bytes.record(size as u64);
+                    nudge_router(&router, version, epoch.load(Ordering::Acquire));
+                };
                 let pace = self.pace;
                 let ingest = std::thread::Builder::new()
                     .name("ncl-elastic-ingest".into())
@@ -436,7 +481,7 @@ impl ReplicaSync for ElasticReplica {
                             &thread_stream,
                             pace,
                             &thread_publisher,
-                            &thread_delta_bytes,
+                            published,
                             &thread_stop,
                             &thread_error,
                         );

@@ -8,11 +8,12 @@
 //! a replica is *not* retried — that is the fleet's answer. `stats`
 //! merges a replica's model block with router-level counters and the
 //! per-replica table; `health` reports the fleet; `swap` is refused
-//! (models change by replication, not by client pushes).
+//! (models change by replication, not by client pushes); `published`
+//! is the learner's nudge that wakes the sync loop (see [`crate::sync`]).
 
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use ncl_obs::{exposition, Counter, Gauge, NodeFragment, Registry as ObsRegistry, TraceContext};
@@ -21,7 +22,7 @@ use ncl_serve::protocol::{self, object};
 use serde_json::Value;
 
 use crate::backend::Backend;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultAction, FaultPlan};
 use crate::membership::Membership;
 use crate::sync::{sync_once, SyncStats};
 
@@ -45,7 +46,10 @@ pub struct RouterConfig {
     pub port: u16,
     /// Predict dispatch policy.
     pub policy: DispatchPolicy,
-    /// Period of the health-probe + delta-propagation loop.
+    /// Period of the sync loop's clock tick: the health-probe and
+    /// failover clock, and the fallback propagation pass when a
+    /// learner's `published` nudge is lost. Propagation itself does not
+    /// wait for it — each nudge runs a pass at once.
     pub sync_interval: Duration,
     /// Consecutive sync ticks without a reachable current-epoch learner
     /// before the router promotes the most caught-up healthy follower.
@@ -87,6 +91,14 @@ pub(crate) struct RouterShared {
     pub(crate) learner_down_ticks: AtomicU32,
     pub(crate) sync: SyncStats,
     pub(crate) obs: Arc<ObsRegistry>,
+    /// Applied to `published` nudges on receipt (the chaos harness's
+    /// way to drop or delay them).
+    pub(crate) faults: Option<Arc<FaultPlan>>,
+    /// Held for the whole of every sync pass, so passes never overlap.
+    pub(crate) sync_pass: Mutex<()>,
+    /// Set by a nudge (or shutdown), cleared when the sync loop wakes.
+    wake: Mutex<bool>,
+    wake_signal: Condvar,
 }
 
 /// A running router.
@@ -132,9 +144,10 @@ impl Router {
             if let Some(plan) = &faults {
                 backend.arm_faults(Arc::clone(plan));
             }
+            backend.announce_router(addr);
             backend.register_into(&obs);
         }
-        let membership = Membership::new(backends, config.backend_timeout, faults);
+        let membership = Membership::new(backends, config.backend_timeout, faults.clone());
         membership.register_into(&obs);
         let shared = Arc::new(RouterShared {
             membership,
@@ -173,10 +186,14 @@ impl Router {
             learner_down_ticks: AtomicU32::new(0),
             sync,
             obs,
+            faults,
+            sync_pass: Mutex::new(()),
+            wake: Mutex::new(false),
+            wake_signal: Condvar::new(),
         });
         // Probe the fleet once before accepting, so the first client
         // request already sees health/role/version state.
-        sync_once(&shared);
+        sync_once(&shared, true);
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("ncl-router-accept".into())
@@ -185,18 +202,23 @@ impl Router {
         let interval = config.sync_interval;
         let sync_thread = std::thread::Builder::new()
             .name("ncl-router-sync".into())
-            .spawn(move || {
-                while !sync_shared.stopping.load(Ordering::Acquire) {
-                    sync_once(&sync_shared);
-                    // Sleep in short slices so shutdown is never
-                    // delayed by a long sync interval.
-                    let mut remaining = interval;
-                    while !remaining.is_zero() && !sync_shared.stopping.load(Ordering::Acquire) {
-                        let slice = remaining.min(Duration::from_millis(25));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
+            .spawn(move || loop {
+                // One wait per pass: a nudge, the tick or shutdown ends
+                // it, whichever comes first.
+                let pending = sync_shared
+                    .wake
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                let (mut pending, _) = sync_shared
+                    .wake_signal
+                    .wait_timeout_while(pending, interval, |woken| !*woken)
+                    .unwrap_or_else(PoisonError::into_inner);
+                let nudged = std::mem::take(&mut *pending);
+                drop(pending);
+                if sync_shared.stopping.load(Ordering::Acquire) {
+                    break;
                 }
+                sync_once(&sync_shared, !nudged);
             })?;
         Ok(Router {
             shared,
@@ -249,10 +271,10 @@ impl Router {
         &self.shared.obs
     }
 
-    /// Runs one health-probe + delta-propagation pass right now (the
-    /// background loop keeps running on its own period).
+    /// Runs one health-probe + delta-propagation pass right now, as a
+    /// tick (the background loop keeps running; the two take turns).
     pub fn sync_now(&self) {
-        sync_once(&self.shared);
+        sync_once(&self.shared, true);
     }
 
     /// Blocks until the router stops (a client sent `shutdown`, or
@@ -277,7 +299,15 @@ fn request_stop(shared: &RouterShared) {
     if shared.stopping.swap(true, Ordering::AcqRel) {
         return;
     }
+    wake_sync(shared);
     let _ = TcpStream::connect(shared.addr);
+}
+
+/// Ends the sync loop's current wait: it runs a pass (or, when
+/// stopping, exits) at once.
+fn wake_sync(shared: &RouterShared) {
+    *shared.wake.lock().unwrap_or_else(PoisonError::into_inner) = true;
+    shared.wake_signal.notify_one();
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
@@ -328,6 +358,7 @@ fn handle_line(line: &str, shared: &RouterShared) -> (String, bool) {
         "join" => join_response(&request, shared),
         "leave" => leave_response(&request, shared),
         "members" => members_response(shared),
+        "published" => published_response(&request, shared),
         // Bootstrap/catch-up fetches from joining replicas: relayed to
         // the current learner, so a cold follower needs to know one
         // address (the router's), not the fleet topology.
@@ -509,6 +540,7 @@ fn join_response(request: &Value, shared: &RouterShared) -> String {
         );
     };
     let (backend, fresh) = shared.membership.join(addr, &shared.obs);
+    backend.announce_router(shared.addr);
     backend.probe_health();
     shared.requests_ok.inc();
     object(vec![
@@ -555,6 +587,63 @@ fn leave_response(request: &Value, shared: &RouterShared) -> String {
             )
         }
     }
+}
+
+/// The learner's `published` nudge: wakes the sync loop unless the
+/// nudge carries an epoch the fleet has moved past (a deposed learner
+/// still publishing). The fault plan applies on receipt, attributed to
+/// the newest-epoch learner, so chaos tests can drop or delay nudges
+/// (and a partitioned learner's nudges are lost with the rest of its
+/// traffic).
+fn published_response(request: &Value, shared: &RouterShared) -> String {
+    let (version, epoch) = match protocol::parse_published(request) {
+        Ok(fields) => fields,
+        Err(e) => {
+            shared.requests_failed.inc();
+            return error_line(None, &e);
+        }
+    };
+    if let Some(plan) = &shared.faults {
+        let source = shared
+            .membership
+            .snapshot()
+            .iter()
+            .filter(|b| b.role() == "learner")
+            .max_by_key(|b| (b.epoch(), std::cmp::Reverse(b.id)))
+            .map_or(usize::MAX, |b| b.id);
+        match plan.decide(source, "published") {
+            None => {}
+            Some(FaultAction::Delay(wait)) => std::thread::sleep(wait),
+            Some(_) => {
+                return error_line(
+                    None,
+                    &ServeError::Replication {
+                        detail: "fault injection: dropped the publish nudge".into(),
+                    },
+                )
+            }
+        }
+    }
+    let fleet_epoch = shared.epoch.load(Ordering::Acquire);
+    if let Some(stamped) = epoch.filter(|&e| e < fleet_epoch) {
+        shared.sync.nudges_fenced.inc();
+        return error_line(
+            None,
+            &ServeError::Replication {
+                detail: format!(
+                    "nudge fenced: stamped epoch {stamped} is behind fleet epoch {fleet_epoch}"
+                ),
+            },
+        );
+    }
+    shared.sync.nudges_woke.inc();
+    wake_sync(shared);
+    object(vec![
+        ("ok", Value::from(true)),
+        ("op", Value::from("published")),
+        ("version", Value::from(version)),
+    ])
+    .to_json()
 }
 
 /// The live fleet as status rows, plus the epoch clients should expect

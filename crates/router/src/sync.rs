@@ -1,27 +1,40 @@
 //! The router-driven replication loop.
 //!
-//! Every tick: probe each replica's `health` (role, version), identify
-//! the learner (the healthy replica reporting `role == "learner"`;
-//! lowest id wins if several claim it), and for every healthy follower
-//! that is behind, pull the delta covering *that follower's* version
-//! from the learner and push it via `apply_delta`. Any step failing —
-//! the learner no longer retains that delta, the follower's base
-//! mismatches (its `target_crc` check makes wrong bytes impossible to
-//! apply silently) — falls back to relaying the learner's full
-//! checkpoint. Followers therefore converge to the learner's exact
-//! bytes, normally paying only KB-scale deltas.
+//! A **pass** probes each replica's `health` (role, version),
+//! identifies the learner (the healthy replica reporting
+//! `role == "learner"`; lowest id wins if several claim it), and for
+//! every healthy follower that is behind, pulls the delta covering
+//! *that follower's* version from the learner and pushes it via
+//! `apply_delta`. Any step failing — the learner no longer retains that
+//! delta, the follower's base mismatches (its `target_crc` check makes
+//! wrong bytes impossible to apply silently) — falls back to relaying
+//! the learner's full checkpoint. Followers therefore converge to the
+//! learner's exact bytes, normally paying only KB-scale deltas.
+//!
+//! **When a pass runs.** The learner drives it: after every delta it
+//! publishes, the promoted replica sends the router a `published`
+//! nudge (to the address the router's own health probes carry), and
+//! the router wakes the sync thread at once — propagation costs the
+//! pass itself, not the wait for a poll. The `sync_interval` tick
+//! stays as the health and failover clock, and as the fallback that
+//! still converges the fleet when a nudge is lost. Every pass — tick,
+//! nudge or [`crate::router::Router::sync_now`] — goes through
+//! [`sync_once`] under one mutex, so passes never interleave and each
+//! applied delta is counted once.
 //!
 //! The loop runs in the router because replicas stay deliberately
-//! unaware of each other: a replica only answers its own wire ops,
-//! which keeps fleet topology (who replicates from whom) in exactly one
-//! place.
+//! unaware of each other: a replica only answers its own wire ops (and
+//! nudges the one router that probes it), which keeps fleet topology
+//! (who replicates from whom) in exactly one place.
 //!
 //! The loop also owns **failover**: when no healthy current-epoch
 //! learner answers for [`crate::router::RouterConfig::failover_ticks`]
 //! consecutive ticks, the most caught-up healthy follower is promoted
-//! under a bumped fleet epoch. Every apply and role change carries that
-//! epoch; a deposed learner that comes back reports an older epoch and
-//! is demoted instead of split-braining the fleet.
+//! under a bumped fleet epoch. Only clock ticks count towards that: a
+//! nudge proves a learner alive. Every apply and role change carries
+//! the epoch; a deposed learner that comes back reports an older epoch
+//! and is demoted instead of split-braining the fleet, and its nudges
+//! are refused.
 
 use std::sync::Arc;
 
@@ -47,6 +60,10 @@ pub struct SyncStats {
     pub failures: Arc<Counter>,
     /// Passes of the loop (probe + propagate), successful or not.
     pub ticks: Arc<Counter>,
+    /// `published` nudges that woke the loop.
+    pub nudges_woke: Arc<Counter>,
+    /// `published` nudges refused for a stale epoch.
+    pub nudges_fenced: Arc<Counter>,
 }
 
 impl SyncStats {
@@ -77,6 +94,14 @@ impl SyncStats {
             "Probe + propagate passes of the replication loop.",
             Arc::clone(&self.ticks),
         );
+        for (outcome, counter) in [("woke", &self.nudges_woke), ("fenced", &self.nudges_fenced)] {
+            let _ = registry.adopt_counter(
+                "router_sync_nudges_total",
+                &[("outcome", outcome)],
+                "Learner publish nudges: woke the sync loop, or refused for a stale epoch.",
+                Arc::clone(counter),
+            );
+        }
     }
 
     /// JSON snapshot for stats/health responses.
@@ -87,6 +112,8 @@ impl SyncStats {
             ("full_syncs", Value::from(self.full_syncs.get())),
             ("failures", Value::from(self.failures.get())),
             ("ticks", Value::from(self.ticks.get())),
+            ("nudges_woke", Value::from(self.nudges_woke.get())),
+            ("nudges_fenced", Value::from(self.nudges_fenced.get())),
         ])
     }
 }
@@ -102,60 +129,75 @@ fn ok_payload(response: &str) -> Option<(Option<u64>, String)> {
     Some((version, payload))
 }
 
-/// Whether an apply response succeeded (a stale-version refusal counts:
-/// the follower is already at or past the target).
-fn apply_succeeded(response: &str) -> bool {
+/// What a follower made of a pushed delta or checkpoint.
+enum Apply {
+    /// Applied: the follower advanced.
+    Applied,
+    /// Refused as stale: the follower already holds the target (another
+    /// writer got there first), so nothing was applied.
+    Stale,
+    /// Any other refusal or an unreadable answer.
+    Failed,
+}
+
+fn apply_outcome(response: &str) -> Apply {
     let Ok(value) = serde_json::from_str(response) else {
-        return false;
+        return Apply::Failed;
     };
     let value: Value = value;
     if value.get("ok").and_then(Value::as_bool) == Some(true) {
-        return true;
+        return Apply::Applied;
     }
-    value
+    let stale = value
         .get("error")
         .and_then(Value::as_str)
-        .is_some_and(|e| e.contains("stale version"))
+        .is_some_and(|e| e.contains("stale version"));
+    if stale {
+        Apply::Stale
+    } else {
+        Apply::Failed
+    }
 }
 
 /// Brings `follower` up to the learner's version: delta first, full
 /// checkpoint on any failure. Applies carry the fleet `epoch`, so a
 /// replica fenced at a newer epoch refuses them (split-brain safety).
-/// Returns whether the follower advanced.
-fn propagate(learner: &Backend, follower: &Backend, epoch: u64, stats: &SyncStats) -> bool {
+/// Only an apply that advanced the follower is counted; a stale refusal
+/// means it is already there.
+fn propagate(learner: &Backend, follower: &Backend, epoch: u64, stats: &SyncStats) {
     let follower_version = follower.model_version();
-    // The delta path: ask the learner for exactly this follower's gap.
-    if let Ok(response) = learner.request(&format!(
-        r#"{{"op":"delta","base_version":{follower_version}}}"#
-    )) {
-        if let Some((_, payload)) = ok_payload(&response) {
-            if let Ok(apply) = follower.request(&format!(
-                r#"{{"op":"apply_delta","payload":"{payload}","epoch":{epoch}}}"#
-            )) {
-                if apply_succeeded(&apply) {
-                    stats.deltas_applied.inc();
-                    follower.probe_health();
-                    return true;
-                }
-            }
+    // The delta path: ask the learner for exactly this follower's gap,
+    // then the fallback: relay the full checkpoint.
+    let attempts = [
+        (
+            format!(r#"{{"op":"delta","base_version":{follower_version}}}"#),
+            "apply_delta",
+            &stats.deltas_applied,
+        ),
+        (
+            r#"{"op":"checkpoint"}"#.to_owned(),
+            "apply_checkpoint",
+            &stats.full_syncs,
+        ),
+    ];
+    for (fetch, apply_op, applied) in attempts {
+        let Some((_, payload)) = learner.request(&fetch).ok().and_then(|r| ok_payload(&r)) else {
+            continue;
+        };
+        let Ok(response) = follower.request(&format!(
+            r#"{{"op":"{apply_op}","payload":"{payload}","epoch":{epoch}}}"#
+        )) else {
+            continue;
+        };
+        match apply_outcome(&response) {
+            Apply::Applied => applied.inc(),
+            Apply::Stale => {}
+            Apply::Failed => continue,
         }
-    }
-    // Fallback: relay the full checkpoint.
-    if let Ok(response) = learner.request(r#"{"op":"checkpoint"}"#) {
-        if let Some((_, payload)) = ok_payload(&response) {
-            if let Ok(apply) = follower.request(&format!(
-                r#"{{"op":"apply_checkpoint","payload":"{payload}","epoch":{epoch}}}"#
-            )) {
-                if apply_succeeded(&apply) {
-                    stats.full_syncs.inc();
-                    follower.probe_health();
-                    return true;
-                }
-            }
-        }
+        follower.probe_health();
+        return;
     }
     stats.failures.inc();
-    false
 }
 
 /// Whether a role-change response is a protocol-level success.
@@ -186,9 +228,16 @@ fn demote(backend: &Backend, epoch: u64, shared: &RouterShared) {
 
 /// One pass of the loop: probe everyone, elect/fence the learner,
 /// promote on a sustained learner outage, then propagate to laggards.
-pub(crate) fn sync_once(shared: &RouterShared) {
+/// `tick` says whether the pass is a clock tick; only ticks count
+/// towards failover (a nudge-driven pass follows a learner's publish).
+/// Passes are serialized: concurrent callers take turns.
+pub(crate) fn sync_once(shared: &RouterShared, tick: bool) {
     use std::sync::atomic::Ordering;
 
+    let _pass = shared
+        .sync_pass
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     shared.sync.ticks.inc();
     let backends = shared.membership.snapshot();
     for backend in &backends {
@@ -248,6 +297,9 @@ pub(crate) fn sync_once(shared: &RouterShared) {
             // caught-up healthy follower under a bumped epoch; its
             // resumed publishing is deterministic from its last applied
             // checkpoint, so survivors converge bit-identically.
+            if !tick {
+                return;
+            }
             let down = shared.learner_down_ticks.fetch_add(1, Ordering::AcqRel) + 1;
             if down < shared.failover_ticks {
                 return;

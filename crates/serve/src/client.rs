@@ -363,6 +363,23 @@ impl NclClient {
     pub fn members(&mut self) -> std::io::Result<Value> {
         self.round_trip(r#"{"op":"members"}"#)
     }
+
+    /// Tells the router that the learner at `epoch` published `version`,
+    /// so its sync pass runs now rather than on the next tick (router
+    /// op).
+    ///
+    /// # Errors
+    ///
+    /// As [`NclClient::round_trip`].
+    pub fn published(&mut self, version: u64, epoch: u64) -> std::io::Result<Value> {
+        let line = protocol::object(vec![
+            ("op", Value::from("published")),
+            ("version", Value::from(version)),
+            ("epoch", Value::from(epoch)),
+        ])
+        .to_json();
+        self.round_trip(&line)
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! | `{"op":"swap","path":"ckpt.bin"}` | `{"ok":true,"op":"swap","model_version":4}` |
 //! | `{"op":"ping"}` | `{"ok":true,"op":"pong","model_version":3}` |
 //! | `{"op":"shutdown"}` | `{"ok":true,"op":"shutdown"}` |
-//! | `{"op":"health"}` | `{"ok":true,"op":"health","model_version":3,"role":"follower",...}` |
+//! | `{"op":"health","router":"127.0.0.1:7100"}` | `{"ok":true,"op":"health","model_version":3,"role":"follower",...}` |
 //! | `{"op":"delta","base_version":3}` | `{"ok":true,"op":"delta","version":4,"payload":"<hex>"}` |
 //! | `{"op":"apply_delta","payload":"<hex>"}` | `{"ok":true,"op":"apply_delta","model_version":4}` |
 //! | `{"op":"checkpoint"}` | `{"ok":true,"op":"checkpoint","payload":"<hex>"}` |
@@ -21,6 +21,7 @@
 //! | `{"op":"join","addr":"127.0.0.1:7101"}` | `{"ok":true,"op":"join","id":3}` (router only) |
 //! | `{"op":"leave","id":3}` | `{"ok":true,"op":"leave","id":3}` (router only) |
 //! | `{"op":"members"}` | `{"ok":true,"op":"members","members":[...]}` (router only) |
+//! | `{"op":"published","version":4,"epoch":2}` | `{"ok":true,"op":"published","version":4}` (router only) |
 //! | `{"op":"traces","min_duration_us":0,"limit":8}` | `{"ok":true,"op":"traces","stitched":false,"traces":[...]}` |
 //!
 //! Any request may carry an optional `"trace"` field —
@@ -38,17 +39,23 @@
 //! `apply_checkpoint`, `promote`, `demote`) are answered only by
 //! replicas started with a [`crate::sync::ReplicaSync`] handler; a
 //! plain `ncl-serve` process declines them with a replication error.
-//! The membership ops (`join`, `leave`, `members`) are answered by the
-//! router alone — a replica parses them but declines, so a misdirected
-//! join fails loudly instead of half-registering. The apply and
-//! role-change ops optionally carry the fleet `epoch` that stamps them;
-//! a replica fenced at a newer epoch refuses the stale write. Binary
-//! payloads travel as lowercase hex — bulky, but dependency-free and
-//! line-safe.
+//! The membership ops (`join`, `leave`, `members`) and the learner's
+//! `published` nudge are answered by the router alone — a replica
+//! parses them but declines, so a misdirected join fails loudly instead
+//! of half-registering. The router's `health` probe names its own
+//! listen address in the optional `router` field; a replica remembers
+//! the last one and, once promoted, sends that router a `published`
+//! nudge after every delta it publishes, so the router's sync pass runs
+//! at once instead of on its next tick. The apply ops and the nudge
+//! optionally carry the fleet `epoch` that stamps them (role changes
+//! must); a replica or router fenced at a newer epoch refuses the stale
+//! message, and an `epoch` that is present but not an unsigned integer
+//! is an invalid request, never an unfenced write. Binary payloads
+//! travel as lowercase hex — bulky, but dependency-free and line-safe.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -89,7 +96,12 @@ pub enum Request {
     /// Drain and stop the server.
     Shutdown,
     /// Replication probe: version, role and sync state.
-    Health,
+    Health {
+        /// The probing router's listen address — where a promoted
+        /// replica sends its `published` nudges (`None` for probes from
+        /// anything but a router).
+        router: Option<SocketAddr>,
+    },
     /// Fetch the delta advancing a replica at `base_version`.
     DeltaFetch {
         /// The requesting replica's current version.
@@ -135,6 +147,14 @@ pub enum Request {
     },
     /// List the router's current backends (router-only op).
     Members,
+    /// The learner published `version`: run a sync pass now instead of
+    /// on the next tick (router-only op).
+    Published {
+        /// The version the learner just published.
+        version: u64,
+        /// The fleet epoch the learner holds (`None` = unfenced).
+        epoch: Option<u64>,
+    },
     /// Fetch recent tail-sampled traces (stitched fleet-wide when the
     /// router answers, local fragments when a replica does).
     Traces {
@@ -257,7 +277,20 @@ pub fn parse_request(line: &str, input_size: usize) -> Result<Request, ServeErro
         }
         "ping" => Ok(Request::Ping),
         "shutdown" => Ok(Request::Shutdown),
-        "health" => Ok(Request::Health),
+        "health" => {
+            let router = match value.get("router") {
+                None => None,
+                Some(field) => Some(
+                    field
+                        .as_str()
+                        .and_then(|addr| addr.parse::<SocketAddr>().ok())
+                        .ok_or_else(|| {
+                            invalid(format!("health \"router\" {field} is not a socket address"))
+                        })?,
+                ),
+            };
+            Ok(Request::Health { router })
+        }
         "delta" => {
             let base_version = value
                 .get("base_version")
@@ -267,12 +300,12 @@ pub fn parse_request(line: &str, input_size: usize) -> Result<Request, ServeErro
         }
         "apply_delta" => Ok(Request::DeltaApply {
             payload: payload_field(&value, "apply_delta")?,
-            epoch: value.get("epoch").and_then(Value::as_u64),
+            epoch: fence_field(&value, "apply_delta")?,
         }),
         "checkpoint" => Ok(Request::CheckpointFetch),
         "apply_checkpoint" => Ok(Request::CheckpointApply {
             payload: payload_field(&value, "apply_checkpoint")?,
-            epoch: value.get("epoch").and_then(Value::as_u64),
+            epoch: fence_field(&value, "apply_checkpoint")?,
         }),
         "promote" => Ok(Request::Promote {
             epoch: epoch_field(&value, "promote")?,
@@ -297,6 +330,10 @@ pub fn parse_request(line: &str, input_size: usize) -> Result<Request, ServeErro
             Ok(Request::Leave { id })
         }
         "members" => Ok(Request::Members),
+        "published" => {
+            let (version, epoch) = parse_published(&value)?;
+            Ok(Request::Published { version, epoch })
+        }
         "traces" => {
             let min_duration_us = value.get("min_duration_us").and_then(Value::as_u64);
             let limit = value
@@ -378,6 +415,35 @@ fn payload_field(value: &Value, op: &str) -> Result<Vec<u8>, ServeError> {
         .and_then(Value::as_str)
         .ok_or_else(|| invalid(format!("{op} needs \"payload\" (hex)")))?;
     from_hex(hex)
+}
+
+/// Decodes the `version` and optional `epoch` stamp of a `published`
+/// nudge (the router calls this on the line it has already parsed).
+///
+/// # Errors
+///
+/// Returns [`ServeError::InvalidRequest`] for a missing or non-integer
+/// `version`, or an `epoch` that is present but not a u64.
+pub fn parse_published(value: &Value) -> Result<(u64, Option<u64>), ServeError> {
+    let version = value
+        .get("version")
+        .and_then(Value::as_u64)
+        .ok_or_else(|| invalid("published needs \"version\""))?;
+    Ok((version, fence_field(value, "published")?))
+}
+
+/// Extracts the optional `epoch` stamp of an apply op or nudge: absent
+/// means unfenced, but a stamp that is present and not an unsigned
+/// integer is refused — read as `None` it would turn a malformed stamp
+/// into an unfenced write.
+fn fence_field(value: &Value, op: &str) -> Result<Option<u64>, ServeError> {
+    match value.get("epoch") {
+        None => Ok(None),
+        Some(epoch) => epoch
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| invalid(format!("{op} \"epoch\" {epoch} is not an unsigned integer"))),
+    }
 }
 
 /// Extracts the mandatory `epoch` field of a role-change op.
@@ -948,7 +1014,13 @@ mod tests {
     fn parses_replication_ops() {
         assert_eq!(
             parse_request(r#"{"op":"health"}"#, 4).unwrap(),
-            Request::Health
+            Request::Health { router: None }
+        );
+        assert_eq!(
+            parse_request(r#"{"op":"health","router":"127.0.0.1:7100"}"#, 4).unwrap(),
+            Request::Health {
+                router: Some("127.0.0.1:7100".parse().unwrap())
+            }
         );
         assert_eq!(
             parse_request(r#"{"op":"delta","base_version":3}"#, 4).unwrap(),
@@ -1005,11 +1077,27 @@ mod tests {
             parse_request(r#"{"op":"demote","epoch":5}"#, 4).unwrap(),
             Request::Demote { epoch: 5 }
         );
+        assert_eq!(
+            parse_request(r#"{"op":"published","version":4,"epoch":2}"#, 4).unwrap(),
+            Request::Published {
+                version: 4,
+                epoch: Some(2)
+            }
+        );
+        assert_eq!(
+            parse_request(r#"{"op":"published","version":4}"#, 4).unwrap(),
+            Request::Published {
+                version: 4,
+                epoch: None
+            }
+        );
         for line in [
             r#"{"op":"join"}"#,
             r#"{"op":"leave"}"#,
             r#"{"op":"promote"}"#,
             r#"{"op":"demote"}"#,
+            r#"{"op":"published"}"#,
+            r#"{"op":"published","version":"4"}"#,
         ] {
             assert!(
                 matches!(
@@ -1047,6 +1135,15 @@ mod tests {
             r#"{"op":"apply_delta"}"#,
             r#"{"op":"apply_delta","payload":"xyz"}"#,
             r#"{"op":"apply_checkpoint","payload":5}"#,
+            // A fence stamp that is present must be a u64: read as
+            // absent it would let the write through unfenced.
+            r#"{"op":"apply_delta","payload":"00","epoch":"3"}"#,
+            r#"{"op":"apply_delta","payload":"00","epoch":-1}"#,
+            r#"{"op":"apply_checkpoint","payload":"00","epoch":1.5}"#,
+            r#"{"op":"apply_checkpoint","payload":"00","epoch":null}"#,
+            r#"{"op":"published","version":4,"epoch":"2"}"#,
+            r#"{"op":"health","router":"not-an-address"}"#,
+            r#"{"op":"health","router":7100}"#,
         ];
         for line in cases {
             assert!(

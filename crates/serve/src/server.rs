@@ -289,7 +289,12 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
             ])
             .to_json()
         }
-        Request::Health => health_response(shared),
+        Request::Health { router } => {
+            if let (Some(router), Some(sync)) = (router, &shared.sync) {
+                sync.observe_router(router);
+            }
+            health_response(shared)
+        }
         Request::DeltaFetch { base_version } => {
             match sync_handler(shared).and_then(|s| s.fetch_delta(base_version)) {
                 Ok((version, bytes)) => protocol::object(vec![
@@ -323,16 +328,17 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
         }
         Request::Promote { epoch } => role_change(shared, "promote", epoch, |s| s.promote(epoch)),
         Request::Demote { epoch } => role_change(shared, "demote", epoch, |s| s.demote(epoch)),
-        Request::Join { .. } | Request::Leave { .. } | Request::Members => {
-            protocol::error_response(
-                None,
-                &ServeError::Replication {
-                    detail: "membership ops (join/leave/members) are answered by the router, \
-                             not a replica"
-                        .into(),
-                },
-            )
-        }
+        Request::Join { .. }
+        | Request::Leave { .. }
+        | Request::Members
+        | Request::Published { .. } => protocol::error_response(
+            None,
+            &ServeError::Replication {
+                detail: "membership ops (join/leave/members) and publish nudges are answered \
+                         by the router, not a replica"
+                    .into(),
+            },
+        ),
     };
     let stop = shared.stopping.load(Ordering::Acquire);
     (response, stop)
@@ -607,11 +613,15 @@ mod tests {
     /// registry, exercising the full wire path without ncl_online.
     struct StubSync {
         registry: Arc<ModelRegistry>,
+        router: std::sync::Mutex<Option<SocketAddr>>,
     }
 
     impl ReplicaSync for StubSync {
         fn role(&self) -> &'static str {
             "follower"
+        }
+        fn observe_router(&self, router: SocketAddr) {
+            *self.router.lock().unwrap() = Some(router);
         }
         fn health_extra(&self) -> Vec<(&'static str, Value)> {
             vec![("syncs", Value::from(7u64))]
@@ -649,15 +659,33 @@ mod tests {
         let registry = Arc::new(ModelRegistry::new(network, "test"));
         let sync = Arc::new(StubSync {
             registry: Arc::clone(&registry),
+            router: std::sync::Mutex::new(None),
         });
-        let server =
-            Server::start_with_sync(Arc::clone(&registry), ServerConfig::default(), Some(sync))
-                .unwrap();
+        let server = Server::start_with_sync(
+            Arc::clone(&registry),
+            ServerConfig::default(),
+            Some(Arc::clone(&sync) as Arc<dyn ReplicaSync>),
+        )
+        .unwrap();
         let mut client = NclClient::connect(server.local_addr()).unwrap();
 
         let health = client.round_trip(r#"{"op":"health"}"#).unwrap();
         assert_eq!(health.get("role").and_then(Value::as_str), Some("follower"));
         assert_eq!(health.get("syncs").and_then(Value::as_u64), Some(7));
+        assert_eq!(*sync.router.lock().unwrap(), None);
+
+        // A router's probe names its address; the handler learns it.
+        let probed = client
+            .round_trip(r#"{"op":"health","router":"127.0.0.1:7100"}"#)
+            .unwrap();
+        assert_eq!(probed.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(
+            *sync.router.lock().unwrap(),
+            Some("127.0.0.1:7100".parse().unwrap())
+        );
+        // Publish nudges are for the router; a replica declines them.
+        let nudge = client.published(2, 1).unwrap();
+        assert_eq!(nudge.get("ok").and_then(Value::as_bool), Some(false));
 
         let delta = client
             .round_trip(r#"{"op":"delta","base_version":1}"#)

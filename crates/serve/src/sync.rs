@@ -4,7 +4,9 @@
 //! checkpoints are encoded — that lives above it (`ncl_online`). What it
 //! *does* own is the wire: the `health` / `delta` / `apply_delta` /
 //! `checkpoint` / `apply_checkpoint` ops a fleet uses to keep replicas
-//! converged. [`ReplicaSync`] is the seam between the two: a server
+//! converged, and the router address a `health` probe carries (handed
+//! to [`ReplicaSync::observe_router`], so a learner knows whom to nudge
+//! after it publishes). [`ReplicaSync`] is the seam between the two: a server
 //! started with [`crate::server::Server::start_with_sync`] forwards
 //! those ops to its handler, and the handler (a learner publishing
 //! deltas, or a follower applying them) does the format-aware work and
@@ -13,6 +15,8 @@
 //! A server started without a handler answers every replication op with
 //! [`ServeError::Replication`] — a plain inference process is not
 //! silently part of a fleet.
+
+use std::net::SocketAddr;
 
 use serde_json::Value;
 
@@ -67,6 +71,13 @@ pub trait ReplicaSync: Send + Sync {
     /// [`ServeError::Replication`] for undecodable/foreign checkpoints
     /// and [`ServeError::StaleVersion`] for non-advancing ones.
     fn apply_checkpoint(&self, payload: &[u8]) -> Result<u64, ServeError>;
+
+    /// Records the listen address of the router whose `health` probe
+    /// just arrived. A replica that publishes deltas nudges the last
+    /// router it saw after every publish; the default ignores it.
+    fn observe_router(&self, router: SocketAddr) {
+        let _ = router;
+    }
 
     /// The fleet epoch this replica last observed. Epochs fence
     /// split-brain: every promotion bumps the fleet epoch, and a

@@ -29,8 +29,8 @@ REQUIRED_GATES = {
                "predictions_failed", "checkpoint_round_trip", "final_version"),
     "router": ("replicas", "direct_requests_ok", "routed_requests_ok", "direct_requests_failed",
                "routed_requests_failed", "background_requests_failed", "increments",
-               "delta_max_ratio", "unpropagated_increments", "oversized_deltas",
-               "follower_bit_identical"),
+               "delta_max_ratio", "unpropagated_increments", "propagation_p50_us",
+               "oversized_deltas", "follower_bit_identical"),
     "fleet": ("replicas", "failover_rounds", "failover_latency_samples", "promotions",
               "final_epoch", "background_requests_ok", "background_requests_failed",
               "survivors_bit_identical", "rejoin_delta_converged", "rejoin_full_sync_converged",

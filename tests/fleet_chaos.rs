@@ -16,6 +16,8 @@
 //! * partition a follower until the learner's delta ring no longer
 //!   covers its lag — catch-up must fall back to a full checkpoint,
 //!   and both paths must be counted in the router's sync stats;
+//! * drop or delay every `published` nudge — the tick alone must still
+//!   converge the fleet;
 //! * through all of it: **zero failed client requests** and no
 //!   client-visible `model_version` regression.
 
@@ -319,4 +321,91 @@ fn delta_ring_covers_lag_up_to_capacity_and_full_syncs_past_it() {
     learner.server.shutdown();
     near.server.shutdown();
     far.server.shutdown();
+}
+
+/// A learner and two followers under routed load, with `action`
+/// applied to every `published` nudge the router receives. The fleet
+/// must still converge byte-for-byte with the reference run, with zero
+/// failed requests and no version regression. Returns the router's
+/// metric exposition and its woken-nudge count.
+fn converge_with_nudge_fault(seed: u64, action: FaultAction) -> (String, u64) {
+    let (config, stream_config) = test_config();
+    let stream = SampleStream::generate(&stream_config).unwrap();
+    let reference = reference_run(&config, &stream).unwrap();
+    let (expected, target) = (reference.published, reference.version);
+    assert!(target > 1, "the stream must produce an increment");
+
+    let pace = Duration::from_millis(10);
+    let nodes: Vec<Node> = (0..3)
+        .map(|_| start_node(&config, &reference.bootstrap, &stream, pace).unwrap())
+        .collect();
+    let plan = Arc::new(FaultPlan::with_rules(
+        seed,
+        vec![FaultRule::every(1.0, action).on_op("published")],
+    ));
+    let backends: Vec<Arc<Backend>> = nodes
+        .iter()
+        .enumerate()
+        .map(|(id, node)| Arc::new(Backend::new(id, node.server.local_addr())))
+        .collect();
+    let router = Router::start_with_faults(
+        backends,
+        RouterConfig {
+            sync_interval: Duration::from_millis(25),
+            ..RouterConfig::default()
+        },
+        Some(Arc::clone(&plan)),
+    )
+    .unwrap();
+    let load = Load::start(router.local_addr(), &stream.events()[0].raster, 2);
+    nodes[0].replica.promote(1).unwrap();
+
+    poll_until(
+        Duration::from_secs(120),
+        "byte-identical convergence on the tick",
+        || {
+            nodes
+                .iter()
+                .all(|n| n.replica.checkpoint_bytes() == expected)
+        },
+    )
+    .unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let load = load.stop();
+    assert!(load.ok > 0, "load made progress");
+    assert_eq!(load.failed, 0, "nudge faults must not fail a request");
+    assert_eq!(load.regressions, 0, "no client-visible version regression");
+    assert!(
+        plan.injected() >= target - 1,
+        "every publish's nudge must have met the fault"
+    );
+    let (text, woke) = (router.obs().render(), router.sync_stats().nudges_woke.get());
+    assert_eq!(router.sync_stats().nudges_fenced.get(), 0);
+
+    router.shutdown();
+    for node in nodes {
+        node.server.shutdown();
+    }
+    (text, woke)
+}
+
+#[test]
+fn dropped_publish_nudges_fall_back_to_the_tick() {
+    let (text, woke) = converge_with_nudge_fault(0xD209, FaultAction::Drop);
+    assert_eq!(woke, 0, "every nudge was dropped before it could wake");
+    assert!(
+        text.contains("router_sync_nudges_total{outcome=\"woke\"} 0\n"),
+        "{text}"
+    );
+}
+
+#[test]
+fn delayed_publish_nudges_still_converge() {
+    let (text, woke) =
+        converge_with_nudge_fault(0xDE1A, FaultAction::Delay(Duration::from_millis(40)));
+    assert!(woke >= 1, "a late nudge still wakes the loop");
+    assert!(
+        text.contains("router_sync_nudges_total{outcome=\"fenced\"} 0\n"),
+        "{text}"
+    );
 }

@@ -5,17 +5,31 @@
 //! promoted at epoch 1) runs a real continual-learning increment, and
 //! the surviving follower converges to the learner's published
 //! checkpoint **bit-identically** via the delta path.
+//!
+//! The remaining tests pin the replication pass itself: a learner's
+//! `published` nudge propagates each increment without waiting for the
+//! tick, concurrent passes count each applied delta once, and a
+//! malformed epoch stamp is refused rather than applied unfenced.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ncl_online::stream::SampleStream;
+use ncl_online::CheckpointDelta;
 use ncl_router::backend::Backend;
 use ncl_router::router::{Router, RouterConfig};
-use ncl_router::testkit::{make_server, poll_until, reference_run, start_node, test_config, Load};
+use ncl_router::testkit::{
+    make_server, poll_until, reference_run, start_node, start_synth_follower, synth, test_config,
+    Load, SynthLearner,
+};
 use ncl_serve::client::NclClient;
+use ncl_serve::protocol;
 use ncl_serve::sync::ReplicaSync;
 use serde_json::Value;
+
+/// A sync interval no test outlives: only nudges and `sync_now` run
+/// passes.
+const NO_TICK: Duration = Duration::from_secs(3600);
 
 #[test]
 fn fleet_survives_replica_loss_and_converges_bit_identically() {
@@ -239,4 +253,158 @@ fn router_refuses_swaps_and_reports_fleet_health() {
         Some(true)
     );
     replica.shutdown();
+}
+
+#[test]
+fn published_nudges_push_every_increment_without_waiting_for_the_tick() {
+    let (config, stream_config) = test_config();
+    let stream = SampleStream::generate(&stream_config).unwrap();
+    let reference = reference_run(&config, &stream).unwrap();
+    let target = reference.version;
+    assert!(target > 1, "the stream must produce an increment");
+
+    let pace = Duration::from_millis(20);
+    let learner = start_node(&config, &reference.bootstrap, &stream, pace).unwrap();
+    let follower = start_node(&config, &reference.bootstrap, &stream, pace).unwrap();
+    let backends = vec![
+        Arc::new(Backend::new(0, learner.server.local_addr())),
+        Arc::new(Backend::new(1, follower.server.local_addr())),
+    ];
+    let router = Router::start(
+        backends,
+        RouterConfig {
+            sync_interval: NO_TICK,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    // Promoted after the router's first probe told it where to nudge.
+    learner.replica.promote(1).unwrap();
+
+    // No sync_now and no tick: each increment must reach the follower
+    // because the learner's publish woke the router.
+    for version in 2..=target {
+        poll_until(Duration::from_secs(120), "the next publish", || {
+            learner.health_count("published_version") >= version
+        })
+        .unwrap();
+        poll_until(Duration::from_secs(5), "the nudged push", || {
+            follower.replica.registry().version() >= version
+        })
+        .unwrap();
+    }
+    assert_eq!(learner.replica.checkpoint_bytes(), reference.published);
+    assert_eq!(
+        follower.replica.checkpoint_bytes(),
+        learner.replica.checkpoint_bytes(),
+        "a nudged pass converges byte-identically"
+    );
+    assert!(router.sync_stats().nudges_woke.get() >= target - 1);
+    assert_eq!(router.sync_stats().nudges_fenced.get(), 0);
+
+    router.shutdown();
+    learner.server.shutdown();
+    follower.server.shutdown();
+}
+
+#[test]
+fn racing_sync_passes_count_each_applied_delta_once() {
+    const ROUNDS: u64 = 6;
+    let learner = SynthLearner::start(ROUNDS as usize + 1).unwrap();
+    let follower = start_synth_follower().unwrap();
+    let backends = vec![
+        Arc::new(Backend::new(0, learner.server.local_addr())),
+        Arc::new(Backend::new(1, follower.server.local_addr())),
+    ];
+    let router = Router::start(
+        backends,
+        RouterConfig {
+            sync_interval: NO_TICK,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+
+    // Every round leaves the follower one version behind and races two
+    // passes at it: one pushes the delta, the other finds nothing to do
+    // (or a stale refusal, which is not an applied delta).
+    for round in 1..=ROUNDS {
+        learner.advance_to(1 + round).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    router.sync_now();
+                });
+            }
+        });
+        assert_eq!(follower.replica.registry().version(), 1 + round);
+        assert_eq!(
+            router.sync_stats().deltas_applied.get(),
+            round,
+            "round {round}: one lagging follower, one applied delta"
+        );
+    }
+    let text = router.obs().render();
+    assert!(
+        text.contains(&format!("router_sync_deltas_applied_total {ROUNDS}\n")),
+        "{text}"
+    );
+    assert_eq!(router.sync_stats().full_syncs.get(), 0);
+    assert_eq!(router.sync_stats().failures.get(), 0);
+    assert_eq!(follower.deltas_applied(), ROUNDS);
+
+    router.shutdown();
+    learner.server.shutdown();
+    follower.server.shutdown();
+}
+
+#[test]
+fn malformed_epoch_stamps_are_refused_not_applied_unfenced() {
+    let follower = start_synth_follower().unwrap();
+    follower.replica.observe_epoch(2).unwrap();
+    let delta = CheckpointDelta::between(&synth(1).unwrap(), &synth(2).unwrap()).unwrap();
+    let payload = protocol::to_hex(&delta.to_bytes());
+    // Both writes would apply unfenced: the delta advances v1 to v2,
+    // the full checkpoint jumps to v3.
+    let writes = [
+        ("apply_delta", payload.clone()),
+        (
+            "apply_checkpoint",
+            protocol::to_hex(&synth(3).unwrap().to_bytes()),
+        ),
+    ];
+    let mut client = NclClient::connect(follower.server.local_addr()).unwrap();
+
+    for stamp in [r#""1""#, "-1", "1.5", "null", "1"] {
+        for (op, payload) in &writes {
+            let reply = client
+                .round_trip(&format!(
+                    r#"{{"op":"{op}","payload":"{payload}","epoch":{stamp}}}"#
+                ))
+                .unwrap();
+            assert_eq!(
+                reply.get("ok").and_then(Value::as_bool),
+                Some(false),
+                "{op} stamped {stamp} must be refused: {reply}"
+            );
+        }
+        assert_eq!(
+            follower.replica.registry().version(),
+            1,
+            "a refused stamp {stamp} must not move the version"
+        );
+    }
+    assert_eq!(follower.replica.current_epoch(), 2);
+
+    // The same write at the fleet's epoch goes through.
+    let applied = client
+        .round_trip(&format!(
+            r#"{{"op":"apply_delta","payload":"{payload}","epoch":2}}"#
+        ))
+        .unwrap();
+    assert_eq!(applied.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(follower.replica.registry().version(), 2);
+    follower.server.shutdown();
 }
