@@ -113,7 +113,7 @@ impl RunArgs {
 
     /// Human-readable scale tag for report headers.
     #[must_use]
-    pub fn scale_tag(&self) -> &'static str {
+    fn scale_tag(&self) -> &'static str {
         match self.scale {
             Scale::Paper => "paper scale",
             Scale::Demo => "demo scale (use --paper for full scale)",

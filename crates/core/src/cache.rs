@@ -37,7 +37,8 @@ static MEMO: OnceLock<Mutex<HashMap<u64, (Network, f64)>>> = OnceLock::new();
 static INFLIGHT: OnceLock<Mutex<HashMap<u64, Arc<Mutex<()>>>>> = OnceLock::new();
 
 /// Per-key count of *actual* pre-training runs (not cache hits), for the
-/// single-flight tests and cache diagnostics.
+/// single-flight tests.
+#[cfg(test)]
 static TRAIN_RUNS: OnceLock<Mutex<HashMap<u64, u64>>> = OnceLock::new();
 
 fn memo() -> &'static Mutex<HashMap<u64, (Network, f64)>> {
@@ -52,8 +53,8 @@ fn inflight_gate(key: u64) -> Arc<Mutex<()>> {
 /// How many times `key` was actually pre-trained (in this process), as
 /// opposed to served from the memo or disk cache. With the single-flight
 /// guard this stays at 1 per key no matter how many threads race.
-#[must_use]
-pub fn training_runs(key: u64) -> u64 {
+#[cfg(test)]
+fn training_runs(key: u64) -> u64 {
     TRAIN_RUNS
         .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
@@ -62,6 +63,7 @@ pub fn training_runs(key: u64) -> u64 {
         .unwrap_or(0)
 }
 
+#[cfg(test)]
 fn record_training_run(key: u64) {
     *TRAIN_RUNS
         .get_or_init(|| Mutex::new(HashMap::new()))
@@ -74,7 +76,7 @@ fn record_training_run(key: u64) {
 /// layer, CL epochs and profile are deliberately excluded — they only
 /// affect the CL phase, so figure sweeps over them share one cache entry.
 #[must_use]
-pub fn pretrain_key(config: &ScenarioConfig) -> u64 {
+fn pretrain_key(config: &ScenarioConfig) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     format!("{:?}", config.data).hash(&mut hasher);
     format!("{:?}", config.network).hash(&mut hasher);
@@ -98,7 +100,7 @@ fn cache_path(key: u64) -> PathBuf {
 /// Whether disk-cache warnings are suppressed (`NCL_CACHE_QUIET` set to
 /// anything but `0` or the empty string).
 #[must_use]
-pub fn warnings_suppressed() -> bool {
+fn warnings_suppressed() -> bool {
     std::env::var_os("NCL_CACHE_QUIET").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
@@ -155,6 +157,7 @@ pub fn pretrained_network(config: &ScenarioConfig) -> Result<(Network, f64), Ncl
     }
 
     let outcome = phases::pretrain(config)?;
+    #[cfg(test)]
     record_training_run(key);
     let entry = (outcome.network, outcome.test_acc);
     match std::fs::create_dir_all(cache_dir()) {

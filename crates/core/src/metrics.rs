@@ -6,7 +6,7 @@ use crate::scenario::ScenarioResult;
 
 /// Summary metrics of one method's scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClMetrics {
+pub(crate) struct ClMetrics {
     /// Final Top-1 accuracy on old tasks.
     pub old_top1: f64,
     /// Final Top-1 accuracy on the new task.

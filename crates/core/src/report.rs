@@ -102,54 +102,6 @@ pub fn comparison_row(ours: &ScenarioResult, sota: &ScenarioResult) -> Vec<Strin
     ]
 }
 
-/// Serializes the per-epoch records of a result as CSV (header +
-/// one row per epoch) for external plotting tools.
-///
-/// Columns: `epoch, old_acc, new_acc, mean_loss, cum_latency_s,
-/// cum_energy_j`.
-#[must_use]
-pub fn epochs_to_csv(result: &ScenarioResult) -> String {
-    let mut out = String::from("epoch,old_acc,new_acc,mean_loss,cum_latency_s,cum_energy_j\n");
-    for (i, e) in result.epochs.iter().enumerate() {
-        let cost = result.cost_through_epoch(i);
-        out.push_str(&format!(
-            "{},{:.6},{:.6},{:.6},{:.9},{:.12}\n",
-            e.epoch,
-            e.old_acc,
-            e.new_acc,
-            e.mean_loss,
-            cost.latency.seconds(),
-            cost.energy.joules(),
-        ));
-    }
-    out
-}
-
-/// Serializes a method-comparison table as CSV: one row per result with
-/// final accuracies, cost and memory.
-#[must_use]
-pub fn comparison_to_csv(results: &[&ScenarioResult]) -> String {
-    let mut out = String::from(
-        "method,insertion,operating_steps,old_acc,new_acc,forgetting,latency_s,energy_j,memory_bits\n",
-    );
-    for r in results {
-        let cost = r.total_cost();
-        out.push_str(&format!(
-            "{},{},{},{:.6},{:.6},{:.6},{:.9},{:.12},{}\n",
-            r.method,
-            r.insertion_layer,
-            r.operating_steps,
-            r.final_old_acc(),
-            r.final_new_acc(),
-            r.forgetting(),
-            cost.latency.seconds(),
-            cost.energy.joules(),
-            r.memory.total_bits,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,30 +165,6 @@ mod tests {
         assert!(s.contains("Replay4NCL"));
         assert!(s.contains("90.00%"));
         assert!(s.contains("insertion layer 3"));
-    }
-
-    #[test]
-    fn epochs_csv_has_header_and_rows() {
-        let r = result("Replay4NCL", 1, 1000);
-        let csv = epochs_to_csv(&r);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + r.epochs.len());
-        assert!(lines[0].starts_with("epoch,old_acc"));
-        assert!(lines[1].starts_with("0,0.9"));
-        // Every row has the same number of fields as the header.
-        let fields = lines[0].split(',').count();
-        assert!(lines.iter().all(|l| l.split(',').count() == fields));
-    }
-
-    #[test]
-    fn comparison_csv_lists_all_methods() {
-        let a = result("SpikingLR", 10, 1000);
-        let b = result("Replay4NCL", 2, 800);
-        let csv = comparison_to_csv(&[&a, &b]);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.contains("SpikingLR"));
-        assert!(csv.contains("Replay4NCL"));
-        assert!(csv.contains(",800\n") || csv.contains(",800"));
     }
 
     #[test]

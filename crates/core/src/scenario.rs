@@ -106,12 +106,6 @@ impl ScenarioResult {
         CostReport::of(&total, &self.profile)
     }
 
-    /// Old-task accuracy per epoch.
-    #[must_use]
-    pub fn old_acc_curve(&self) -> Vec<f32> {
-        self.epochs.iter().map(|e| e.old_acc as f32).collect()
-    }
-
     /// New-task accuracy per epoch.
     #[must_use]
     pub fn new_acc_curve(&self) -> Vec<f32> {
@@ -316,9 +310,8 @@ mod tests {
         let config = smoke();
         let (net, acc) = pretrained(&config);
         let r = run_method(&config, &MethodSpec::spiking_lr(2), &net, acc).unwrap();
-        assert_eq!(r.old_acc_curve().len(), 4);
         assert_eq!(r.new_acc_curve().len(), 4);
-        assert!((r.final_old_acc() - *r.old_acc_curve().last().unwrap() as f64).abs() < 1e-6);
+        assert!((r.final_old_acc() - r.epochs.last().unwrap().old_acc).abs() < 1e-6);
         assert!(r.forgetting() >= 0.0);
         // Cumulative cost through the last epoch equals the total.
         let through = r.cost_through_epoch(r.epochs.len() - 1);

@@ -57,14 +57,6 @@ pub struct SequenceResult {
     pub final_memory: MemoryFootprint,
 }
 
-impl SequenceResult {
-    /// Accuracy over all classes after the last increment.
-    #[must_use]
-    pub fn final_seen_acc(&self) -> f64 {
-        self.increments.last().map_or(0.0, |r| r.seen_acc)
-    }
-}
-
 /// Runs a sequence of `new_classes` single-class increments with `method`,
 /// pre-training on the remaining classes first.
 ///
@@ -279,7 +271,7 @@ mod tests {
         assert!(r.increments[1].memory_bits > r.increments[0].memory_bits);
         assert_eq!(r.final_memory.total_bits, r.increments[1].memory_bits);
         assert!(!r.total_ops.is_zero());
-        assert!((0.0..=1.0).contains(&r.final_seen_acc()));
+        assert!((0.0..=1.0).contains(&r.increments[1].seen_acc));
     }
 
     #[test]

@@ -31,11 +31,9 @@
 
 pub mod error;
 pub mod generator;
-pub mod loader;
 pub mod rate_coded;
 pub mod sample;
 pub mod split;
-pub mod stats;
 
 pub use error::DataError;
 pub use generator::ShdLikeConfig;

@@ -139,7 +139,7 @@ impl Dataset {
     /// Shape metadata and the class count are preserved (labels keep their
     /// global meaning, as the class-incremental protocol requires).
     #[must_use]
-    pub fn filter_classes(&self, keep: impl Fn(u16) -> bool) -> Dataset {
+    pub(crate) fn filter_classes(&self, keep: impl Fn(u16) -> bool) -> Dataset {
         let samples = self
             .samples
             .iter()
@@ -167,36 +167,13 @@ impl Dataset {
     /// Builds a dataset holding the given samples with this dataset's
     /// metadata (used for subset selection).
     #[must_use]
-    pub fn with_samples(&self, samples: Vec<LabeledSample>) -> Dataset {
+    pub(crate) fn with_samples(&self, samples: Vec<LabeledSample>) -> Dataset {
         Dataset {
             samples,
             classes: self.classes,
             channels: self.channels,
             steps: self.steps,
         }
-    }
-
-    /// A new dataset with every raster transformed by `f` (e.g. temporal
-    /// resampling); `new_steps` declares the transformed step count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error produced by `f`.
-    pub fn map_rasters<E>(
-        &self,
-        new_steps: usize,
-        mut f: impl FnMut(&SpikeRaster) -> Result<SpikeRaster, E>,
-    ) -> Result<Dataset, E> {
-        let mut samples = Vec::with_capacity(self.samples.len());
-        for s in &self.samples {
-            samples.push(LabeledSample::new(f(&s.raster)?, s.label));
-        }
-        Ok(Dataset {
-            samples,
-            classes: self.classes,
-            channels: self.channels,
-            steps: new_steps,
-        })
     }
 }
 
@@ -267,19 +244,6 @@ mod tests {
         let ds = mini_dataset();
         assert_eq!(ds.indices_of_class(1), vec![1, 4]);
         assert!(ds.indices_of_class(9).is_empty());
-    }
-
-    #[test]
-    fn map_rasters_transforms_shape() {
-        let ds = mini_dataset();
-        let halved = ds
-            .map_rasters(4, |r| {
-                ncl_spike::resample::resample(r, 4, ncl_spike::resample::ResampleStrategy::OrBins)
-            })
-            .unwrap();
-        assert_eq!(halved.steps(), 4);
-        assert_eq!(halved.len(), ds.len());
-        assert_eq!(halved.samples()[0].raster.steps(), 4);
     }
 
     #[test]

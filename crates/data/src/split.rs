@@ -76,12 +76,6 @@ impl ClassIncrementalSplit {
         &self.continual
     }
 
-    /// Whether `label` belongs to the pre-training set.
-    #[must_use]
-    pub fn is_pretrain(&self, label: u16) -> bool {
-        self.pretrain.contains(&label)
-    }
-
     /// Samples of `dataset` belonging to the pre-training classes
     /// (`TS_pre`).
     #[must_use]
@@ -155,8 +149,6 @@ mod tests {
         let split = ClassIncrementalSplit::hold_out_last(20).unwrap();
         assert_eq!(split.pretrain_classes().len(), 19);
         assert_eq!(split.continual_classes(), &[19]);
-        assert!(split.is_pretrain(0));
-        assert!(!split.is_pretrain(19));
         assert!(ClassIncrementalSplit::hold_out_last(1).is_err());
     }
 

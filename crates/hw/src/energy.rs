@@ -15,18 +15,6 @@ impl Energy {
     /// Zero energy.
     pub const ZERO: Energy = Energy(0.0);
 
-    /// Constructs from joules.
-    #[must_use]
-    pub fn from_joules(j: f64) -> Self {
-        Energy(j)
-    }
-
-    /// Constructs from microjoules.
-    #[must_use]
-    pub fn from_microjoules(uj: f64) -> Self {
-        Energy(uj * 1e-6)
-    }
-
     /// Value in joules.
     #[must_use]
     pub fn joules(self) -> f64 {
@@ -129,18 +117,17 @@ mod tests {
 
     #[test]
     fn units_and_display() {
-        assert!((Energy::from_microjoules(2.0).joules() - 2e-6).abs() < 1e-15);
-        assert!((Energy::from_joules(1.0).microjoules() - 1e6).abs() < 1e-3);
-        assert_eq!(Energy::from_joules(2.5).to_string(), "2.500 J");
-        assert_eq!(Energy::from_joules(2.5e-3).to_string(), "2.500 mJ");
-        assert_eq!(Energy::from_joules(2.5e-6).to_string(), "2.500 uJ");
-        assert_eq!(Energy::from_joules(2.5e-9).to_string(), "2.500 nJ");
+        assert!((Energy(1.0).microjoules() - 1e6).abs() < 1e-3);
+        assert_eq!(Energy(2.5).to_string(), "2.500 J");
+        assert_eq!(Energy(2.5e-3).to_string(), "2.500 mJ");
+        assert_eq!(Energy(2.5e-6).to_string(), "2.500 uJ");
+        assert_eq!(Energy(2.5e-9).to_string(), "2.500 nJ");
     }
 
     #[test]
     fn ratio_and_add() {
-        let a = Energy::from_joules(3.0);
-        let b = Energy::from_joules(1.5);
+        let a = Energy(3.0);
+        let b = Energy(1.5);
         assert!((a.ratio_to(b) - 2.0).abs() < 1e-12);
         assert!((a + b).joules() > a.joules());
         assert_eq!(a.ratio_to(Energy::ZERO), f64::INFINITY);

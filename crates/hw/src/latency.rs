@@ -16,12 +16,6 @@ impl Latency {
     /// Zero latency.
     pub const ZERO: Latency = Latency(0.0);
 
-    /// Constructs from seconds.
-    #[must_use]
-    pub fn from_seconds(s: f64) -> Self {
-        Latency(s)
-    }
-
     /// Constructs from milliseconds.
     #[must_use]
     pub fn from_millis(ms: f64) -> Self {
@@ -32,12 +26,6 @@ impl Latency {
     #[must_use]
     pub fn seconds(self) -> f64 {
         self.0
-    }
-
-    /// Value in milliseconds.
-    #[must_use]
-    pub fn millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// Ratio `self / other` (speed-up of `other` over `self` when > 1);
@@ -155,15 +143,14 @@ mod tests {
 
     #[test]
     fn units_display_and_ratio() {
-        assert_eq!(Latency::from_seconds(1.5).to_string(), "1.500 s");
+        assert_eq!(Latency(1.5).to_string(), "1.500 s");
         assert_eq!(Latency::from_millis(2.0).to_string(), "2.000 ms");
-        assert_eq!(Latency::from_seconds(3e-6).to_string(), "3.000 us");
-        assert_eq!(Latency::from_seconds(5e-9).to_string(), "5.000 ns");
-        let a = Latency::from_seconds(4.0);
-        let b = Latency::from_seconds(2.0);
+        assert_eq!(Latency(3e-6).to_string(), "3.000 us");
+        assert_eq!(Latency(5e-9).to_string(), "5.000 ns");
+        let a = Latency(4.0);
+        let b = Latency(2.0);
         assert!((a.ratio_to(b) - 2.0).abs() < 1e-12);
         assert_eq!(a.ratio_to(Latency::ZERO), f64::INFINITY);
         assert!(((a + b).seconds() - 6.0).abs() < 1e-12);
-        assert!((b.millis() - 2000.0).abs() < 1e-9);
     }
 }

@@ -109,7 +109,7 @@ impl Baseline {
 
     /// Whether `finding` is allowlisted.
     #[must_use]
-    pub fn allows(&self, finding: &Finding) -> bool {
+    pub(crate) fn allows(&self, finding: &Finding) -> bool {
         let key = finding.key();
         self.entries.iter().any(|e| e.key == key)
     }
@@ -117,7 +117,7 @@ impl Baseline {
     /// Entries that matched none of `findings` — a stale baseline is
     /// reported so fixed findings get their entries removed.
     #[must_use]
-    pub fn unused<'a>(&'a self, findings: &[Finding]) -> Vec<&'a AllowEntry> {
+    pub(crate) fn unused<'a>(&'a self, findings: &[Finding]) -> Vec<&'a AllowEntry> {
         self.entries
             .iter()
             .filter(|e| !findings.iter().any(|f| f.key() == e.key))

@@ -40,7 +40,7 @@ impl Finding {
 /// Escapes a string for JSON output (the linter is zero-dependency, so
 /// no serde here).
 #[must_use]
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -3,7 +3,7 @@
 //! string literals.
 //!
 //! There is no `syn` under `vendor/`, and pulling a real parser in for
-//! six rules would make the linter heavier than the subsystems it
+//! eight rules would make the linter heavier than the subsystems it
 //! checks. Tokenization is the part that must be *right* (a `panic!`
 //! inside a string literal must never fire the panic-freedom rule, a
 //! `// SAFETY:` comment must be seen as a comment); item structure on
@@ -63,13 +63,13 @@ impl Token {
 
     /// Whether this token is an identifier with exactly this text.
     #[must_use]
-    pub fn is_ident(&self, src: &str, name: &str) -> bool {
+    pub(crate) fn is_ident(&self, src: &str, name: &str) -> bool {
         self.kind == TokenKind::Ident && self.text(src) == name
     }
 
     /// Whether this token is this punctuation byte.
     #[must_use]
-    pub fn is_punct(&self, src: &str, p: char) -> bool {
+    pub(crate) fn is_punct(&self, src: &str, p: char) -> bool {
         self.kind == TokenKind::Punct && self.text(src).starts_with(p)
     }
 }

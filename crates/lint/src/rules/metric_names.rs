@@ -25,7 +25,7 @@ use crate::rules::{str_literal_value, Rule};
 use crate::workspace::Workspace;
 
 /// Metric family prefixes owned by the fleet.
-pub const PREFIXES: &[&str] = &["serve_", "router_", "replica_", "online_", "snn_", "obs_"];
+const PREFIXES: &[&str] = &["serve_", "router_", "replica_", "online_", "snn_", "obs_"];
 
 /// Registry methods whose first argument is a metric family name.
 const REG_METHODS: &[&str] = &[
@@ -135,7 +135,7 @@ impl Rule for MetricNames {
 /// the first registration site. Sorted by name (BTreeMap) so dump
 /// output and findings are deterministic.
 #[must_use]
-pub fn registered_metrics(ws: &Workspace) -> BTreeMap<String, (String, u32)> {
+pub(crate) fn registered_metrics(ws: &Workspace) -> BTreeMap<String, (String, u32)> {
     let mut out: BTreeMap<String, (String, u32)> = BTreeMap::new();
     for file in &ws.files {
         let src = &file.src;

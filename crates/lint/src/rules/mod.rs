@@ -1,4 +1,4 @@
-//! The rule engine: seven repo-specific rules over the analyzed
+//! The rule engine: eight repo-specific rules over the analyzed
 //! workspace. Each rule documents the invariant it guards, the paths
 //! it scopes to, and the heuristic it uses — heuristics are fine here
 //! because the fixture suite pins exactly what fires and what stays
@@ -10,6 +10,7 @@ pub mod panic_freedom;
 pub mod safety_comment;
 pub mod strict_decode;
 pub mod trace_propagation;
+pub mod unused_pub;
 pub mod wire_coverage;
 
 use crate::findings::Finding;
@@ -36,6 +37,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(metric_names::MetricNames),
         Box::new(wire_coverage::WireCoverage),
         Box::new(trace_propagation::TracePropagation),
+        Box::new(unused_pub::UnusedPub),
     ]
 }
 
@@ -43,7 +45,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 /// raw-string hashes and the quotes. Total — malformed input just
 /// loses fewer characters.
 #[must_use]
-pub fn str_literal_value(text: &str) -> &str {
+pub(crate) fn str_literal_value(text: &str) -> &str {
     let s = text.strip_prefix('b').unwrap_or(text);
     let s = s.strip_prefix('r').unwrap_or(s);
     let s = s.trim_start_matches('#');
@@ -55,7 +57,7 @@ pub fn str_literal_value(text: &str) -> &str {
 /// Whether `path` matches any of `prefixes_or_files` — entries ending
 /// in `/` are directory prefixes, others are exact file paths.
 #[must_use]
-pub fn path_in(path: &str, prefixes_or_files: &[&str]) -> bool {
+pub(crate) fn path_in(path: &str, prefixes_or_files: &[&str]) -> bool {
     prefixes_or_files.iter().any(|p| {
         if let Some(dir) = p.strip_suffix('/') {
             path.starts_with(dir) && path.len() > dir.len()

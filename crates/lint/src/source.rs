@@ -71,9 +71,20 @@ impl SourceFile {
             .map_or_else(|| "(file)".to_owned(), |f| f.name.clone())
     }
 
+    /// Non-comment token strictly before `idx`.
+    #[must_use]
+    pub(crate) fn skip_comments_back(&self, idx: usize) -> Option<usize> {
+        (0..idx).rev().find(|&i| {
+            !matches!(
+                self.tokens[i].kind,
+                TokenKind::LineComment | TokenKind::BlockComment
+            )
+        })
+    }
+
     /// Non-comment token at or after `idx`.
     #[must_use]
-    pub fn skip_comments(&self, mut idx: usize) -> Option<usize> {
+    pub(crate) fn skip_comments(&self, mut idx: usize) -> Option<usize> {
         while let Some(t) = self.tokens.get(idx) {
             match t.kind {
                 TokenKind::LineComment | TokenKind::BlockComment => idx += 1,
@@ -220,7 +231,13 @@ fn find_body_open(src: &str, tokens: &[Token], from: usize) -> Option<usize> {
 
 /// Index of the bracket matching `open_idx` (which holds `open`).
 /// Unbalanced input returns the last token index — total, no panic.
-fn match_bracket(src: &str, tokens: &[Token], open_idx: usize, open: char, close: char) -> usize {
+pub(crate) fn match_bracket(
+    src: &str,
+    tokens: &[Token],
+    open_idx: usize,
+    open: char,
+    close: char,
+) -> usize {
     let mut depth = 0i64;
     let mut j = open_idx;
     while let Some(t) = tokens.get(j) {

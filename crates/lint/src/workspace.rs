@@ -1,12 +1,15 @@
 //! Workspace loading: which files the linter analyzes and the extra
 //! non-Rust artifacts some rules cross-check (README, metric dumps).
 //!
-//! The production surface is `crates/*/src/**/*.rs` plus the root
-//! package's `src/`. `vendor/` (offline dependency stand-ins),
-//! `target/`, top-level `tests/`, `benches/` and `examples/` are out of
-//! scope: the invariants under enforcement are about the fleet's own
-//! hot paths. Fixture trees (`tests/fixtures/`) are skipped so the
-//! linter's seeded-violation corpus never lints itself.
+//! The lint targets are the production surface, `crates/*/src/**/*.rs`
+//! plus the root package's `src/`. Integration tests (`tests/`,
+//! `crates/*/tests/`), `examples/`, `crates/*/benches/` and the frozen
+//! benchmark's `perfbench/src/` are loaded too, but only as *users* of
+//! the library API: `unused-pub` reads the names they use, and no rule
+//! lints them. `vendor/` (offline dependency stand-ins) and `target/`
+//! are out of scope. Fixture trees (`tests/fixtures/`) are skipped so
+//! the linter's seeded-violation corpus never lints itself, nor counts
+//! as a user.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -15,8 +18,13 @@ use crate::source::SourceFile;
 
 /// The analyzed workspace.
 pub struct Workspace {
-    /// Analyzed Rust sources, sorted by path (deterministic output).
+    /// Lint targets (the production surface), sorted by path
+    /// (deterministic output).
     pub files: Vec<SourceFile>,
+    /// Code that only uses the library API — integration tests,
+    /// examples, benches, `perfbench/src` — sorted by path. Never a
+    /// lint target.
+    pub users: Vec<SourceFile>,
     /// Non-Rust artifacts rules cross-check, keyed by workspace-relative
     /// path (`README.md`, `scripts/expected_metrics.json`). Missing
     /// files are simply absent.
@@ -24,19 +32,23 @@ pub struct Workspace {
 }
 
 /// Artifacts the rules may cross-check.
-pub const ARTIFACT_PATHS: &[&str] = &["README.md", "scripts/expected_metrics.json"];
+const ARTIFACT_PATHS: &[&str] = &["README.md", "scripts/expected_metrics.json"];
 
 impl Workspace {
     /// Builds a workspace from in-memory sources (the fixture tests).
+    /// Each source lands in `files` or `users` by its path, exactly as
+    /// [`Workspace::load`] sorts the files on disk.
     #[must_use]
     pub fn from_sources(sources: Vec<(&str, String)>, artifacts: Vec<(&str, String)>) -> Workspace {
-        let mut files: Vec<SourceFile> = sources
+        let (mut files, mut users): (Vec<SourceFile>, Vec<SourceFile>) = sources
             .into_iter()
             .map(|(path, src)| SourceFile::analyze(path, src))
-            .collect();
+            .partition(|f| is_target(&f.path));
         files.sort_by(|a, b| a.path.cmp(&b.path));
+        users.sort_by(|a, b| a.path.cmp(&b.path));
         Workspace {
             files,
+            users,
             artifacts: artifacts
                 .into_iter()
                 .map(|(k, v)| (k.to_owned(), v))
@@ -58,23 +70,31 @@ impl Workspace {
             ));
         }
         let mut paths: Vec<PathBuf> = Vec::new();
-        let crates_dir = root.join("crates");
-        if let Ok(entries) = std::fs::read_dir(&crates_dir) {
+        if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
             for entry in entries.flatten() {
-                collect_rs(&entry.path().join("src"), &mut paths);
+                for tree in ["src", "tests", "benches"] {
+                    collect_rs(&entry.path().join(tree), &mut paths);
+                }
             }
         }
-        collect_rs(&root.join("src"), &mut paths);
+        for tree in ["src", "tests", "examples", "perfbench/src"] {
+            collect_rs(&root.join(tree), &mut paths);
+        }
         paths.sort();
 
-        let mut files = Vec::with_capacity(paths.len());
+        let mut files = Vec::new();
+        let mut users = Vec::new();
         for path in paths {
             let Ok(bytes) = std::fs::read(&path) else {
                 continue;
             };
             let src = String::from_utf8_lossy(&bytes).into_owned();
-            let rel = relative(root, &path);
-            files.push(SourceFile::analyze(&rel, src));
+            let file = SourceFile::analyze(&relative(root, &path), src);
+            if is_target(&file.path) {
+                files.push(file);
+            } else {
+                users.push(file);
+            }
         }
 
         let mut artifacts = BTreeMap::new();
@@ -86,7 +106,11 @@ impl Workspace {
                 );
             }
         }
-        Ok(Workspace { files, artifacts })
+        Ok(Workspace {
+            files,
+            users,
+            artifacts,
+        })
     }
 
     /// The analyzed file at `path`, if present.
@@ -94,6 +118,16 @@ impl Workspace {
     pub fn file(&self, path: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.path == path)
     }
+}
+
+/// Whether a workspace-relative path is a lint target: under a
+/// crate's `src/` or the root package's `src/`.
+fn is_target(path: &str) -> bool {
+    path.starts_with("src/")
+        || path
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split('/').nth(1))
+            == Some("src")
 }
 
 /// Recursively collects `.rs` files under `dir`, skipping fixture

@@ -124,8 +124,15 @@ pub fn log_line() -> &'static str {
     assert!(tokens
         .iter()
         .any(|t| t.kind == TokenKind::Str && t.text(src).contains("panic!")));
-    // ...so no rule fires on it at a fully-enforced path.
-    let ws = Workspace::from_sources(vec![("crates/serve/src/server.rs", src.to_owned())], vec![]);
+    // ...so no rule fires on it at a fully-enforced path (an integration
+    // test names `log_line`, so it is no unused-pub either).
+    let ws = Workspace::from_sources(
+        vec![
+            ("crates/serve/src/server.rs", src.to_owned()),
+            ("tests/server.rs", "fn t() { log_line(); }".to_owned()),
+        ],
+        vec![],
+    );
     let report = ncl_lint::run(&ws, &Baseline::parse("").unwrap());
     let source_findings: Vec<_> = report
         .findings

@@ -13,6 +13,7 @@ use ncl_lint::rules::panic_freedom::PanicFreedom;
 use ncl_lint::rules::safety_comment::SafetyComment;
 use ncl_lint::rules::strict_decode::StrictDecode;
 use ncl_lint::rules::trace_propagation::TracePropagation;
+use ncl_lint::rules::unused_pub::UnusedPub;
 use ncl_lint::rules::wire_coverage::WireCoverage;
 use ncl_lint::rules::Rule;
 use ncl_lint::workspace::Workspace;
@@ -34,6 +35,8 @@ const WIRE_CLIENT_BAD: &str = include_str!("fixtures/wire_client_bad.rs");
 const WIRE_CLIENT_CLEAN: &str = include_str!("fixtures/wire_client_clean.rs");
 const TRACE_BAD: &str = include_str!("fixtures/trace_bad.rs");
 const TRACE_CLEAN: &str = include_str!("fixtures/trace_clean.rs");
+const UNUSED_PUB_BAD: &str = include_str!("fixtures/unused_pub_bad.rs");
+const UNUSED_PUB_CLEAN: &str = include_str!("fixtures/unused_pub_clean.rs");
 
 /// Lints a single fixture mounted at `path` with one rule.
 fn lint_one(rule: &dyn Rule, path: &str, src: &str) -> Vec<Finding> {
@@ -297,6 +300,125 @@ fn trace_propagation_ignores_trace_opaque_files_and_bins() {
     assert!(lint_one(&TracePropagation, "crates/online/src/daemon.rs", TRACE_BAD).is_empty());
 }
 
+/// Where the unused-pub fixtures are mounted: a library module.
+const UNUSED_PUB_PATH: &str = "crates/spike/src/codec.rs";
+
+/// The clean twin's users, one per kind of user-only tree.
+const UNUSED_PUB_USERS: [(&str, &str, &str); 3] = [
+    (
+        "tests/codec_roundtrip.rs",
+        "use ncl_spike::codec::encode;\n#[test]\nfn t() { let _ = encode(1); }\n",
+        "encode",
+    ),
+    (
+        "crates/spike/src/bin/codec-tool.rs",
+        "fn main() { let _ = ncl_spike::codec::decode_cli; }\n",
+        "decode_cli",
+    ),
+    (
+        "perfbench/src/main.rs",
+        "fn main() { ncl_spike::codec::bench_hook(); }\n",
+        "bench_hook",
+    ),
+];
+
+fn unused_pub_symbols(sources: Vec<(&str, String)>) -> Vec<String> {
+    let ws = Workspace::from_sources(sources, vec![]);
+    UnusedPub.check(&ws).into_iter().map(|f| f.symbol).collect()
+}
+
+#[test]
+fn unused_pub_fires_on_items_only_their_own_crate_names() {
+    // Users that do not count: a comment, a string literal and a
+    // `pub use` re-export naming `only_mentioned`.
+    let symbols = unused_pub_symbols(vec![
+        (UNUSED_PUB_PATH, UNUSED_PUB_BAD.to_owned()),
+        (
+            "tests/mentions.rs",
+            "// only_mentioned is handy\nconst NAME: &str = \"only_mentioned\";\n".to_owned(),
+        ),
+        (
+            "src/lib.rs",
+            "pub use ncl_spike::codec::only_mentioned;\n".to_owned(),
+        ),
+    ]);
+    assert_eq!(
+        symbols,
+        [
+            "only_unit_tested",
+            "only_mentioned",
+            "Orphan",
+            "Orphan::poke"
+        ],
+    );
+}
+
+#[test]
+fn unused_pub_silent_when_a_user_or_pub_signature_names_the_item() {
+    let mut sources = vec![(UNUSED_PUB_PATH, UNUSED_PUB_CLEAN.to_owned())];
+    sources.extend(UNUSED_PUB_USERS.map(|(path, src, _)| (path, src.to_owned())));
+    assert!(unused_pub_symbols(sources).is_empty());
+    // Each kind of user is what keeps its item silent.
+    for (dropped, _, item) in UNUSED_PUB_USERS {
+        let mut sources = vec![(UNUSED_PUB_PATH, UNUSED_PUB_CLEAN.to_owned())];
+        sources.extend(
+            UNUSED_PUB_USERS
+                .iter()
+                .filter(|(path, _, _)| *path != dropped)
+                .map(|(path, src, _)| (*path, (*src).to_owned())),
+        );
+        assert_eq!(unused_pub_symbols(sources), [item], "without {dropped}");
+    }
+}
+
+#[test]
+fn user_trees_are_loaded_but_never_linted() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let ws = Workspace::load(&root).unwrap();
+    for tree in [
+        "tests/",
+        "examples/",
+        "perfbench/src/",
+        "crates/lint/tests/",
+    ] {
+        assert!(
+            ws.users.iter().any(|f| f.path.starts_with(tree)),
+            "{tree} not loaded"
+        );
+    }
+    assert!(ws.users.iter().any(|f| f.path.contains("/benches/")));
+    assert!(ws.users.iter().all(|f| !f.path.contains("/fixtures/")));
+    assert!(ws.files.iter().all(|f| f.path.contains("src/")));
+    // The other rules report exactly what they report without the users.
+    let targets_only = Workspace::from_sources(
+        ws.files
+            .iter()
+            .map(|f| (f.path.as_str(), f.src.clone()))
+            .collect(),
+        ws.artifacts
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.clone()))
+            .collect(),
+    );
+    for rule in ncl_lint::rules::all_rules() {
+        if rule.name() != "unused-pub" {
+            assert_eq!(
+                rule.check(&ws),
+                rule.check(&targets_only),
+                "{}",
+                rule.name()
+            );
+        }
+    }
+}
+
+/// Names every `pub` item of the other rules' clean twins.
+const CORPUS_USER: &str = "fn uses(c: Client) {
+    handle_request(); route(); relay_predict(); relay_persistent(); relay_opaque();
+    read_register(); tagged(); parse_request(); handle_line();
+    encode_report(); decode_frame(); c.ping(); c.stats(); c.drain();
+}";
+
 #[test]
 fn full_run_over_the_clean_corpus_is_clean() {
     // Every clean twin mounted at its in-scope path, all rules, empty
@@ -312,7 +434,14 @@ fn full_run_over_the_clean_corpus_is_clean() {
             ("crates/serve/src/server.rs", WIRE_SERVER_CLEAN.to_owned()),
             ("crates/serve/src/client.rs", WIRE_CLIENT_CLEAN.to_owned()),
             ("crates/router/src/router.rs", TRACE_CLEAN.to_owned()),
-        ],
+            (UNUSED_PUB_PATH, UNUSED_PUB_CLEAN.to_owned()),
+            // The other twins' public fns, as an integration test would
+            // call them.
+            ("tests/corpus.rs", CORPUS_USER.to_owned()),
+        ]
+        .into_iter()
+        .chain(UNUSED_PUB_USERS.map(|(path, src, _)| (path, src.to_owned())))
+        .collect(),
         vec![
             ("README.md", README_CLEAN.to_owned()),
             ("scripts/expected_metrics.json", JSON_CLEAN.to_owned()),

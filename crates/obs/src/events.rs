@@ -22,7 +22,7 @@ pub enum Level {
 
 impl Level {
     /// All levels, lowest first.
-    pub const ALL: [Level; 4] = [Level::Debug, Level::Info, Level::Warn, Level::Error];
+    pub(crate) const ALL: [Level; 4] = [Level::Debug, Level::Info, Level::Warn, Level::Error];
 
     /// The lowercase label value.
     #[must_use]
@@ -48,7 +48,7 @@ impl Level {
 /// The single-line rendering used for the stderr echo:
 /// `[warn] message key="value" ...`.
 #[must_use]
-pub fn render_line(level: Level, message: &str, fields: &[(&str, &str)]) -> String {
+fn render_line(level: Level, message: &str, fields: &[(&str, &str)]) -> String {
     let mut line = format!("[{}] {message}", level.as_str());
     for (k, v) in fields {
         line.push_str(&format!(" {k}={v:?}"));
@@ -85,7 +85,7 @@ impl EventLog {
     }
 
     /// Enables/disables the `Warn`/`Error` stderr echo.
-    pub fn set_echo(&self, on: bool) {
+    pub(crate) fn set_echo(&self, on: bool) {
         self.echo.store(on, Ordering::Relaxed);
     }
 

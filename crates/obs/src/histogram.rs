@@ -60,7 +60,7 @@ impl Log2Histogram {
 
     /// Inclusive upper bound of bucket `i` (the last bucket is open).
     #[must_use]
-    pub fn bucket_upper_bound(i: usize) -> u64 {
+    fn bucket_upper_bound(i: usize) -> u64 {
         if i >= BUCKETS - 1 {
             u64::MAX
         } else {

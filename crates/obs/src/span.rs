@@ -39,7 +39,7 @@ impl Stage {
         Span {
             stage: self,
             started: Instant::now(),
-            trace: None,
+            _trace: None,
         }
     }
 
@@ -51,7 +51,7 @@ impl Stage {
         Span {
             stage: self,
             started: Instant::now(),
-            trace: Some(tracer.start_span(ctx, self.name)),
+            _trace: Some(tracer.start_span(ctx, self.name)),
         }
     }
 
@@ -66,16 +66,8 @@ impl Stage {
 pub struct Span<'a> {
     stage: &'a Stage,
     started: Instant,
-    trace: Option<TraceSpan>,
-}
-
-impl Span<'_> {
-    /// The trace context children of this span should carry, when the
-    /// span was opened with [`Stage::enter_traced`].
-    #[must_use]
-    pub fn trace_context(&self) -> Option<TraceContext> {
-        self.trace.as_ref().map(TraceSpan::context)
-    }
+    /// Records into the trace buffer when the span drops.
+    _trace: Option<TraceSpan>,
 }
 
 impl Drop for Span<'_> {

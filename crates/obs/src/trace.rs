@@ -45,18 +45,6 @@ pub struct TraceContext {
     pub parent: Option<u64>,
 }
 
-impl TraceContext {
-    /// The context a span hands to its children: same trace, this span
-    /// as parent.
-    #[must_use]
-    pub fn child_of(&self, span_id: u64) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id,
-            parent: Some(span_id),
-        }
-    }
-}
-
 /// Lower-case, zero-padded 32-hex-digit encoding of a trace id.
 #[must_use]
 pub fn trace_id_hex(trace_id: u128) -> String {
@@ -460,11 +448,6 @@ impl TraceSpan {
     /// over becomes a `"failover"` span).
     pub fn set_stage(&mut self, stage: &'static str) {
         self.stage = stage;
-    }
-
-    /// Adds a span link (batch fan-in).
-    pub fn link(&mut self, span_id: u64) {
-        self.links.push(span_id);
     }
 }
 

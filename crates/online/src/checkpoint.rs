@@ -61,7 +61,7 @@ pub struct Checkpoint {
 /// CRC-32 (IEEE, reflected). Detects every single-byte corruption, which
 /// is the guarantee the corrupt-one-byte restore tests pin down.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc ^= u32::from(b);
@@ -173,7 +173,7 @@ pub(crate) fn read_pending(
 /// every increment; the owned [`Checkpoint`] exists for restores and
 /// tests.
 #[derive(Debug, Clone, Copy)]
-pub struct CheckpointView<'a> {
+pub(crate) struct CheckpointView<'a> {
     /// See [`Checkpoint::version`].
     pub version: u64,
     /// See [`Checkpoint::cursor`].
@@ -195,7 +195,7 @@ pub struct CheckpointView<'a> {
 impl CheckpointView<'_> {
     /// Serializes the viewed state (magic, body, trailing CRC-32).
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub fn to_bytes(self) -> Vec<u8> {
         let model = serialize::to_bytes(self.network);
         let mut buf = Vec::with_capacity(128 + model.len());
         buf.put_slice(MAGIC);
@@ -251,7 +251,7 @@ impl CheckpointView<'_> {
 impl Checkpoint {
     /// Borrowed view of this checkpoint (encodes without cloning).
     #[must_use]
-    pub fn view(&self) -> CheckpointView<'_> {
+    pub(crate) fn view(&self) -> CheckpointView<'_> {
         CheckpointView {
             version: self.version,
             cursor: self.cursor,

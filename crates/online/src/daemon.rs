@@ -519,32 +519,15 @@ impl OnlineLearner {
         Self::resume_from_checkpoint_with_obs(config, ckpt, &source, obs)
     }
 
-    /// Resumes from an in-memory [`Checkpoint`] instead of a file — the
-    /// entry a promoted follower takes: it already holds the fleet's
-    /// latest applied checkpoint (received over the wire) and continues
-    /// the learning stream from that exact state, producing the same
-    /// future increments the crashed learner would have.
+    /// Resumes from an in-memory [`Checkpoint`] instead of a file, publishing
+    /// into a shared observability registry.
     ///
     /// # Errors
     ///
     /// Returns [`OnlineError::InvalidConfig`] if the checkpoint's
     /// determinism digest does not match `config` (see
     /// [`resume`](OnlineLearner::resume)).
-    pub fn resume_from_checkpoint(
-        config: OnlineConfig,
-        ckpt: Checkpoint,
-        source: &str,
-    ) -> Result<Self, OnlineError> {
-        Self::resume_from_checkpoint_with_obs(config, ckpt, source, Arc::new(ObsRegistry::new()))
-    }
-
-    /// [`resume_from_checkpoint`](OnlineLearner::resume_from_checkpoint)
-    /// publishing into a shared observability registry.
-    ///
-    /// # Errors
-    ///
-    /// As [`resume_from_checkpoint`](OnlineLearner::resume_from_checkpoint).
-    pub fn resume_from_checkpoint_with_obs(
+    fn resume_from_checkpoint_with_obs(
         config: OnlineConfig,
         ckpt: Checkpoint,
         source: &str,
@@ -558,7 +541,7 @@ impl OnlineLearner {
         Self::resume_into_registry_with_obs(config, ckpt, registry, obs)
     }
 
-    /// [`resume_from_checkpoint`](OnlineLearner::resume_from_checkpoint)
+    /// [`resume_from_checkpoint_with_obs`](OnlineLearner::resume_from_checkpoint_with_obs)
     /// publishing into an *existing* [`ModelRegistry`] — the registry a
     /// running server is already bound to. The registry must already
     /// hold the checkpoint's version (the follower applied those exact

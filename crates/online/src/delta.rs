@@ -533,12 +533,6 @@ impl CheckpointDelta {
         }
         Ok(next)
     }
-
-    /// Total parameters shipped in changed planes (diagnostics).
-    #[must_use]
-    pub fn changed_params(&self) -> usize {
-        self.planes.iter().map(|p| p.values.len()).sum()
-    }
 }
 
 #[cfg(test)]

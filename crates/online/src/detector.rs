@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// What one observed label means for the learning loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Observation {
+pub(crate) enum Observation {
     /// The label belongs to an already-learned class.
     Known,
     /// A novel class, still below the arrival threshold.
@@ -72,7 +72,7 @@ impl NoveltyTracker {
 
     /// Whether `label` is a learned class.
     #[must_use]
-    pub fn is_known(&self, label: u16) -> bool {
+    pub(crate) fn is_known(&self, label: u16) -> bool {
         self.known.binary_search(&label).is_ok()
     }
 
@@ -85,7 +85,7 @@ impl NoveltyTracker {
     }
 
     /// Observes one label, updating pending counts.
-    pub fn observe(&mut self, label: u16) -> Observation {
+    pub(crate) fn observe(&mut self, label: u16) -> Observation {
         if self.is_known(label) {
             return Observation::Known;
         }
@@ -114,7 +114,7 @@ impl NoveltyTracker {
     /// event will be retried.
     ///
     /// [`observe`]: NoveltyTracker::observe
-    pub fn retract(&mut self, class: u16) {
+    pub(crate) fn retract(&mut self, class: u16) {
         if let Ok(i) = self.pending.binary_search_by_key(&class, |&(c, _)| c) {
             if self.pending[i].1 > 1 {
                 self.pending[i].1 -= 1;

@@ -58,7 +58,7 @@
 pub mod checkpoint;
 pub mod daemon;
 pub mod delta;
-pub mod detector;
+mod detector;
 pub mod error;
 pub mod publish;
 pub mod stream;

@@ -207,7 +207,7 @@ impl Backend {
     /// considered dead. Generous next to sub-ms predicts, tight enough
     /// that a hung replica cannot stall the sync loop or a failover for
     /// long. Override per backend with [`Backend::with_timeout`].
-    pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
+    pub(crate) const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 
     /// A backend starts unknown-unhealthy; the first health probe (or
     /// successful request) marks it up.
@@ -257,7 +257,7 @@ impl Backend {
     /// Threads a fault plan under every round trip this backend runs
     /// (see [`crate::faults`]). Chaos tests arm the whole fleet's
     /// backends with one shared plan.
-    pub fn arm_faults(&self, plan: Arc<FaultPlan>) {
+    pub(crate) fn arm_faults(&self, plan: Arc<FaultPlan>) {
         *self
             .faults
             .lock()
@@ -268,7 +268,7 @@ impl Backend {
     /// address, so the replica knows where to send its `published`
     /// nudges. The first announcement sticks: a backend belongs to one
     /// router.
-    pub fn announce_router(&self, router: SocketAddr) {
+    pub(crate) fn announce_router(&self, router: SocketAddr) {
         let _ = self.health_probe.set(
             protocol::object(vec![
                 ("op", Value::from("health")),
@@ -338,7 +338,7 @@ impl Backend {
     /// this cache, so folding replies in keeps a client's observed
     /// `model_version` monotonic through the probe-interval window
     /// right after an increment lands on one replica.
-    pub fn observe_version(&self, version: u64) {
+    pub(crate) fn observe_version(&self, version: u64) {
         self.model_version.fetch_max(version, Ordering::AcqRel);
     }
 
@@ -351,7 +351,7 @@ impl Backend {
 
     /// The probe breaker's current state, for status rows.
     #[must_use]
-    pub fn breaker_state(&self) -> &'static str {
+    fn breaker_state(&self) -> &'static str {
         let phase = self
             .breaker
             .lock()
@@ -390,7 +390,7 @@ impl Backend {
 
     /// Transport failures that were timeouts.
     #[must_use]
-    pub fn timeout_count(&self) -> u64 {
+    fn timeout_count(&self) -> u64 {
         self.timeouts.get()
     }
 
@@ -537,7 +537,7 @@ impl Backend {
     /// this returns `None` without touching the socket, so a dead
     /// replica costs at most one connect attempt per backoff window
     /// instead of one per sync tick.
-    pub fn probe_health(&self) -> Option<Value> {
+    pub(crate) fn probe_health(&self) -> Option<Value> {
         {
             let mut breaker = self
                 .breaker
@@ -816,7 +816,10 @@ mod tests {
         // connection survives the torn line and later ops still work.
         let tear = Arc::new(FaultPlan::with_rules(
             12,
-            vec![FaultRule::every(1.0, FaultAction::CloseMidWrite).in_window(0, 1)],
+            vec![FaultRule {
+                until_seq: 1,
+                ..FaultRule::every(1.0, FaultAction::CloseMidWrite)
+            }],
         ));
         backend.arm_faults(tear);
         let err = backend.request(r#"{"op":"ping"}"#).unwrap_err();

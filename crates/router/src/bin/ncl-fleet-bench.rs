@@ -29,10 +29,8 @@ use ncl_online::stream::{SampleStream, StreamConfig};
 use ncl_router::backend::Backend;
 use ncl_router::faults::FaultPlan;
 use ncl_router::router::{Router, RouterConfig};
-use ncl_router::testkit::{
-    self, percentile, start_node, start_synth_follower, Load, Node, SynthLearner,
-};
-use ncl_serve::bench::{Op, Report};
+use ncl_router::testkit::{self, start_node, start_synth_follower, Load, Node, SynthLearner};
+use ncl_serve::bench::{percentile, Op, Report};
 use ncl_serve::client::NclClient;
 use ncl_serve::protocol::object;
 use ncl_serve::sync::ReplicaSync;

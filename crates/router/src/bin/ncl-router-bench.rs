@@ -34,8 +34,8 @@ use ncl_online::daemon::OnlineConfig;
 use ncl_online::stream::{SampleStream, StreamConfig};
 use ncl_router::backend::Backend;
 use ncl_router::router::{Router, RouterConfig};
-use ncl_router::testkit::{percentile, reference_run, start_node, Load, Node};
-use ncl_serve::bench::{Op, Report};
+use ncl_router::testkit::{reference_run, start_node, Load, Node};
+use ncl_serve::bench::{percentile, Op, Report};
 use ncl_serve::client::NclClient;
 use ncl_serve::protocol::object;
 use ncl_serve::sync::ReplicaSync;

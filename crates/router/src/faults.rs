@@ -79,25 +79,10 @@ impl FaultRule {
         }
     }
 
-    /// Restricts the rule to one backend id.
-    #[must_use]
-    pub fn on_replica(mut self, id: usize) -> Self {
-        self.replica = Some(id);
-        self
-    }
-
     /// Restricts the rule to one wire op.
     #[must_use]
     pub fn on_op(mut self, op: &str) -> Self {
         self.op = Some(op.to_owned());
-        self
-    }
-
-    /// Restricts the rule to the sequence window `[from, until)`.
-    #[must_use]
-    pub fn in_window(mut self, from: u64, until: u64) -> Self {
-        self.from_seq = from;
-        self.until_seq = until;
         self
     }
 
@@ -162,7 +147,7 @@ impl FaultPlan {
 
     /// Whether `replica` is currently partitioned.
     #[must_use]
-    pub fn is_partitioned(&self, replica: usize) -> bool {
+    fn is_partitioned(&self, replica: usize) -> bool {
         self.partitioned
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -178,7 +163,7 @@ impl FaultPlan {
     /// Decides the fate of the next op sent to `replica`: `None` means
     /// run it for real. Consumes one sequence number either way.
     #[must_use]
-    pub fn decide(&self, replica: usize, op: &str) -> Option<FaultAction> {
+    pub(crate) fn decide(&self, replica: usize, op: &str) -> Option<FaultAction> {
         let seq = self.seq.fetch_add(1, Ordering::AcqRel);
         if self.is_partitioned(replica) {
             self.injected.inc();
@@ -215,7 +200,7 @@ fn roll(seed: u64, seq: u64, rule_idx: u64) -> f64 {
 /// parse (fault decisions sit on the relay hot path; the lines the
 /// router builds always render `"op":"..."` verbatim).
 #[must_use]
-pub fn op_of(line: &str) -> &str {
+pub(crate) fn op_of(line: &str) -> &str {
     let Some(start) = line.find("\"op\":\"").map(|p| p + 6) else {
         return "";
     };
@@ -251,10 +236,12 @@ mod tests {
     fn rules_filter_by_replica_op_and_window() {
         let plan = FaultPlan::with_rules(
             7,
-            vec![FaultRule::every(1.0, FaultAction::BlackHole)
-                .on_replica(1)
-                .on_op("delta")
-                .in_window(2, 4)],
+            vec![FaultRule {
+                replica: Some(1),
+                from_seq: 2,
+                until_seq: 4,
+                ..FaultRule::every(1.0, FaultAction::BlackHole).on_op("delta")
+            }],
         );
         // seq 0, 1: outside the window.
         assert_eq!(plan.decide(1, "delta"), None);

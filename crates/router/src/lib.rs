@@ -52,7 +52,7 @@
 
 pub mod backend;
 pub mod faults;
-pub mod membership;
+mod membership;
 pub mod replica;
 pub mod router;
 pub mod sync;
@@ -60,7 +60,6 @@ pub mod testkit;
 
 pub use backend::Backend;
 pub use faults::{FaultAction, FaultPlan, FaultRule};
-pub use membership::Membership;
 pub use replica::ElasticReplica;
 pub use router::{DispatchPolicy, Router, RouterConfig};
 pub use sync::SyncStats;

@@ -30,7 +30,7 @@ use crate::backend::Backend;
 use crate::faults::FaultPlan;
 
 /// The mutable backend set (see the module docs).
-pub struct Membership {
+pub(crate) struct Membership {
     backends: RwLock<Vec<Arc<Backend>>>,
     next_id: AtomicUsize,
     timeout: Duration,
@@ -86,21 +86,6 @@ impl Membership {
             .clone()
     }
 
-    /// Backends currently registered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.backends
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
-    /// Whether the fleet is currently empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Adds `addr` to the fleet under a fresh id, registering its
     /// metric series into `obs`. Idempotent: if the address is already
     /// a member, the existing backend is returned and the second
@@ -140,13 +125,13 @@ impl Membership {
 
     /// Join count since startup.
     #[must_use]
-    pub fn joins(&self) -> u64 {
+    pub(crate) fn joins(&self) -> u64 {
         self.joins.get()
     }
 
     /// Leave count since startup.
     #[must_use]
-    pub fn leaves(&self) -> u64 {
+    pub(crate) fn leaves(&self) -> u64 {
         self.leaves.get()
     }
 }
@@ -173,7 +158,7 @@ mod tests {
         let (again, fresh) = membership.join(addr(9002), &obs);
         assert!(!fresh);
         assert_eq!(again.id, 1);
-        assert_eq!(membership.len(), 2);
+        assert_eq!(membership.snapshot().len(), 2);
         assert_eq!(membership.joins(), 1);
 
         // Leave + rejoin: the id is never reused.
@@ -198,6 +183,5 @@ mod tests {
         // do not.
         assert_eq!(snapshot.len(), 1);
         assert!(membership.snapshot().is_empty());
-        assert!(membership.is_empty());
     }
 }

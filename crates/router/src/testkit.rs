@@ -160,7 +160,7 @@ impl Node {
 /// # Errors
 ///
 /// Stream generation failures.
-pub fn synth_fleet() -> Result<(OnlineConfig, SampleStream), Error> {
+pub(crate) fn synth_fleet() -> Result<(OnlineConfig, SampleStream), Error> {
     let config = OnlineConfig::smoke();
     let stream = SampleStream::generate(&StreamConfig {
         scenario: config.scenario.clone(),
@@ -402,17 +402,6 @@ fn closed_loop(addr: SocketAddr, probe: &SpikeRaster, stop: &AtomicBool, c: &Loa
         }
         id += 1;
     }
-}
-
-/// The `p`-quantile (0..=1, nearest rank) of ascending `sorted`; 0 when
-/// empty.
-#[must_use]
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted
-        .get(rank.min(sorted.len().saturating_sub(1)))
-        .copied()
-        .unwrap_or(0)
 }
 
 /// A plain tiny-model server with no replication handler.

@@ -4,7 +4,7 @@
 //! configuration, a method, and a display label. A [`Suite`] is an ordered
 //! list of jobs — the unit the [`crate::engine::Engine`] executes. Suites
 //! are built in code (see [`crate::suites`] for the standard grids) or
-//! loaded from a JSON file via [`Suite::from_json_str`].
+//! loaded from a JSON file via [`Suite::from_json_file_with`].
 //!
 //! # Suite JSON schema
 //!
@@ -144,32 +144,10 @@ impl Suite {
         Ok(())
     }
 
-    /// `n` copies of a job with per-replicate derived seeds (for variance
-    /// studies): replicate `i` gets `derive_seed(job.config.seed, i)` and a
-    /// `#i` label suffix. Replicate 0 keeps the original seed so the base
-    /// run stays reproducible by itself.
-    #[must_use]
-    pub fn seed_replicates(job: &Job, n: usize) -> Vec<Job> {
-        (0..n)
-            .map(|i| {
-                let mut replica = job.clone();
-                if i > 0 {
-                    replica.config.seed = derive_seed(job.config.seed, i as u64);
-                }
-                replica.label = format!("{}#{i}", job.label);
-                replica
-            })
-            .collect()
-    }
-
-    /// Parses a suite from JSON using the built-in base-config resolver
-    /// (`"smoke"` and `"paper"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Parse`] for syntax or schema violations and
-    /// [`RuntimeError::InvalidSuite`] if a decoded job fails validation.
-    pub fn from_json_str(json: &str) -> Result<Self, RuntimeError> {
+    /// [`Suite::from_json_str_with`] using the built-in base-config
+    /// resolver (`"smoke"` and `"paper"`), for tests.
+    #[cfg(test)]
+    fn from_json_str(json: &str) -> Result<Self, RuntimeError> {
         Suite::from_json_str_with(json, &builtin_base)
     }
 
@@ -179,8 +157,9 @@ impl Suite {
     ///
     /// # Errors
     ///
-    /// Same as [`Suite::from_json_str`].
-    pub fn from_json_str_with(
+    /// Returns [`RuntimeError::Parse`] for syntax or schema violations and
+    /// [`RuntimeError::InvalidSuite`] if a decoded job fails validation.
+    fn from_json_str_with(
         json: &str,
         resolve_base: &dyn Fn(&str) -> Option<ScenarioConfig>,
     ) -> Result<Self, RuntimeError> {
@@ -234,18 +213,6 @@ pub fn builtin_base(name: &str) -> Option<ScenarioConfig> {
         "paper" => Some(ScenarioConfig::paper()),
         _ => None,
     }
-}
-
-/// Deterministically mixes a salt into a base seed (splitmix64 finalizer),
-/// for suites that want distinct-but-reproducible per-job seeds.
-#[must_use]
-pub fn derive_seed(base: u64, salt: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn schema_err(detail: &str) -> RuntimeError {
@@ -451,23 +418,5 @@ mod tests {
             Suite::from_json_str(r#"{"name": "s", "jobs": []}"#),
             Err(RuntimeError::InvalidSuite { .. })
         ));
-    }
-
-    #[test]
-    fn derive_seed_is_stable_and_spreads() {
-        assert_eq!(derive_seed(7, 1), derive_seed(7, 1));
-        assert_ne!(derive_seed(7, 1), derive_seed(7, 2));
-        assert_ne!(derive_seed(7, 1), derive_seed(8, 1));
-    }
-
-    #[test]
-    fn seed_replicates_keep_base_and_derive_rest() {
-        let job = Job::new("j", ScenarioConfig::smoke(), MethodSpec::baseline());
-        let reps = Suite::seed_replicates(&job, 3);
-        assert_eq!(reps.len(), 3);
-        assert_eq!(reps[0].config.seed, job.config.seed);
-        assert_eq!(reps[0].label, "j#0");
-        assert_ne!(reps[1].config.seed, reps[2].config.seed);
-        assert_eq!(reps[1].config.seed, derive_seed(job.config.seed, 1));
     }
 }

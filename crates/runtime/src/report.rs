@@ -234,7 +234,7 @@ fn stat_to_json(stat: &(String, f64)) -> Value {
 /// Encodes a full [`ScenarioResult`] — accuracy curve, op counts, memory
 /// and modeled cost — as a deterministic JSON tree.
 #[must_use]
-pub fn result_to_json(result: &ScenarioResult) -> Value {
+fn result_to_json(result: &ScenarioResult) -> Value {
     let cost = result.total_cost();
     Value::Object(
         [

@@ -125,7 +125,7 @@ impl Batcher {
     /// # Errors
     ///
     /// Returns the OS error if a worker thread cannot be spawned.
-    pub fn start_traced(
+    pub(crate) fn start_traced(
         registry: Arc<ModelRegistry>,
         metrics: Arc<Metrics>,
         mut config: BatchConfig,
@@ -201,7 +201,7 @@ impl Batcher {
     /// # Errors
     ///
     /// Returns [`ServeError::ShuttingDown`] once draining has begun.
-    pub fn submit_traced(
+    pub(crate) fn submit_traced(
         &self,
         raster: SpikeRaster,
         trace: Option<TraceContext>,

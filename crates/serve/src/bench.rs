@@ -164,6 +164,16 @@ pub fn min(values: impl IntoIterator<Item = f64>) -> f64 {
     values.into_iter().fold(f64::INFINITY, f64::min)
 }
 
+/// The nearest-rank `p`-quantile (`0..=1`) of ascending `sorted`: the
+/// smallest sample with at least `p·n` samples at or below it. 0 when
+/// empty. Every emitter reports latency percentiles through this one
+/// definition.
+#[must_use]
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+    sorted.get(rank - 1).copied().unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +205,16 @@ mod tests {
             }
         }
         assert!(!Op::Ge.holds(min([]), 1.0), "an empty min fails");
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0);
+        assert_eq!(percentile(&[7, 9], 0.5), 7);
+        let ten: Vec<u64> = (0..10).collect();
+        assert_eq!(percentile(&ten, 0.5), 4);
+        assert_eq!(percentile(&ten, 0.0), 0);
+        assert_eq!(percentile(&ten, 1.0), 9);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ncl_serve::bench::{Op, Report};
+use ncl_serve::bench::{percentile, Op, Report};
 use ncl_serve::client::{ClientConfig, NclClient};
 use ncl_serve::protocol;
 use ncl_spike::SpikeRaster;
@@ -209,15 +209,6 @@ fn client_loop(
     result
 }
 
-/// Nearest-rank percentile of a sorted sample.
-fn percentile_us(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 fn main() {
     let args = parse_args();
 
@@ -303,9 +294,9 @@ fn main() {
         }
     }
     latencies.sort_unstable();
-    let p50 = percentile_us(&latencies, 0.50);
-    let p95 = percentile_us(&latencies, 0.95);
-    let p99 = percentile_us(&latencies, 0.99);
+    let p50 = percentile(&latencies, 0.50);
+    let p95 = percentile(&latencies, 0.95);
+    let p99 = percentile(&latencies, 0.99);
     let mean = if latencies.is_empty() {
         0.0
     } else {

@@ -3,9 +3,10 @@
 //! batcher queue metrics — snapshotted into the JSON stats endpoint
 //! and scrapeable via the `metrics` wire op as Prometheus text.
 //!
-//! The log₂ latency histogram that used to live here was generalized
-//! into [`ncl_obs::Log2Histogram`]; the alias below keeps the old name
-//! working. All hot-path updates remain single relaxed atomic ops.
+//! The latency histogram is the general [`ncl_obs::Log2Histogram`]:
+//! quantiles resolve to bucket upper bounds (an at-most-2x overestimate
+//! — the right bias for tail-latency reporting). All hot-path updates
+//! remain single relaxed atomic ops.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,11 +15,6 @@ use std::time::Instant;
 
 use ncl_obs::{Counter, Gauge, Log2Histogram, Registry};
 use serde_json::Value;
-
-/// The serve latency histogram is the general log₂ histogram now;
-/// quantiles still resolve to bucket upper bounds (an at-most-2x
-/// overestimate — the right bias for tail-latency reporting).
-pub type LatencyHistogram = Log2Histogram;
 
 /// Counters + histograms for one serving process, registered in an
 /// [`ncl_obs::Registry`] under `serve_*` names.
@@ -87,7 +83,7 @@ impl Metrics {
     }
 
     /// Records one successful predict with its end-to-end latency.
-    pub fn record_ok(&self, latency_us: u64) {
+    pub(crate) fn record_ok(&self, latency_us: u64) {
         self.latency.record(latency_us);
         self.note_ok();
     }
@@ -95,7 +91,7 @@ impl Metrics {
     /// Records one successful predict that carried a trace context; the
     /// observation feeds the latency exemplar, so the `stats` latency
     /// block can point at the slowest captured trace.
-    pub fn record_ok_traced(&self, latency_us: u64, trace_id: u128) {
+    pub(crate) fn record_ok_traced(&self, latency_us: u64, trace_id: u128) {
         self.latency.record_traced(latency_us, trace_id);
         self.note_ok();
     }
@@ -108,18 +104,18 @@ impl Metrics {
     }
 
     /// Records one failed request.
-    pub fn record_failure(&self) {
+    pub(crate) fn record_failure(&self) {
         self.failed.inc();
     }
 
     /// Records one executed batch of `size` requests.
-    pub fn record_batch(&self, size: usize) {
+    pub(crate) fn record_batch(&self, size: usize) {
         self.batches.inc();
         self.batch_size.record(size as u64);
     }
 
     /// Records one completed hot swap.
-    pub fn record_swap(&self) {
+    pub(crate) fn record_swap(&self) {
         self.swaps.inc();
     }
 
@@ -144,7 +140,7 @@ impl Metrics {
 
     /// The latency histogram.
     #[must_use]
-    pub fn latency(&self) -> &LatencyHistogram {
+    pub fn latency(&self) -> &Log2Histogram {
         &self.latency
     }
 
@@ -154,7 +150,7 @@ impl Metrics {
     /// is floored at 1 ms so a single instantaneous burst reads as a
     /// rate, not a division by ~zero.
     #[must_use]
-    pub fn requests_per_sec(&self) -> f64 {
+    pub(crate) fn requests_per_sec(&self) -> f64 {
         let ok = self.ok_count();
         if ok == 0 {
             return 0.0;
@@ -219,7 +215,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let h = LatencyHistogram::default();
+        let h = Log2Histogram::default();
         assert_eq!(h.quantile(0.5), 0, "empty histogram");
         for us in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 100] {
             h.record(us);
@@ -235,7 +231,7 @@ mod tests {
 
     #[test]
     fn quantile_never_underreports() {
-        let h = LatencyHistogram::default();
+        let h = Log2Histogram::default();
         for us in [3u64, 9, 17, 33, 1000] {
             h.record(us);
         }
@@ -245,7 +241,7 @@ mod tests {
 
     #[test]
     fn zero_latency_is_representable() {
-        let h = LatencyHistogram::default();
+        let h = Log2Histogram::default();
         h.record(0);
         assert_eq!(h.count(), 1);
         assert_eq!(h.quantile(0.5), 1, "0 µs lives in the first bucket");

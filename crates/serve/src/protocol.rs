@@ -67,7 +67,7 @@ use crate::error::ServeError;
 
 /// Upper bound on request timesteps — a hostile request must not make
 /// the worker allocate unbounded rasters.
-pub const MAX_REQUEST_STEPS: usize = 4096;
+const MAX_REQUEST_STEPS: usize = 4096;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -385,7 +385,7 @@ pub fn parse_trace(value: &Value) -> Result<Option<TraceContext>, ServeError> {
 
 /// The wire form of a trace context (the `"trace"` field value).
 #[must_use]
-pub fn trace_value(ctx: &TraceContext) -> Value {
+fn trace_value(ctx: &TraceContext) -> Value {
     let mut pairs = vec![("id", Value::from(trace::trace_id_hex(ctx.trace_id)))];
     if let Some(parent) = ctx.parent {
         pairs.push(("parent", Value::from(trace::span_id_hex(parent))));
@@ -761,7 +761,7 @@ impl LineReader {
 
     /// Bytes buffered toward the next, still incomplete line.
     #[must_use]
-    pub fn partial_len(&self) -> usize {
+    fn partial_len(&self) -> usize {
         self.buf.len() - self.start
     }
 }

@@ -161,26 +161,23 @@ impl ModelRegistry {
         Ok(version)
     }
 
-    /// Loads a checkpoint (the `ncl_snn::serialize` format) and swaps it
-    /// in.
+    /// In-memory counterpart of [`ModelRegistry::swap_from_file`], for
+    /// tests.
+    #[cfg(test)]
+    fn swap_from_bytes(&self, bytes: &[u8], source: &str) -> Result<u64, ServeError> {
+        let network = serialize::from_bytes(bytes)?;
+        self.swap_network(network, source)
+    }
+
+    /// Loads a checkpoint file (the `ncl_snn::serialize` format) and swaps
+    /// it in.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Snn`] for unreadable/malformed checkpoints
     /// and [`ServeError::IncompatibleModel`] for shape changes. On error
     /// the current model keeps serving untouched.
-    pub fn swap_from_bytes(&self, bytes: &[u8], source: &str) -> Result<u64, ServeError> {
-        let network = serialize::from_bytes(bytes)?;
-        self.swap_network(network, source)
-    }
-
-    /// Loads a checkpoint file and swaps it in. See
-    /// [`ModelRegistry::swap_from_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelRegistry::swap_from_bytes`], plus I/O failures.
-    pub fn swap_from_file(&self, path: &std::path::Path) -> Result<u64, ServeError> {
+    pub(crate) fn swap_from_file(&self, path: &std::path::Path) -> Result<u64, ServeError> {
         let network = serialize::from_file(path)?;
         self.swap_network(network, &path.display().to_string())
     }

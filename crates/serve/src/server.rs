@@ -145,12 +145,6 @@ impl Server {
         &self.shared.obs
     }
 
-    /// Whether a shutdown (client op or [`Server::shutdown`]) has begun.
-    #[must_use]
-    pub fn is_stopping(&self) -> bool {
-        self.shared.stopping.load(Ordering::Acquire)
-    }
-
     /// Blocks until the server stops (a client sent `shutdown`, or
     /// another thread called [`Server::shutdown`]), then drains the
     /// batcher.

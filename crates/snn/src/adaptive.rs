@@ -120,14 +120,14 @@ impl AdaptivePolicy {
     /// Threshold at an adjustment boundary given the interval's mean spike
     /// time, per Alg. 1 line 13 / 27.
     #[must_use]
-    pub fn boundary_threshold(&self, total_steps: usize, mean_spike_time: f64) -> f32 {
+    fn boundary_threshold(&self, total_steps: usize, mean_spike_time: f64) -> f32 {
         self.base + self.timing_coef * (total_steps as f32 - mean_spike_time as f32)
     }
 
     /// Sigmoidally-decayed threshold at timestep `t`, per Alg. 1 line
     /// 16 / 29.
     #[must_use]
-    pub fn decayed_threshold(&self, t: usize) -> f32 {
+    fn decayed_threshold(&self, t: usize) -> f32 {
         1.0 / (1.0 + (-self.decay_rate * t as f32).exp())
     }
 }
@@ -157,7 +157,7 @@ impl ThresholdSchedule {
 
     /// Rebuilds `self` as a constant schedule in place, reusing the
     /// allocation (the per-sample path of the training arenas).
-    pub fn constant_into(&mut self, v_threshold: f32, steps: usize) {
+    fn constant_into(&mut self, v_threshold: f32, steps: usize) {
         self.values.clear();
         self.values.resize(steps, v_threshold);
     }
@@ -181,7 +181,7 @@ impl ThresholdSchedule {
     /// # Errors
     ///
     /// Returns [`SnnError::InvalidConfig`] if the policy is invalid.
-    pub fn adaptive_into(
+    fn adaptive_into(
         &mut self,
         input: &SpikeRaster,
         policy: &AdaptivePolicy,

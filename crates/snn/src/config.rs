@@ -160,7 +160,7 @@ impl NetworkConfig {
     /// # Errors
     ///
     /// Returns [`SnnError::InvalidStage`] if `stage > layers()`.
-    pub fn stage_width(&self, stage: usize) -> Result<usize, SnnError> {
+    pub(crate) fn stage_width(&self, stage: usize) -> Result<usize, SnnError> {
         if stage == 0 {
             Ok(self.input_size)
         } else if stage <= self.hidden_sizes.len() {

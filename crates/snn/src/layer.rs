@@ -80,12 +80,6 @@ impl RecurrentLifLayer {
         self.w_ff.cols()
     }
 
-    /// Whether the layer has recurrent weights.
-    #[must_use]
-    pub fn is_recurrent(&self) -> bool {
-        self.w_rec.is_some()
-    }
-
     /// The neuron parameters.
     #[must_use]
     pub fn lif(&self) -> &LifConfig {
@@ -116,7 +110,7 @@ impl RecurrentLifLayer {
     }
 
     /// Mutable borrow of the recurrent weights, if enabled.
-    pub fn w_rec_mut(&mut self) -> Option<&mut Matrix> {
+    pub(crate) fn w_rec_mut(&mut self) -> Option<&mut Matrix> {
         self.w_rec.as_mut()
     }
 
@@ -127,7 +121,7 @@ impl RecurrentLifLayer {
     }
 
     /// Mutable borrow of the bias currents.
-    pub fn bias_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn bias_mut(&mut self) -> &mut [f32] {
         &mut self.bias
     }
 
@@ -139,7 +133,12 @@ impl RecurrentLifLayer {
     ///
     /// Panics in debug builds if `current.len() != neurons` or any index is
     /// out of range (callers are internal and size-checked).
-    pub fn input_current(&self, active_in: &[usize], active_rec: &[usize], current: &mut [f32]) {
+    pub(crate) fn input_current(
+        &self,
+        active_in: &[usize],
+        active_rec: &[usize],
+        current: &mut [f32],
+    ) {
         debug_assert_eq!(current.len(), self.neurons());
         current.copy_from_slice(&self.bias);
         for &i in active_in {
@@ -165,7 +164,7 @@ impl RecurrentLifLayer {
     /// provided, receives the **pre-reset** potentials (needed by BPTT for
     /// the surrogate derivative). Spiking neuron indices are appended to
     /// `spikes_out`.
-    pub fn membrane_step(
+    pub(crate) fn membrane_step(
         &self,
         current: &[f32],
         threshold: f32,
@@ -228,13 +227,11 @@ mod tests {
         let l = layer(10, 4, true);
         assert_eq!(l.inputs(), 10);
         assert_eq!(l.neurons(), 4);
-        assert!(l.is_recurrent());
         assert_eq!(l.w_ff().rows(), 10);
         assert_eq!(l.w_ff().cols(), 4);
         assert_eq!(l.w_rec().unwrap().rows(), 4);
         assert_eq!(l.bias().len(), 4);
         let nf = layer(10, 4, false);
-        assert!(!nf.is_recurrent());
         assert!(nf.w_rec().is_none());
     }
 

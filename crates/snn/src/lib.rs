@@ -10,12 +10,12 @@
 //!   logits;
 //! * [`network::Network`] — the stage-indexed 700‑200‑100‑50‑20 stack of
 //!   Fig. 6, with frozen/learning splitting for latent replay;
-//! * [`surrogate::FastSigmoid`] — the fast-sigmoid surrogate gradient
+//! * [`surrogate::Surrogate`] — the fast-sigmoid surrogate gradient
 //!   (Fig. 5);
 //! * [`bptt`] — full backpropagation through time, validated against
 //!   finite differences and single-sample overfitting tests;
 //! * [`adaptive`] — the Alg. 1 adaptive-threshold schedules of Replay4NCL;
-//! * [`optimizer`] / [`trainer`] — Adam/SGD and parallel mini-batch loops;
+//! * [`optimizer`] / [`trainer`] — Adam and parallel mini-batch loops;
 //! * [`serialize`] — compact binary model checkpoints.
 //!
 //! # Example: train a small SNN
@@ -40,10 +40,11 @@
 //!     .collect();
 //! let refs: Vec<(&SpikeRaster, u16)> = data.iter().map(|(r, l)| (r, *l)).collect();
 //! let mut opt = Optimizer::adam(1e-2);
+//! let mut scratch = trainer::TrainScratch::new();
 //! let mut report = None;
 //! for _ in 0..3 {
-//!     report = Some(trainer::train_epoch(
-//!         &mut net, &refs, &mut opt, &TrainOptions::default(), &mut rng,
+//!     report = Some(trainer::train_epoch_with(
+//!         &mut net, &refs, &mut opt, &TrainOptions::default(), &mut rng, &mut scratch,
 //!     )?);
 //! }
 //! assert!(report.unwrap().mean_loss.is_finite());

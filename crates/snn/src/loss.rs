@@ -4,40 +4,24 @@ use ncl_tensor::ops;
 
 use crate::error::SnnError;
 
-/// Computes softmax cross-entropy against an integer target and its
-/// gradient with respect to the logits (`p − onehot(target)`).
-///
-/// # Errors
-///
-/// Returns [`SnnError::ShapeMismatch`] if `target` is out of range or the
-/// logits are empty.
-///
-/// # Example
-///
-/// ```
-/// # fn main() -> Result<(), ncl_snn::SnnError> {
-/// let (loss, grad) = ncl_snn::loss::cross_entropy(&[2.0, 0.0, 0.0], 0)?;
-/// assert!(loss < 0.5); // confident and correct -> small loss
-/// assert!(grad[0] < 0.0); // push the target logit up
-/// assert!(grad[1] > 0.0 && grad[2] > 0.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn cross_entropy(logits: &[f32], target: usize) -> Result<(f32, Vec<f32>), SnnError> {
+/// Allocating form of [`cross_entropy_into`], for tests.
+#[cfg(test)]
+pub(crate) fn cross_entropy(logits: &[f32], target: usize) -> Result<(f32, Vec<f32>), SnnError> {
     let mut grad = Vec::new();
     let loss = cross_entropy_into(logits, target, &mut grad)?;
     Ok((loss, grad))
 }
 
-/// In-place variant of [`cross_entropy`]: writes the logit gradient into
+/// Computes softmax cross-entropy against an integer target, writes its
+/// gradient with respect to the logits (`p − onehot(target)`) into
 /// `grad` (cleared and resized, reusing its allocation) and returns the
-/// loss. Produces exactly the values of [`cross_entropy`]; this is the
-/// per-sample path of the zero-allocation training arenas.
+/// loss; the per-sample path of the zero-allocation training arenas.
 ///
 /// # Errors
 ///
-/// Same conditions as [`cross_entropy`].
-pub fn cross_entropy_into(
+/// Returns [`SnnError::ShapeMismatch`] if `target` is out of range or the
+/// logits are empty.
+pub(crate) fn cross_entropy_into(
     logits: &[f32],
     target: usize,
     grad: &mut Vec<f32>,

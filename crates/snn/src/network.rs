@@ -47,12 +47,6 @@ pub struct ForwardActivity {
 }
 
 impl ForwardActivity {
-    /// Total spikes fed into any layer (synaptic events).
-    #[must_use]
-    pub fn total_in_spikes(&self) -> u64 {
-        self.stages.iter().map(|s| s.in_spikes).sum::<u64>() + self.readout_in_spikes
-    }
-
     /// Accumulates another pass over the *same stage structure* into this
     /// one: spike counters and step counts add, so derived totals
     /// (`neuron_updates`, synaptic-op counts) stay exact for the combined
@@ -293,7 +287,8 @@ impl Network {
     }
 
     /// Mutable borrow of the readout.
-    pub fn readout_mut(&mut self) -> &mut LiReadout {
+    #[cfg(test)]
+    pub(crate) fn readout_mut(&mut self) -> &mut LiReadout {
         &mut self.readout
     }
 

@@ -1,4 +1,4 @@
-//! Gradient-descent optimizers: SGD (with momentum) and Adam.
+//! The Adam gradient-descent optimizer.
 //!
 //! Optimizer state is keyed by the fixed parameter-visitation order shared
 //! between [`Network::visit_trainable_mut`] and
@@ -12,17 +12,19 @@ use crate::bptt::Gradients;
 use crate::error::SnnError;
 use crate::network::Network;
 
-/// Stochastic gradient descent with optional momentum.
+/// The Adam optimizer (Kingma & Ba) with bias correction, the one
+/// first-order optimizer the SNN trainers use.
+///
+/// # Example
+///
+/// ```
+/// use ncl_snn::optimizer::Optimizer;
+///
+/// let opt = Optimizer::adam(1e-3);
+/// assert!((opt.learning_rate() - 1e-3).abs() < 1e-9);
+/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    learning_rate: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-/// Adam optimizer (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Adam {
+pub struct Optimizer {
     learning_rate: f32,
     beta1: f32,
     beta2: f32,
@@ -32,50 +34,11 @@ pub struct Adam {
     v: Vec<Vec<f32>>,
 }
 
-/// A first-order optimizer for SNN parameters.
-///
-/// # Example
-///
-/// ```
-/// use ncl_snn::optimizer::Optimizer;
-///
-/// let mut opt = Optimizer::adam(1e-3);
-/// assert!((opt.learning_rate() - 1e-3).abs() < 1e-9);
-/// opt.set_learning_rate(1e-5); // the paper's eta_cl = eta_pre / 100
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Optimizer {
-    /// Plain/momentum SGD.
-    Sgd(Sgd),
-    /// Adam.
-    Adam(Adam),
-}
-
 impl Optimizer {
-    /// Plain SGD.
-    #[must_use]
-    pub fn sgd(learning_rate: f32) -> Self {
-        Optimizer::Sgd(Sgd {
-            learning_rate,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        })
-    }
-
-    /// SGD with momentum.
-    #[must_use]
-    pub fn sgd_with_momentum(learning_rate: f32, momentum: f32) -> Self {
-        Optimizer::Sgd(Sgd {
-            learning_rate,
-            momentum,
-            velocity: Vec::new(),
-        })
-    }
-
     /// Adam with the standard hyper-parameters (β₁ = 0.9, β₂ = 0.999).
     #[must_use]
     pub fn adam(learning_rate: f32) -> Self {
-        Optimizer::Adam(Adam {
+        Optimizer {
             learning_rate,
             beta1: 0.9,
             beta2: 0.999,
@@ -83,25 +46,13 @@ impl Optimizer {
             step_count: 0,
             m: Vec::new(),
             v: Vec::new(),
-        })
+        }
     }
 
     /// Current learning rate.
     #[must_use]
     pub fn learning_rate(&self) -> f32 {
-        match self {
-            Optimizer::Sgd(s) => s.learning_rate,
-            Optimizer::Adam(a) => a.learning_rate,
-        }
-    }
-
-    /// Updates the learning rate (used for the paper's `η_cl = η_pre/100`
-    /// adjustment; momentum/moment state is preserved).
-    pub fn set_learning_rate(&mut self, learning_rate: f32) {
-        match self {
-            Optimizer::Sgd(s) => s.learning_rate = learning_rate,
-            Optimizer::Adam(a) => a.learning_rate = learning_rate,
-        }
+        self.learning_rate
     }
 
     /// Applies one update step of `grads` to the trainable parameters of
@@ -138,115 +89,63 @@ impl Optimizer {
         let mut slices: Vec<&[f32]> = Vec::with_capacity(16);
         grads.visit(|s| slices.push(s));
 
-        match self {
-            Optimizer::Sgd(sgd) => {
-                if sgd.velocity.is_empty() {
-                    sgd.velocity = slices.iter().map(|s| vec![0.0; s.len()]).collect();
-                }
-                if sgd.velocity.len() != slices.len() {
-                    return Err(SnnError::ShapeMismatch {
-                        op: "Optimizer::step",
-                        expected: sgd.velocity.len(),
-                        actual: slices.len(),
-                    });
-                }
-                let mut idx = 0;
-                let mut failed = None;
-                net.visit_trainable_mut(grads.from_stage, |params| {
-                    if idx >= slices.len() || params.len() != slices[idx].len() {
-                        failed = Some(idx);
-                        idx += 1;
-                        return;
-                    }
-                    let g = slices[idx];
-                    let vel = &mut sgd.velocity[idx];
-                    if sgd.momentum > 0.0 {
-                        for ((p, gv), v) in params.iter_mut().zip(g.iter()).zip(vel.iter_mut()) {
-                            *v = sgd.momentum * *v + gv * scale;
-                            *p -= sgd.learning_rate * *v;
-                        }
-                    } else {
-                        for (p, gv) in params.iter_mut().zip(g.iter()) {
-                            *p -= sgd.learning_rate * (gv * scale);
-                        }
-                    }
-                    idx += 1;
-                })?;
-                if let Some(i) = failed {
-                    return Err(SnnError::ShapeMismatch {
-                        op: "Optimizer::step",
-                        expected: slices.get(i).map_or(0, |s| s.len()),
-                        actual: i,
-                    });
-                }
-                if idx != slices.len() {
-                    return Err(SnnError::ShapeMismatch {
-                        op: "Optimizer::step",
-                        expected: slices.len(),
-                        actual: idx,
-                    });
-                }
+        if self.m.is_empty() {
+            self.m = slices.iter().map(|s| vec![0.0; s.len()]).collect();
+            self.v = slices.iter().map(|s| vec![0.0; s.len()]).collect();
+        }
+        if self.m.len() != slices.len() {
+            return Err(SnnError::ShapeMismatch {
+                op: "Optimizer::step",
+                expected: self.m.len(),
+                actual: slices.len(),
+            });
+        }
+        self.step_count += 1;
+        let t = self.step_count;
+        let bc1 = 1.0 - self.beta1.powi(t as i32);
+        let bc2 = 1.0 - self.beta2.powi(t as i32);
+        let mut idx = 0;
+        let mut failed = None;
+        net.visit_trainable_mut(grads.from_stage, |params| {
+            if idx >= slices.len() || params.len() != slices[idx].len() {
+                failed = Some(idx);
+                idx += 1;
+                return;
             }
-            Optimizer::Adam(adam) => {
-                if adam.m.is_empty() {
-                    adam.m = slices.iter().map(|s| vec![0.0; s.len()]).collect();
-                    adam.v = slices.iter().map(|s| vec![0.0; s.len()]).collect();
-                }
-                if adam.m.len() != slices.len() {
-                    return Err(SnnError::ShapeMismatch {
-                        op: "Optimizer::step",
-                        expected: adam.m.len(),
-                        actual: slices.len(),
-                    });
-                }
-                adam.step_count += 1;
-                let t = adam.step_count;
-                let bc1 = 1.0 - adam.beta1.powi(t as i32);
-                let bc2 = 1.0 - adam.beta2.powi(t as i32);
-                let mut idx = 0;
-                let mut failed = None;
-                net.visit_trainable_mut(grads.from_stage, |params| {
-                    if idx >= slices.len() || params.len() != slices[idx].len() {
-                        failed = Some(idx);
-                        idx += 1;
-                        return;
-                    }
-                    let g = slices[idx];
-                    let m = &mut adam.m[idx];
-                    let v = &mut adam.v[idx];
-                    // Lockstep zips: no bounds checks in the O(params)
-                    // loop, so the (element-independent, rounding-
-                    // preserving) update autovectorizes.
-                    for (((p, &gr), mj), vj) in params
-                        .iter_mut()
-                        .zip(g.iter())
-                        .zip(m.iter_mut())
-                        .zip(v.iter_mut())
-                    {
-                        let gj = gr * scale;
-                        *mj = adam.beta1 * *mj + (1.0 - adam.beta1) * gj;
-                        *vj = adam.beta2 * *vj + (1.0 - adam.beta2) * gj * gj;
-                        let m_hat = *mj / bc1;
-                        let v_hat = *vj / bc2;
-                        *p -= adam.learning_rate * m_hat / (v_hat.sqrt() + adam.epsilon);
-                    }
-                    idx += 1;
-                })?;
-                if let Some(i) = failed {
-                    return Err(SnnError::ShapeMismatch {
-                        op: "Optimizer::step",
-                        expected: slices.get(i).map_or(0, |s| s.len()),
-                        actual: i,
-                    });
-                }
-                if idx != slices.len() {
-                    return Err(SnnError::ShapeMismatch {
-                        op: "Optimizer::step",
-                        expected: slices.len(),
-                        actual: idx,
-                    });
-                }
+            let g = slices[idx];
+            let m = &mut self.m[idx];
+            let v = &mut self.v[idx];
+            // Lockstep zips: no bounds checks in the O(params)
+            // loop, so the (element-independent, rounding-
+            // preserving) update autovectorizes.
+            for (((p, &gr), mj), vj) in params
+                .iter_mut()
+                .zip(g.iter())
+                .zip(m.iter_mut())
+                .zip(v.iter_mut())
+            {
+                let gj = gr * scale;
+                *mj = self.beta1 * *mj + (1.0 - self.beta1) * gj;
+                *vj = self.beta2 * *vj + (1.0 - self.beta2) * gj * gj;
+                let m_hat = *mj / bc1;
+                let v_hat = *vj / bc2;
+                *p -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
             }
+            idx += 1;
+        })?;
+        if let Some(i) = failed {
+            return Err(SnnError::ShapeMismatch {
+                op: "Optimizer::step",
+                expected: slices.get(i).map_or(0, |s| s.len()),
+                actual: i,
+            });
+        }
+        if idx != slices.len() {
+            return Err(SnnError::ShapeMismatch {
+                op: "Optimizer::step",
+                expected: slices.len(),
+                actual: idx,
+            });
         }
         Ok(())
     }
@@ -267,58 +166,10 @@ mod tests {
         (net, input)
     }
 
-    fn one_grad(net: &Network) -> (f32, bptt::Gradients) {
-        let (_, input) = setup();
-        let h = net.record_from(0, &input, None).unwrap();
-        bptt::backward(net, &h, 1).unwrap()
-    }
-
     #[test]
     fn learning_rate_roundtrip() {
-        let mut o = Optimizer::adam(1e-3);
-        o.set_learning_rate(1e-5);
+        let o = Optimizer::adam(1e-5);
         assert!((o.learning_rate() - 1e-5).abs() < 1e-12);
-        let mut o = Optimizer::sgd(0.1);
-        o.set_learning_rate(0.01);
-        assert!((o.learning_rate() - 0.01).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sgd_step_moves_against_gradient() {
-        let (mut net, _) = setup();
-        let (_, grads) = one_grad(&net);
-        let before = net.readout().w().as_slice().to_vec();
-        let mut opt = Optimizer::sgd(0.1);
-        opt.step(&mut net, &grads).unwrap();
-        let after = net.readout().w().as_slice();
-        for ((b, a), g) in before
-            .iter()
-            .zip(after.iter())
-            .zip(grads.readout_w.as_slice())
-        {
-            assert!((a - (b - 0.1 * g)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn momentum_accumulates() {
-        let (mut net, _) = setup();
-        let (_, grads) = one_grad(&net);
-        let mut plain = net.clone();
-        let mut opt_m = Optimizer::sgd_with_momentum(0.1, 0.9);
-        let mut opt_p = Optimizer::sgd(0.1);
-        // Two identical steps: momentum moves further on the second.
-        opt_m.step(&mut net, &grads).unwrap();
-        opt_m.step(&mut net, &grads).unwrap();
-        opt_p.step(&mut plain, &grads).unwrap();
-        opt_p.step(&mut plain, &grads).unwrap();
-        let g0 = grads.readout_w.get(0, 0);
-        if g0.abs() > 1e-9 {
-            let moved_m = (net.readout().w().get(0, 0)).abs();
-            let moved_p = (plain.readout().w().get(0, 0)).abs();
-            // With momentum the second step adds 1.9x the gradient.
-            assert_ne!(moved_m, moved_p);
-        }
     }
 
     #[test]
@@ -350,7 +201,7 @@ mod tests {
         let big_input = SpikeRaster::from_fn(9, 12, |_, _| rng.bernoulli(0.4));
         let h = other.record_from(0, &big_input, None).unwrap();
         let (_, grads) = bptt::backward(&other, &h, 0).unwrap();
-        let mut opt = Optimizer::sgd(0.1);
+        let mut opt = Optimizer::adam(0.1);
         assert!(opt.step(&mut net, &grads).is_err());
         let _ = input;
     }

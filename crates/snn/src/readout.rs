@@ -74,7 +74,7 @@ impl LiReadout {
     }
 
     /// Mutable borrow of the weights.
-    pub fn w_mut(&mut self) -> &mut Matrix {
+    pub(crate) fn w_mut(&mut self) -> &mut Matrix {
         &mut self.w
     }
 
@@ -85,7 +85,7 @@ impl LiReadout {
     }
 
     /// Mutable borrow of the biases.
-    pub fn bias_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn bias_mut(&mut self) -> &mut [f32] {
         &mut self.bias
     }
 

@@ -7,59 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Fast-sigmoid surrogate-gradient function.
-///
-/// # Example
-///
-/// ```
-/// use ncl_snn::surrogate::FastSigmoid;
-///
-/// let sg = FastSigmoid::new(10.0);
-/// assert_eq!(sg.grad(0.0), 1.0);       // peak at threshold crossing
-/// assert!(sg.grad(0.5) < sg.grad(0.1)); // decays away from threshold
-/// assert_eq!(sg.grad(-0.3), sg.grad(0.3)); // symmetric
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FastSigmoid {
-    scale: f32,
-}
-
-impl FastSigmoid {
-    /// Creates the surrogate with the given slope `scale`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `scale` is not positive.
-    #[must_use]
-    pub fn new(scale: f32) -> Self {
-        debug_assert!(scale > 0.0, "surrogate scale must be positive");
-        FastSigmoid { scale }
-    }
-
-    /// The slope parameter.
-    #[must_use]
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// Forward step function: 1 if `x > 0` (i.e. `v > θ` with
-    /// `x = v − θ`), else 0.
-    #[inline]
-    #[must_use]
-    pub fn step(&self, x: f32) -> bool {
-        x > 0.0
-    }
-
-    /// Surrogate derivative `1 / (scale·|x| + 1)²` evaluated at
-    /// `x = v − θ`.
-    #[inline]
-    #[must_use]
-    pub fn grad(&self, x: f32) -> f32 {
-        let d = self.scale * x.abs() + 1.0;
-        1.0 / (d * d)
-    }
-}
-
 /// Family of surrogate-gradient shapes.
 ///
 /// The paper (and its SpikingLR baseline) uses the fast sigmoid; the other
@@ -114,7 +61,7 @@ impl Surrogate {
     /// Surrogate derivative evaluated at `x = v − θ`.
     #[inline]
     #[must_use]
-    pub fn grad(&self, x: f32) -> f32 {
+    pub(crate) fn grad(&self, x: f32) -> f32 {
         let s = self.scale;
         match self.kind {
             SurrogateKind::FastSigmoid => {
@@ -138,17 +85,13 @@ impl Surrogate {
 mod tests {
     use super::*;
 
-    #[test]
-    fn step_matches_paper_forward() {
-        let sg = FastSigmoid::new(10.0);
-        assert!(!sg.step(0.0)); // at threshold: no spike (strict inequality)
-        assert!(sg.step(1e-6));
-        assert!(!sg.step(-0.5));
+    fn fast_sigmoid(scale: f32) -> Surrogate {
+        Surrogate::new(SurrogateKind::FastSigmoid, scale)
     }
 
     #[test]
     fn grad_peak_and_decay() {
-        let sg = FastSigmoid::new(10.0);
+        let sg = fast_sigmoid(10.0);
         assert_eq!(sg.grad(0.0), 1.0);
         assert!(sg.grad(0.1) < 1.0);
         assert!(sg.grad(1.0) < sg.grad(0.1));
@@ -158,7 +101,7 @@ mod tests {
 
     #[test]
     fn grad_is_symmetric_and_positive() {
-        let sg = FastSigmoid::new(25.0);
+        let sg = fast_sigmoid(25.0);
         for x in [-2.0f32, -0.5, -0.01, 0.01, 0.5, 2.0] {
             assert!(sg.grad(x) > 0.0);
             assert!((sg.grad(x) - sg.grad(-x)).abs() < 1e-7);
@@ -167,8 +110,8 @@ mod tests {
 
     #[test]
     fn larger_scale_is_sharper() {
-        let wide = FastSigmoid::new(5.0);
-        let sharp = FastSigmoid::new(50.0);
+        let wide = fast_sigmoid(5.0);
+        let sharp = fast_sigmoid(50.0);
         assert!(sharp.grad(0.2) < wide.grad(0.2));
         assert_eq!(sharp.grad(0.0), wide.grad(0.0));
         assert_eq!(sharp.scale(), 50.0);
@@ -187,6 +130,7 @@ mod tests {
             assert_eq!(sg.kind(), kind);
             assert_eq!(sg.scale(), 10.0);
         }
+        assert_eq!(SurrogateKind::default(), SurrogateKind::FastSigmoid);
     }
 
     #[test]
@@ -221,15 +165,5 @@ mod tests {
         ] {
             assert!(Surrogate::new(kind, 10.0).grad(0.2) > 0.0);
         }
-    }
-
-    #[test]
-    fn fast_sigmoid_kind_matches_fast_sigmoid_struct() {
-        let a = Surrogate::new(SurrogateKind::FastSigmoid, 10.0);
-        let b = FastSigmoid::new(10.0);
-        for x in [-1.0f32, -0.1, 0.0, 0.05, 0.7] {
-            assert_eq!(a.grad(x), b.grad(x));
-        }
-        assert_eq!(SurrogateKind::default(), SurrogateKind::FastSigmoid);
     }
 }

@@ -163,8 +163,7 @@ impl WorkerArena {
 /// the batch accumulator. Create one per training phase and pass it to
 /// [`train_epoch_with`] across epochs — everything inside is reshaped (not
 /// reallocated, once warm) on each call, so repeated epochs allocate
-/// nothing. [`train_epoch`] creates a transient one for callers that do
-/// not care.
+/// nothing.
 #[derive(Debug, Default)]
 pub struct TrainScratch {
     arenas: Vec<WorkerArena>,
@@ -263,18 +262,9 @@ struct Task {
 /// which the worker exits.
 type TaskReply = Result<(usize, f32, Gradients), SnnError>;
 
-/// Trains one epoch over `samples` (shuffled), applying one optimizer step
-/// per mini-batch with mean-reduced gradients.
-///
-/// Convenience wrapper over [`train_epoch_with`] with a transient
-/// [`TrainScratch`]; phase drivers that run many epochs should hold one
-/// scratch across calls instead.
-///
-/// # Errors
-///
-/// Returns [`SnnError`] on invalid options, shape mismatches or label
-/// range violations.
-pub fn train_epoch(
+/// [`train_epoch_with`] with a transient [`TrainScratch`], for tests.
+#[cfg(test)]
+pub(crate) fn train_epoch(
     net: &mut Network,
     samples: &[(&SpikeRaster, u16)],
     optimizer: &mut Optimizer,
@@ -285,10 +275,11 @@ pub fn train_epoch(
     train_epoch_with(net, samples, optimizer, options, rng, &mut scratch)
 }
 
-/// Trains one epoch like [`train_epoch`], reusing a caller-owned
+/// Trains one epoch over `samples` (shuffled), applying one optimizer step
+/// per mini-batch with mean-reduced gradients, reusing a caller-owned
 /// [`TrainScratch`] so that repeated epochs perform no steady-state heap
-/// allocation. Results are byte-identical to [`train_epoch`] and to
-/// [`train_epoch_reference`] at every `parallelism`.
+/// allocation. Results are byte-identical to [`train_epoch_reference`]
+/// at every `parallelism`.
 ///
 /// # Errors
 ///

@@ -1,13 +1,8 @@
 //! Encoders that turn analog feature vectors into spike rasters.
 //!
-//! The synthetic SHD-like generator produces event data directly, but a
-//! released SNN library also needs standard encoders for non-event inputs;
-//! both classic schemes are provided:
-//!
-//! * [`poisson_encode`] — rate coding: each feature value becomes a firing
-//!   probability per timestep;
-//! * [`latency_encode`] — time-to-first-spike coding: larger values fire
-//!   earlier, once.
+//! The synthetic SHD-like generator produces event data directly; for
+//! non-event inputs [`poisson_encode`] does rate coding: each feature
+//! value becomes a firing probability per timestep.
 
 use ncl_tensor::Rng;
 
@@ -54,32 +49,6 @@ pub fn poisson_encode(
     Ok(raster)
 }
 
-/// Time-to-first-spike (latency) encoding: neuron `i` fires exactly once at
-/// timestep `round((1 - clamp(values[i])) * (steps - 1))`; zero-valued
-/// features stay silent.
-///
-/// # Errors
-///
-/// Returns [`SpikeError::InvalidParameter`] if `steps == 0`.
-pub fn latency_encode(values: &[f32], steps: usize) -> Result<SpikeRaster, SpikeError> {
-    if steps == 0 {
-        return Err(SpikeError::InvalidParameter {
-            what: "steps",
-            detail: "must be at least 1".into(),
-        });
-    }
-    let mut raster = SpikeRaster::new(values.len(), steps);
-    for (n, &v) in values.iter().enumerate() {
-        let v = v.clamp(0.0, 1.0);
-        if v <= 0.0 {
-            continue;
-        }
-        let t = ((1.0 - v) * (steps - 1) as f32).round() as usize;
-        raster.set(n, t.min(steps - 1), true);
-    }
-    Ok(raster)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,30 +69,5 @@ mod tests {
         assert!(poisson_encode(&[0.5], 0, 0.5, &mut rng).is_err());
         assert!(poisson_encode(&[0.5], 10, 0.0, &mut rng).is_err());
         assert!(poisson_encode(&[0.5], 10, 1.5, &mut rng).is_err());
-    }
-
-    #[test]
-    fn latency_larger_values_fire_earlier() {
-        let r = latency_encode(&[1.0, 0.5, 0.1], 11).unwrap();
-        let t_of = |n: usize| (0..11).find(|&t| r.get(n, t)).unwrap();
-        assert_eq!(t_of(0), 0);
-        assert_eq!(t_of(1), 5);
-        assert_eq!(t_of(2), 9);
-        // One spike per active neuron.
-        assert_eq!(r.total_spikes(), 3);
-    }
-
-    #[test]
-    fn latency_zero_value_is_silent() {
-        let r = latency_encode(&[0.0, -1.0], 5).unwrap();
-        assert_eq!(r.total_spikes(), 0);
-        assert!(latency_encode(&[1.0], 0).is_err());
-    }
-
-    #[test]
-    fn latency_clamps_above_one() {
-        let r = latency_encode(&[5.0], 10).unwrap();
-        assert!(r.get(0, 0));
-        assert_eq!(r.total_spikes(), 1);
     }
 }

@@ -14,8 +14,8 @@
 //! * [`metrics`] — spike counts, rates and mean spike times (the quantity
 //!   driving the paper's adaptive threshold, Alg. 1);
 //! * [`memory`] — bit-exact latent-memory accounting (Fig. 12);
-//! * [`encode`] — Poisson-rate and time-to-first-spike encoders for turning
-//!   analog vectors into rasters.
+//! * [`encode`] — a Poisson-rate encoder for turning analog vectors into
+//!   rasters.
 //!
 //! # Example
 //!
@@ -36,7 +36,6 @@
 pub mod codec;
 pub mod encode;
 pub mod error;
-pub mod events;
 pub mod memory;
 pub mod metrics;
 pub mod raster;
@@ -44,5 +43,4 @@ pub mod resample;
 pub mod rle;
 
 pub use error::SpikeError;
-pub use events::SpikeEvent;
 pub use raster::SpikeRaster;

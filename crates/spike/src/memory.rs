@@ -33,7 +33,7 @@ pub struct SampleFootprint {
 }
 
 /// Per-sample metadata: a 16-bit label and a 16-bit frame count.
-pub const METADATA_BITS: u64 = 32;
+const METADATA_BITS: u64 = 32;
 
 /// Computes the footprint of one latent sample.
 #[must_use]

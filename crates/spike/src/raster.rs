@@ -75,8 +75,7 @@ impl SpikeRaster {
     ///
     /// # Panics
     ///
-    /// Panics if indices are out of bounds; use [`SpikeRaster::try_get`] for
-    /// a fallible variant.
+    /// Panics if indices are out of bounds.
     #[inline]
     #[must_use]
     pub fn get(&self, neuron: usize, step: usize) -> bool {
@@ -86,23 +85,6 @@ impl SpikeRaster {
         );
         let w = self.words[step * self.words_per_step + neuron / 64];
         (w >> (neuron % 64)) & 1 == 1
-    }
-
-    /// Fallible variant of [`SpikeRaster::get`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpikeError::IndexOutOfBounds`] for invalid indices.
-    pub fn try_get(&self, neuron: usize, step: usize) -> Result<bool, SpikeError> {
-        if neuron >= self.neurons || step >= self.steps {
-            return Err(SpikeError::IndexOutOfBounds {
-                neuron,
-                step,
-                neurons: self.neurons,
-                steps: self.steps,
-            });
-        }
-        Ok(self.get(neuron, step))
     }
 
     /// Sets or clears the spike at `(neuron, step)`.
@@ -175,38 +157,6 @@ impl SpikeRaster {
         self.total_spikes() as f64 / cells as f64
     }
 
-    /// The spike train of a single neuron as booleans over time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `neuron >= neurons`.
-    #[must_use]
-    pub fn neuron_train(&self, neuron: usize) -> Vec<bool> {
-        assert!(neuron < self.neurons, "neuron out of bounds");
-        (0..self.steps).map(|t| self.get(neuron, t)).collect()
-    }
-
-    /// Writes timestep `step` into a dense `0.0 / 1.0` slice (used by the
-    /// BPTT backward pass, which needs float activations).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpikeError::ShapeMismatch`] if `out.len() != neurons`.
-    pub fn write_dense_step(&self, step: usize, out: &mut [f32]) -> Result<(), SpikeError> {
-        if out.len() != self.neurons {
-            return Err(SpikeError::ShapeMismatch {
-                op: "write_dense_step",
-                expected: (self.neurons, 1),
-                actual: (out.len(), 1),
-            });
-        }
-        out.iter_mut().for_each(|v| *v = 0.0);
-        for n in self.active_at(step) {
-            out[n] = 1.0;
-        }
-        Ok(())
-    }
-
     /// Copies one timestep of `src` into timestep `dst_step` of `self`
     /// (neuron counts must match).
     ///
@@ -214,7 +164,7 @@ impl SpikeRaster {
     ///
     /// Returns [`SpikeError::ShapeMismatch`] if neuron counts differ, or
     /// [`SpikeError::IndexOutOfBounds`] for bad step indices.
-    pub fn copy_step_from(
+    pub(crate) fn copy_step_from(
         &mut self,
         dst_step: usize,
         src: &SpikeRaster,
@@ -247,7 +197,7 @@ impl SpikeRaster {
     /// # Errors
     ///
     /// Same conditions as [`SpikeRaster::copy_step_from`].
-    pub fn or_step_from(
+    pub(crate) fn or_step_from(
         &mut self,
         dst_step: usize,
         src: &SpikeRaster,
@@ -382,40 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn try_get_bounds() {
-        let r = SpikeRaster::new(4, 4);
-        assert!(r.try_get(3, 3).is_ok());
-        assert!(matches!(
-            r.try_get(4, 0),
-            Err(SpikeError::IndexOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            r.try_get(0, 4),
-            Err(SpikeError::IndexOutOfBounds { .. })
-        ));
-    }
-
-    #[test]
     fn from_fn_diagonal() {
         let r = SpikeRaster::from_fn(5, 5, |n, t| n == t);
         assert_eq!(r.total_spikes(), 5);
         for t in 0..5 {
             assert_eq!(r.active_at(t).collect::<Vec<_>>(), vec![t]);
         }
-    }
-
-    #[test]
-    fn write_dense_step_matches_bits() {
-        let mut r = SpikeRaster::new(70, 2);
-        r.set(0, 0, true);
-        r.set(69, 0, true);
-        let mut buf = vec![9.0f32; 70];
-        r.write_dense_step(0, &mut buf).unwrap();
-        assert_eq!(buf[0], 1.0);
-        assert_eq!(buf[69], 1.0);
-        assert_eq!(buf[1..69].iter().sum::<f32>(), 0.0);
-        let mut bad = vec![0.0f32; 3];
-        assert!(r.write_dense_step(0, &mut bad).is_err());
     }
 
     #[test]
@@ -439,15 +361,6 @@ mod tests {
         // bad steps error
         assert!(a.copy_step_from(5, &b, 0).is_err());
         assert!(a.or_step_from(0, &b, 5).is_err());
-    }
-
-    #[test]
-    fn neuron_train_extracts_column() {
-        let mut r = SpikeRaster::new(3, 4);
-        r.set(1, 0, true);
-        r.set(1, 3, true);
-        assert_eq!(r.neuron_train(1), vec![true, false, false, true]);
-        assert_eq!(r.neuron_train(0), vec![false; 4]);
     }
 
     #[test]

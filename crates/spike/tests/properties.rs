@@ -2,7 +2,6 @@
 //! bit operations and resampling invariants.
 
 use ncl_spike::codec::{self, CompressionFactor};
-use ncl_spike::events::{events_to_raster, raster_to_events};
 use ncl_spike::memory::{sample_footprint, Alignment};
 use ncl_spike::resample::{resample, ResampleStrategy};
 use ncl_spike::SpikeRaster;
@@ -17,14 +16,6 @@ fn raster_strategy(max_neurons: usize, max_steps: usize) -> impl Strategy<Value 
 }
 
 proptest! {
-    #[test]
-    fn event_round_trip(r in raster_strategy(80, 40)) {
-        let events = raster_to_events(&r);
-        prop_assert_eq!(events.len(), r.total_spikes());
-        let back = events_to_raster(&events, r.neurons(), r.steps()).unwrap();
-        prop_assert_eq!(back, r);
-    }
-
     #[test]
     fn codec_shape_round_trip(r in raster_strategy(40, 60), factor in 1u32..6) {
         let c = codec::compress(&r, CompressionFactor::new(factor).unwrap());

@@ -2,46 +2,16 @@
 //!
 //! SNNs trained with surrogate gradients are sensitive to the initial scale
 //! of input currents: too small and no neuron ever crosses threshold (dead
-//! network), too large and everything saturates. The standard Xavier/He
-//! schemes keep the per-neuron input current near unit variance, which is a
+//! network), too large and everything saturates. The standard Xavier
+//! scheme keeps the per-neuron input current near unit variance, which is a
 //! good operating point for threshold-1 LIF neurons.
-
-use crate::rng::Rng;
 
 /// Bound of the Xavier/Glorot uniform distribution for a layer with the
 /// given fan-in and fan-out: `sqrt(6 / (fan_in + fan_out))`.
-///
-/// # Example
-///
-/// ```
-/// let b = ncl_tensor::init::xavier_bound(100, 50);
-/// assert!((b - (6.0f32 / 150.0).sqrt()).abs() < 1e-6);
-/// ```
 #[must_use]
-pub fn xavier_bound(fan_in: usize, fan_out: usize) -> f32 {
+pub(crate) fn xavier_bound(fan_in: usize, fan_out: usize) -> f32 {
     let denom = (fan_in + fan_out).max(1) as f32;
     (6.0 / denom).sqrt()
-}
-
-/// Standard deviation of the He/Kaiming normal distribution:
-/// `sqrt(2 / fan_in)`.
-#[must_use]
-pub fn he_std(fan_in: usize) -> f32 {
-    (2.0 / fan_in.max(1) as f32).sqrt()
-}
-
-/// Fills a slice with uniform values in `[-bound, bound]`.
-pub fn fill_uniform(slice: &mut [f32], bound: f32, rng: &mut Rng) {
-    for v in slice {
-        *v = rng.uniform_range(-bound, bound);
-    }
-}
-
-/// Fills a slice with normal values of the given standard deviation.
-pub fn fill_normal(slice: &mut [f32], std_dev: f32, rng: &mut Rng) {
-    for v in slice {
-        *v = rng.normal_f32(0.0, std_dev);
-    }
 }
 
 #[cfg(test)]
@@ -53,32 +23,5 @@ mod tests {
         assert!((xavier_bound(700, 200) - (6.0f32 / 900.0).sqrt()).abs() < 1e-7);
         // Degenerate sizes do not divide by zero.
         assert!(xavier_bound(0, 0).is_finite());
-    }
-
-    #[test]
-    fn he_std_formula() {
-        assert!((he_std(200) - (0.01f32).sqrt()).abs() < 1e-7);
-        assert!(he_std(0).is_finite());
-    }
-
-    #[test]
-    fn fill_uniform_respects_bound() {
-        let mut rng = Rng::seed_from_u64(3);
-        let mut buf = vec![0.0f32; 1000];
-        fill_uniform(&mut buf, 0.25, &mut rng);
-        assert!(buf.iter().all(|v| v.abs() <= 0.25));
-        // Not all identical.
-        assert!(buf.iter().any(|&v| v != buf[0]));
-    }
-
-    #[test]
-    fn fill_normal_has_roughly_right_std() {
-        let mut rng = Rng::seed_from_u64(5);
-        let mut buf = vec![0.0f32; 20_000];
-        fill_normal(&mut buf, 0.5, &mut rng);
-        let mean: f32 = buf.iter().sum::<f32>() / buf.len() as f32;
-        let var: f32 = buf.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / buf.len() as f32;
-        assert!(mean.abs() < 0.02);
-        assert!((var.sqrt() - 0.5).abs() < 0.02);
     }
 }

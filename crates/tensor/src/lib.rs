@@ -23,8 +23,8 @@
 //! ```
 
 pub mod error;
-pub mod init;
-pub mod matrix;
+mod init;
+mod matrix;
 pub mod ops;
 pub mod rng;
 pub mod stats;

@@ -39,16 +39,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix filled with a constant value.
-    #[must_use]
-    pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Creates a matrix from a generator function of `(row, col)`.
     #[must_use]
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
@@ -77,18 +67,11 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Xavier/Glorot-uniform initialized matrix (see [`init::xavier_uniform`]).
+    /// Xavier/Glorot-uniform initialized matrix (see [`init::xavier_bound`]).
     #[must_use]
     pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut Rng) -> Self {
         let bound = init::xavier_bound(cols, rows);
         Matrix::from_fn(rows, cols, |_, _| rng.uniform_range(-bound, bound))
-    }
-
-    /// He/Kaiming-normal initialized matrix (see [`init::he_normal`]).
-    #[must_use]
-    pub fn he_normal(rows: usize, cols: usize, rng: &mut Rng) -> Self {
-        let std = init::he_std(cols);
-        Matrix::from_fn(rows, cols, |_, _| rng.normal_f32(0.0, std))
     }
 
     /// Number of rows.
@@ -160,7 +143,7 @@ impl Matrix {
     ///
     /// Panics if `r >= rows`.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.rows, "row index out of bounds");
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -176,12 +159,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the flat row-major storage.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Returns the transposed matrix (owned copy).
@@ -200,12 +177,6 @@ impl Matrix {
     /// Fills the matrix with zeros, reusing the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// Frobenius norm (root of sum of squares).
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 
@@ -257,17 +228,11 @@ mod tests {
 
     #[test]
     fn map_and_fill() {
-        let mut m = Matrix::filled(2, 2, 2.0);
+        let mut m = Matrix::from_fn(2, 2, |_, _| 2.0);
         m.map_inplace(|v| v * 3.0);
         assert_eq!(m.get(1, 1), 6.0);
         m.fill_zero();
-        assert_eq!(m.frobenius_norm(), 0.0);
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
+        assert!(m.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Determinism note: every elementwise kernel (`axpy`, [`rows_add`],
 //! [`rows_add_masked`], `gemv_t`) performs independent per-element updates,
 //! so unrolling does not change results. The dot-product reduction inside
-//! [`gemv`]/[`gemv_acc`] uses a fixed [`LANES`]-accumulator tree, which is a
+//! [`gemv`] uses a fixed [`LANES`]-accumulator tree, which is a
 //! *different* (but still fully deterministic) float-summation order than a
 //! strictly sequential loop — the order is part of the kernel contract and
 //! identical on every call, platform and thread count.
@@ -22,7 +22,7 @@ use crate::matrix::Matrix;
 const LANES: usize = 8;
 
 /// Dot product with a fixed 8-lane accumulator tree (the vectorizable
-/// reduction shared by [`gemv`] and [`gemv_acc`]).
+/// reduction inside [`gemv`]).
 #[inline]
 fn dot_unrolled(row: &[f32], x: &[f32]) -> f32 {
     debug_assert_eq!(row.len(), x.len());
@@ -88,19 +88,6 @@ pub fn gemv(a: &Matrix, x: &[f32], y: &mut [f32]) -> Result<(), TensorError> {
     check_gemv("gemv", a, x.len(), y.len())?;
     for (r, out) in y.iter_mut().enumerate() {
         *out = dot_unrolled(a.row(r), x);
-    }
-    Ok(())
-}
-
-/// `y += A·x` (accumulating matrix-vector product).
-///
-/// # Errors
-///
-/// Same shape requirements as [`gemv`].
-pub fn gemv_acc(a: &Matrix, x: &[f32], y: &mut [f32]) -> Result<(), TensorError> {
-    check_gemv("gemv_acc", a, x.len(), y.len())?;
-    for (r, out) in y.iter_mut().enumerate() {
-        *out += dot_unrolled(a.row(r), x);
     }
     Ok(())
 }
@@ -298,22 +285,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) -> Result<(), TensorError> {
     Ok(())
 }
 
-/// Dot product of two equal-length slices.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if lengths differ.
-pub fn dot(x: &[f32], y: &[f32]) -> Result<f32, TensorError> {
-    if x.len() != y.len() {
-        return Err(TensorError::ShapeMismatch {
-            op: "dot",
-            expected: format!("{}", x.len()),
-            actual: format!("{}", y.len()),
-        });
-    }
-    Ok(x.iter().zip(y.iter()).map(|(a, b)| a * b).sum())
-}
-
 /// Numerically-stable softmax, written into `out`.
 ///
 /// # Errors
@@ -384,14 +355,6 @@ mod tests {
         let mut y = vec![0.0; 2];
         gemv(&a, &[1.0, 0.0, -1.0], &mut y).unwrap();
         assert_eq!(y, vec![-2.0, -2.0]);
-    }
-
-    #[test]
-    fn gemv_acc_accumulates() {
-        let a = sample_matrix();
-        let mut y = vec![10.0, 20.0];
-        gemv_acc(&a, &[1.0, 0.0, -1.0], &mut y).unwrap();
-        assert_eq!(y, vec![8.0, 18.0]);
     }
 
     #[test]
@@ -491,10 +454,10 @@ mod tests {
 
     #[test]
     fn rows_add_masked_empty_mask_is_noop() {
-        let mut a = Matrix::filled(4, 2, 7.0);
+        let mut a = Matrix::from_fn(4, 2, |_, _| 7.0);
         rows_add_masked(&mut a, &[0, 0], &[1.0, 1.0], 1.0).unwrap();
         rows_add_masked(&mut a, &[], &[1.0, 1.0], 1.0).unwrap();
-        assert_eq!(a, Matrix::filled(4, 2, 7.0));
+        assert_eq!(a, Matrix::from_fn(4, 2, |_, _| 7.0));
     }
 
     #[test]
@@ -525,12 +488,6 @@ mod tests {
                 .sum();
             assert!((f64::from(*got) - want).abs() < 1e-4, "row {r}");
         }
-        // gemv_acc adds the same reduction on top.
-        let mut y2 = vec![1.0f32; 3];
-        gemv_acc(&a, &x, &mut y2).unwrap();
-        for (acc, plain) in y2.iter().zip(y.iter()) {
-            assert!((acc - plain - 1.0).abs() < 1e-6);
-        }
     }
 
     #[test]
@@ -545,8 +502,6 @@ mod tests {
         let mut y = vec![1.0, 2.0];
         axpy(2.0, &[3.0, 4.0], &mut y).unwrap();
         assert_eq!(y, vec![7.0, 10.0]);
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]).unwrap(), 11.0);
-        assert!(dot(&[1.0], &[1.0, 2.0]).is_err());
         assert!(axpy(1.0, &[1.0], &mut y).is_err());
     }
 

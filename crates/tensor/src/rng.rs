@@ -33,7 +33,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 ///
 /// let mut a = Rng::seed_from_u64(42);
 /// let mut b = Rng::seed_from_u64(42);
-/// assert_eq!(a.next_u64(), b.next_u64()); // same seed, same stream
+/// assert_eq!(a.uniform_range(-1.0, 1.0), b.uniform_range(-1.0, 1.0)); // same seed, same stream
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Rng {
@@ -70,7 +70,7 @@ impl Rng {
 
     /// Returns the next raw 64-bit output.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -85,7 +85,7 @@ impl Rng {
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
-    pub fn uniform_f64(&mut self) -> f64 {
+    fn uniform_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -135,7 +135,7 @@ impl Rng {
     }
 
     /// Standard normal variate via the Box-Muller transform.
-    pub fn normal(&mut self) -> f64 {
+    pub(crate) fn normal(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
             return z;
         }

@@ -12,7 +12,7 @@ pub fn mean(xs: &[f32]) -> f32 {
 
 /// Population variance; `0.0` for slices shorter than 2.
 #[must_use]
-pub fn variance(xs: &[f32]) -> f32 {
+pub(crate) fn variance(xs: &[f32]) -> f32 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -36,23 +36,6 @@ pub fn min(xs: &[f32]) -> Option<f32> {
 #[must_use]
 pub fn max(xs: &[f32]) -> Option<f32> {
     xs.iter().copied().filter(|v| !v.is_nan()).reduce(f32::max)
-}
-
-/// Exponential moving average over a series with smoothing factor
-/// `alpha` in `(0, 1]`; returns the smoothed series.
-#[must_use]
-pub fn ema(xs: &[f32], alpha: f32) -> Vec<f32> {
-    let mut out = Vec::with_capacity(xs.len());
-    let mut acc = None;
-    for &x in xs {
-        let next = match acc {
-            None => x,
-            Some(prev) => alpha * x + (1.0 - alpha) * prev,
-        };
-        out.push(next);
-        acc = Some(next);
-    }
-    out
 }
 
 /// Total-variation roughness of a curve: mean absolute successive
@@ -93,16 +76,6 @@ mod tests {
         let xs = [f32::NAN, 2.0, -1.0];
         assert_eq!(min(&xs), Some(-1.0));
         assert_eq!(max(&xs), Some(2.0));
-    }
-
-    #[test]
-    fn ema_smooths_toward_signal() {
-        let xs = [0.0, 1.0, 1.0, 1.0];
-        let s = ema(&xs, 0.5);
-        assert_eq!(s[0], 0.0);
-        assert!((s[1] - 0.5).abs() < 1e-6);
-        assert!(s[3] > s[1] && s[3] < 1.0);
-        assert!(ema(&[], 0.3).is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This root package exists to own the cross-crate integration tests in
 //! `tests/` and the runnable walkthroughs in `examples/`; the actual
-//! implementation lives in the eight `crates/` members. The facade
+//! implementation lives in the 13 `crates/` members. The facade
 //! re-exports each of them under one roof so downstream experiments can
 //! depend on a single package.
 
