@@ -2,10 +2,11 @@
 //!
 //! A [`Stage`] is created once (cold path, one registry lookup) and
 //! held by the instrumented loop; entering it costs two `Instant`
-//! reads plus one histogram record on drop.
+//! reads plus one histogram record on drop (or on [`Span::close`],
+//! which also hands the recorded duration back).
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::histogram::Log2Histogram;
 use crate::trace::{TraceContext, TraceSpan, Tracer};
@@ -21,12 +22,6 @@ impl Stage {
         Stage { name, hist }
     }
 
-    /// The stage's name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// The histogram this stage records into (µs).
     #[must_use]
     pub fn histogram(&self) -> &Arc<Log2Histogram> {
@@ -38,7 +33,7 @@ impl Stage {
     pub fn enter(&self) -> Span<'_> {
         Span {
             stage: self,
-            started: Instant::now(),
+            started: Some(Instant::now()),
             _trace: None,
         }
     }
@@ -50,31 +45,40 @@ impl Stage {
     pub fn enter_traced(&self, tracer: &Arc<Tracer>, ctx: &TraceContext) -> Span<'_> {
         Span {
             stage: self,
-            started: Instant::now(),
+            started: Some(Instant::now()),
             _trace: Some(tracer.start_span(ctx, self.name)),
         }
     }
-
-    /// Times a closure as one span of this stage.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _span = self.enter();
-        f()
-    }
 }
 
-/// An in-flight span; completes (and records) when dropped.
+/// An in-flight span; completes (and records) when closed or dropped.
 pub struct Span<'a> {
     stage: &'a Stage,
-    started: Instant,
+    /// `None` once recorded.
+    started: Option<Instant>,
     /// Records into the trace buffer when the span drops.
     _trace: Option<TraceSpan>,
 }
 
+impl Span<'_> {
+    /// Completes the span now and returns the duration it recorded.
+    pub fn close(mut self) -> Duration {
+        self.record()
+    }
+
+    fn record(&mut self) -> Duration {
+        let Some(started) = self.started.take() else {
+            return Duration::ZERO;
+        };
+        let elapsed = started.elapsed();
+        self.stage.hist.record(elapsed.as_micros() as u64);
+        elapsed
+    }
+}
+
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        self.stage
-            .hist
-            .record(self.started.elapsed().as_micros() as u64);
+        self.record();
     }
 }
 
@@ -86,11 +90,13 @@ mod tests {
     fn spans_record_into_the_stage_histogram() {
         let r = Registry::new();
         let stage = r.stage("test_stage_us", "work");
-        stage.time(|| std::thread::sleep(std::time::Duration::from_millis(2)));
+        let span = stage.enter();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let recorded = span.close();
+        assert!(recorded >= std::time::Duration::from_millis(2));
         {
             let _guard = stage.enter();
         }
-        assert_eq!(stage.name(), "work");
         assert_eq!(stage.histogram().count(), 2);
         assert!(stage.histogram().max() >= 2_000);
         // The registry hands out the same series for the same stage.

@@ -40,7 +40,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ncl_obs::{Counter, Gauge, Level, Registry as ObsRegistry, Stage};
 use ncl_serve::registry::ModelRegistry;
@@ -878,9 +878,8 @@ impl OnlineLearner {
         if let IngestOutcome::Increment(report) = &mut outcome {
             if self.config.checkpoint_path.is_some() {
                 let ckpt_span = obs.checkpoint.enter();
-                let started = Instant::now();
                 match self.write_checkpoint() {
-                    Ok(_) => report.checkpoint_wall = started.elapsed(),
+                    Ok(_) => report.checkpoint_wall = ckpt_span.close(),
                     Err(e) => {
                         obs.checkpoint_errors.inc();
                         obs.registry.event(
@@ -894,7 +893,6 @@ impl OnlineLearner {
                         report.checkpoint_error = Some(e.to_string());
                     }
                 }
-                drop(ckpt_span);
             }
         }
         obs.version.set(self.version as i64);
@@ -969,7 +967,6 @@ impl OnlineLearner {
         // stay untouched for the retry.
         let mut candidate = self.network.clone();
         let train_span = obs.train.enter_traced(tracer, &stage_ctx);
-        let train_started = Instant::now();
         let outcome = self.trainer.run_increment(
             &mut candidate,
             &train_set,
@@ -978,19 +975,16 @@ impl OnlineLearner {
             &options,
             &mut rng,
         )?;
-        let train_wall = train_started.elapsed();
-        drop(train_span);
+        let train_wall = train_span.close();
         drop(train_set);
 
         // Publish first (the last fallible step), then commit.
         let next_version = self.version + 1;
         let swap_span = obs.swap.enter_traced(tracer, &stage_ctx);
-        let swap_started = Instant::now();
         let registry_version = self
             .registry
             .swap_network(candidate.clone(), &format!("increment-{next_version}"))?;
-        let swap_latency = swap_started.elapsed();
-        drop(swap_span);
+        let swap_latency = swap_span.close();
         obs.increments.inc();
 
         // --- commit (infallible from here) -------------------------------

@@ -1,8 +1,8 @@
 //! One replica, as the router sees it.
 //!
-//! A [`Backend`] owns a small pool of NDJSON connections to its replica
-//! plus the router-side view of its state: health, role, served model
-//! version and per-replica request counters. All request traffic —
+//! A [`Backend`] owns a small pool of [`NclClient`] connections to its
+//! replica plus the router-side view of its state: health, role, served
+//! model version and per-replica request counters. All request traffic —
 //! client predicts, health probes, delta relays — goes through
 //! [`Backend::request`], which checks a pooled connection out, runs one
 //! line-for-line round trip, and returns the connection only if the
@@ -10,13 +10,14 @@
 //! reused: the protocol has no way to resynchronize a half-read line).
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ncl_obs::{Counter, Gauge, Registry};
-use ncl_serve::protocol::{self, LineReader};
+use ncl_serve::client::{ClientConfig, NclClient};
+use ncl_serve::protocol;
 use serde_json::Value;
 
 use crate::faults::{FaultAction, FaultPlan};
@@ -119,65 +120,6 @@ impl Breaker {
     }
 }
 
-/// One NDJSON connection to a replica.
-struct BackendConn {
-    stream: TcpStream,
-    /// Response framing (keeps bytes read past the last returned line).
-    lines: LineReader,
-}
-
-impl BackendConn {
-    fn connect(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(BackendConn {
-            stream,
-            lines: LineReader::new(),
-        })
-    }
-
-    /// One request line out, one response line back.
-    fn round_trip(&mut self, line: &str) -> std::io::Result<String> {
-        protocol::write_line(&mut self.stream, line)?;
-        loop {
-            if let Some(reply) = self.lines.next_line() {
-                return Ok(String::from_utf8_lossy(reply).trim().to_owned());
-            }
-            match self.lines.fill(&mut self.stream) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "replica closed mid-response",
-                    ))
-                }
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-/// Maps a socket timeout (surfaced by the OS as `WouldBlock` or
-/// `TimedOut` depending on platform) onto a uniform `TimedOut` error
-/// naming the replica, so "replica hung" never reads as "replica
-/// refused" in failover diagnostics.
-fn mark_timeout(e: std::io::Error, addr: SocketAddr) -> std::io::Error {
-    if matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    ) {
-        std::io::Error::new(
-            std::io::ErrorKind::TimedOut,
-            format!("timed out talking to replica {addr}"),
-        )
-    } else {
-        e
-    }
-}
-
 /// Router-side state of one replica.
 pub struct Backend {
     /// Stable replica id (position in the router's backend list).
@@ -193,7 +135,7 @@ pub struct Backend {
     model_version: AtomicU64,
     epoch: AtomicU64,
     role: Mutex<String>,
-    pool: Mutex<Vec<BackendConn>>,
+    pool: Mutex<Vec<NclClient>>,
     breaker: Mutex<Breaker>,
     state_gauge: Arc<Gauge>,
     faults: Mutex<Option<Arc<FaultPlan>>>,
@@ -405,9 +347,7 @@ impl Backend {
     /// answer, not a transport failure, and is relayed as such.
     pub fn request(&self, line: &str) -> std::io::Result<String> {
         self.inflight.fetch_add(1, Ordering::AcqRel);
-        let result = self
-            .faulted_request(line)
-            .map_err(|e| mark_timeout(e, self.addr));
+        let result = self.faulted_request(line);
         self.inflight.fetch_sub(1, Ordering::AcqRel);
         match &result {
             Ok(_) => {
@@ -466,18 +406,10 @@ impl Backend {
     /// line, then a hard close — the replica sees a truncated line and
     /// an EOF, the caller sees an aborted connection.
     fn close_mid_write(&self, line: &str) -> std::io::Result<String> {
-        let pooled = self
-            .pool
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop();
-        let mut conn = match pooled {
-            Some(conn) => conn,
-            None => BackendConn::connect(self.addr, self.timeout)?,
-        };
+        let conn = self.checkout()?;
         let half = &line.as_bytes()[..line.len() / 2];
-        let _ = conn.stream.write_all(half);
-        let _ = conn.stream.flush();
+        let _ = conn.stream().write_all(half);
+        let _ = conn.stream().flush();
         drop(conn);
         Err(std::io::Error::new(
             std::io::ErrorKind::ConnectionAborted,
@@ -488,17 +420,22 @@ impl Backend {
         ))
     }
 
-    fn request_inner(&self, line: &str) -> std::io::Result<String> {
+    /// A pooled connection, or a fresh one when the pool is empty.
+    fn checkout(&self) -> std::io::Result<NclClient> {
         let pooled = self
             .pool
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .pop();
-        let mut conn = match pooled {
-            Some(conn) => conn,
-            None => BackendConn::connect(self.addr, self.timeout)?,
-        };
-        match conn.round_trip(line) {
+        match pooled {
+            Some(conn) => Ok(conn),
+            None => NclClient::connect_with(self.addr, ClientConfig::with_timeout(self.timeout)),
+        }
+    }
+
+    fn request_inner(&self, line: &str) -> std::io::Result<String> {
+        let mut conn = self.checkout()?;
+        match conn.round_trip_line(line) {
             Ok(response) => {
                 let mut pool = self
                     .pool
@@ -681,6 +618,34 @@ mod tests {
         assert_ne!(err.kind(), std::io::ErrorKind::TimedOut);
         assert_eq!(refused.timeout_count(), 0);
         assert_eq!(refused.failed_count(), 1);
+    }
+
+    #[test]
+    fn oversized_reply_fails_fast_as_invalid_data() {
+        // The replica answers with a newline-free line past the 64 MiB
+        // cap and keeps the connection open: the request must fail at
+        // the cap, not buffer everything until the timeout.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            use std::io::Read;
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = [0u8; 256];
+            let _ = stream.read(&mut request);
+            let chunk = vec![b'x'; 1 << 20];
+            for _ in 0..64 {
+                stream.write_all(&chunk).unwrap();
+            }
+            stream.write_all(b"x").unwrap();
+            // Hold the connection until the backend hangs up.
+            let _ = stream.read(&mut request);
+        });
+        let backend = Backend::with_timeout(0, addr, Duration::from_secs(60));
+        let err = backend.request(r#"{"op":"ping"}"#).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(backend.failed_count(), 1);
+        assert_eq!(backend.timeout_count(), 0);
+        peer.join().unwrap();
     }
 
     #[test]

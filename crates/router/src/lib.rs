@@ -14,8 +14,9 @@
 //!                               delta relay
 //! ```
 //!
-//! * [`backend::Backend`] — one replica as the router sees it: a pooled
-//!   NDJSON connection, health state, per-replica counters.
+//! * [`backend::Backend`] — one replica as the router sees it: a pool
+//!   of [`ncl_serve::NclClient`] connections (the client every other
+//!   caller uses), health state, per-replica counters.
 //! * [`router::Router`] — the front server: least-loaded (or
 //!   consistent-hash) predict dispatch with failover, aggregate stats.
 //! * [`sync`] — the replication loop: after each learner increment the

@@ -11,14 +11,14 @@
 //! (models change by replication, not by client pushes); `published`
 //! is the learner's nudge that wakes the sync loop (see [`crate::sync`]).
 
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use ncl_obs::{exposition, Counter, Gauge, NodeFragment, Registry as ObsRegistry, TraceContext};
 use ncl_serve::error::ServeError;
-use ncl_serve::protocol::{self, object};
+use ncl_serve::protocol::{self, error_response, object, Listener, StopSignal};
 use serde_json::Value;
 
 use crate::backend::Backend;
@@ -75,7 +75,7 @@ impl Default for RouterConfig {
 pub(crate) struct RouterShared {
     pub(crate) membership: Membership,
     pub(crate) policy: DispatchPolicy,
-    pub(crate) stopping: AtomicBool,
+    pub(crate) stop: Arc<StopSignal>,
     pub(crate) addr: SocketAddr,
     pub(crate) requests_ok: Arc<Counter>,
     pub(crate) requests_failed: Arc<Counter>,
@@ -131,8 +131,8 @@ impl Router {
         config: RouterConfig,
         faults: Option<Arc<FaultPlan>>,
     ) -> std::io::Result<Router> {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, config.port))?;
-        let addr = listener.local_addr()?;
+        let listener = Listener::bind(config.port)?;
+        let addr = listener.local_addr();
         let obs = Arc::new(ObsRegistry::new());
         // Same seeding rule as the replicas: port-derived, so the
         // router's span ids never collide with a replica's when
@@ -152,7 +152,7 @@ impl Router {
         let shared = Arc::new(RouterShared {
             membership,
             policy: config.policy,
-            stopping: AtomicBool::new(false),
+            stop: listener.stop_signal(),
             addr,
             requests_ok: obs.counter(
                 "router_requests_ok_total",
@@ -194,10 +194,9 @@ impl Router {
         // Probe the fleet once before accepting, so the first client
         // request already sees health/role/version state.
         sync_once(&shared, true);
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
-            .name("ncl-router-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared))?;
+        let conn_shared = Arc::clone(&shared);
+        let accept_thread =
+            listener.serve("ncl-router", move |line| handle_line(line, &conn_shared))?;
         let sync_shared = Arc::clone(&shared);
         let interval = config.sync_interval;
         let sync_thread = std::thread::Builder::new()
@@ -215,7 +214,7 @@ impl Router {
                     .unwrap_or_else(PoisonError::into_inner);
                 let nudged = std::mem::take(&mut *pending);
                 drop(pending);
-                if sync_shared.stopping.load(Ordering::Acquire) {
+                if sync_shared.stop.is_raised() {
                     break;
                 }
                 sync_once(&sync_shared, !nudged);
@@ -296,11 +295,8 @@ impl Router {
 }
 
 fn request_stop(shared: &RouterShared) {
-    if shared.stopping.swap(true, Ordering::AcqRel) {
-        return;
-    }
+    shared.stop.raise();
     wake_sync(shared);
-    let _ = TcpStream::connect(shared.addr);
 }
 
 /// Ends the sync loop's current wait: it runs a pass (or, when
@@ -310,35 +306,6 @@ fn wake_sync(shared: &RouterShared) {
     shared.wake_signal.notify_one();
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if shared.stopping.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_shared = Arc::clone(shared);
-        if let Ok(handle) = std::thread::Builder::new()
-            .name("ncl-router-conn".into())
-            .spawn(move || {
-                let _ = protocol::serve_connection(stream, &conn_shared.stopping, |line| {
-                    handle_line(line, &conn_shared)
-                });
-            })
-        {
-            connections.push(handle);
-        }
-        connections.retain(|h| !h.is_finished());
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-fn error_line(id: Option<u64>, error: &ServeError) -> String {
-    ncl_serve::protocol::error_response(id, error)
-}
-
 fn handle_line(line: &str, shared: &RouterShared) -> (String, bool) {
     let parsed: Result<Value, _> = serde_json::from_str(line);
     let Ok(request) = parsed else {
@@ -346,7 +313,7 @@ fn handle_line(line: &str, shared: &RouterShared) -> (String, bool) {
         let e = ServeError::InvalidRequest {
             detail: "bad JSON".into(),
         };
-        return (error_line(None, &e), false);
+        return (error_response(None, &e), false);
     };
     let op = request.get("op").and_then(Value::as_str).unwrap_or("");
     let response = match op {
@@ -377,7 +344,7 @@ fn handle_line(line: &str, shared: &RouterShared) -> (String, bool) {
             ])
             .to_json()
         }
-        "swap" => error_line(
+        "swap" => error_response(
             None,
             &ServeError::InvalidRequest {
                 detail: "the router does not swap models; the fleet replicates the learner's \
@@ -385,15 +352,14 @@ fn handle_line(line: &str, shared: &RouterShared) -> (String, bool) {
                     .into(),
             },
         ),
-        other => error_line(
+        other => error_response(
             None,
             &ServeError::InvalidRequest {
                 detail: format!("unknown router op {other:?}"),
             },
         ),
     };
-    let stop = shared.stopping.load(Ordering::Acquire);
-    (response, stop)
+    (response, shared.stop.is_raised())
 }
 
 /// FNV-1a over the request id + replica id: the rendezvous-hash weight.
@@ -461,7 +427,7 @@ fn relay_predict(line: &str, request: &Value, shared: &RouterShared) -> String {
         Ok(trace) => trace,
         Err(e) => {
             shared.requests_failed.inc();
-            return error_line(id, &e);
+            return error_response(id, &e);
         }
     };
     let route = trace
@@ -470,7 +436,7 @@ fn relay_predict(line: &str, request: &Value, shared: &RouterShared) -> String {
     let order = dispatch_order(shared, request);
     if order.is_empty() {
         shared.requests_failed.inc();
-        return error_line(
+        return error_response(
             id,
             &ServeError::Replication {
                 detail: "no healthy replica".into(),
@@ -510,7 +476,7 @@ fn relay_predict(line: &str, request: &Value, shared: &RouterShared) -> String {
         }
     }
     shared.requests_failed.inc();
-    error_line(
+    error_response(
         id,
         &ServeError::Replication {
             detail: format!("all {} dispatch candidates failed", order.len()),
@@ -523,7 +489,7 @@ fn relay_predict(line: &str, request: &Value, shared: &RouterShared) -> String {
 fn join_response(request: &Value, shared: &RouterShared) -> String {
     let Some(addr) = request.get("addr").and_then(Value::as_str) else {
         shared.requests_failed.inc();
-        return error_line(
+        return error_response(
             None,
             &ServeError::InvalidRequest {
                 detail: "join needs an \"addr\" string".into(),
@@ -532,7 +498,7 @@ fn join_response(request: &Value, shared: &RouterShared) -> String {
     };
     let Ok(addr) = addr.parse::<SocketAddr>() else {
         shared.requests_failed.inc();
-        return error_line(
+        return error_response(
             None,
             &ServeError::InvalidRequest {
                 detail: format!("join addr {addr:?} is not a socket address"),
@@ -559,7 +525,7 @@ fn join_response(request: &Value, shared: &RouterShared) -> String {
 fn leave_response(request: &Value, shared: &RouterShared) -> String {
     let Some(id) = request.get("id").and_then(Value::as_u64) else {
         shared.requests_failed.inc();
-        return error_line(
+        return error_response(
             None,
             &ServeError::InvalidRequest {
                 detail: "leave needs a numeric \"id\"".into(),
@@ -579,7 +545,7 @@ fn leave_response(request: &Value, shared: &RouterShared) -> String {
         }
         None => {
             shared.requests_failed.inc();
-            error_line(
+            error_response(
                 None,
                 &ServeError::InvalidRequest {
                     detail: format!("no backend with id {id}"),
@@ -600,7 +566,7 @@ fn published_response(request: &Value, shared: &RouterShared) -> String {
         Ok(fields) => fields,
         Err(e) => {
             shared.requests_failed.inc();
-            return error_line(None, &e);
+            return error_response(None, &e);
         }
     };
     if let Some(plan) = &shared.faults {
@@ -615,7 +581,7 @@ fn published_response(request: &Value, shared: &RouterShared) -> String {
             None => {}
             Some(FaultAction::Delay(wait)) => std::thread::sleep(wait),
             Some(_) => {
-                return error_line(
+                return error_response(
                     None,
                     &ServeError::Replication {
                         detail: "fault injection: dropped the publish nudge".into(),
@@ -627,7 +593,7 @@ fn published_response(request: &Value, shared: &RouterShared) -> String {
     let fleet_epoch = shared.epoch.load(Ordering::Acquire);
     if let Some(stamped) = epoch.filter(|&e| e < fleet_epoch) {
         shared.sync.nudges_fenced.inc();
-        return error_line(
+        return error_response(
             None,
             &ServeError::Replication {
                 detail: format!(
@@ -670,7 +636,7 @@ fn relay_to_learner(op: &str, line: &str, shared: &RouterShared) -> String {
         .min_by_key(|b| b.id);
     let Some(learner) = learner else {
         shared.requests_failed.inc();
-        return error_line(
+        return error_response(
             None,
             &ServeError::Replication {
                 detail: format!("no healthy learner to answer {op}"),
@@ -684,7 +650,7 @@ fn relay_to_learner(op: &str, line: &str, shared: &RouterShared) -> String {
         }
         Err(e) => {
             shared.requests_failed.inc();
-            error_line(
+            error_response(
                 None,
                 &ServeError::Replication {
                     detail: format!("the learner did not answer {op}: {e}"),

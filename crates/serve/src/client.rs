@@ -2,14 +2,13 @@
 //! implementation `ncl-loadgen`, the integration tests and the examples
 //! all share.
 
-use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use ncl_spike::SpikeRaster;
 use serde_json::Value;
 
-use crate::protocol;
+use crate::protocol::{self, LineReader};
 
 /// Socket timeout policy for one client connection.
 ///
@@ -58,11 +57,14 @@ fn mark_timeout(e: std::io::Error, peer: &str, doing: &str) -> std::io::Error {
     }
 }
 
-/// One blocking NDJSON connection to an `ncl-serve` instance.
+/// One blocking NDJSON connection to an `ncl-serve` instance (or a
+/// router). The router's pooled backend connections are `NclClient`s
+/// too.
 #[derive(Debug)]
 pub struct NclClient {
     stream: TcpStream,
-    reader: BufReader<TcpStream>,
+    /// Reply framing (keeps bytes read past the last returned line).
+    lines: LineReader,
     peer: String,
 }
 
@@ -118,31 +120,61 @@ impl NclClient {
         let peer = stream
             .peer_addr()
             .map_or_else(|_| "peer".to_owned(), |a| a.to_string());
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(NclClient {
             stream,
-            reader,
+            lines: LineReader::default(),
             peer,
         })
     }
 
-    /// Sends one request line and reads one response line.
+    /// The connection's socket, for writes that bypass the line framing
+    /// (the router's fault injection tears a request mid-line with it).
+    #[must_use]
+    pub fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// Sends one request line and returns the trimmed response line,
+    /// unparsed.
     ///
-    /// After a `TimedOut` error the connection may hold a partial
-    /// request or response and must be discarded, not reused.
+    /// After any error the connection may hold a partial request or
+    /// response and must be discarded, not reused.
     ///
     /// # Errors
     ///
     /// Returns socket failures (`ErrorKind::TimedOut` when a configured
-    /// timeout elapsed), or `InvalidData` for an unparseable response.
-    pub fn round_trip(&mut self, line: &str) -> std::io::Result<Value> {
+    /// timeout elapsed), `UnexpectedEof` when the peer closes before the
+    /// reply ends, and `InvalidData` for a reply line over 64 MiB.
+    pub fn round_trip_line(&mut self, line: &str) -> std::io::Result<String> {
         protocol::write_line(&mut self.stream, line)
             .map_err(|e| mark_timeout(e, &self.peer, "writing to"))?;
-        let mut response = String::new();
-        self.reader
-            .read_line(&mut response)
-            .map_err(|e| mark_timeout(e, &self.peer, "awaiting a reply from"))?;
-        serde_json::from_str(response.trim()).map_err(|e| {
+        loop {
+            if let Some(reply) = self.lines.next_line() {
+                return Ok(String::from_utf8_lossy(reply).trim().to_owned());
+            }
+            match self.lines.fill(&mut self.stream) {
+                Ok(0) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        format!("{} closed mid-response", self.peer),
+                    ))
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(mark_timeout(e, &self.peer, "awaiting a reply from")),
+            }
+        }
+    }
+
+    /// Sends one request line and parses the response line.
+    ///
+    /// # Errors
+    ///
+    /// As [`NclClient::round_trip_line`], plus `InvalidData` for an
+    /// unparseable response.
+    pub fn round_trip(&mut self, line: &str) -> std::io::Result<Value> {
+        let response = self.round_trip_line(line)?;
+        serde_json::from_str(&response).map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("unparseable response: {e}"),
@@ -404,6 +436,34 @@ mod tests {
             "timeout error names the failure mode: {err}"
         );
         drop(hold.join());
+    }
+
+    #[test]
+    fn oversized_reply_is_invalid_data_not_a_timeout() {
+        // The peer answers with a newline-free line past the 64 MiB cap
+        // and keeps the connection open.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            use std::io::{Read, Write};
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = [0u8; 256];
+            let _ = stream.read(&mut request);
+            let chunk = vec![b'x'; 1 << 20];
+            for _ in 0..64 {
+                stream.write_all(&chunk).unwrap();
+            }
+            stream.write_all(b"x").unwrap();
+            // Hold the connection until the client hangs up.
+            let _ = stream.read(&mut request);
+        });
+        let mut client =
+            NclClient::connect_with(addr, ClientConfig::with_timeout(Duration::from_secs(60)))
+                .unwrap();
+        let err = client.round_trip(r#"{"op":"ping"}"#).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        drop(client);
+        peer.join().unwrap();
     }
 
     #[test]

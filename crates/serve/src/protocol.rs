@@ -55,8 +55,10 @@
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ncl_obs::trace::{self, TraceContext, TraceFragment, TraceSpanRecord};
@@ -691,9 +693,9 @@ pub fn error_response(id: Option<u64>, error: &ServeError) -> String {
     object(pairs).to_json()
 }
 
-/// Upper bound on a buffered request line — a client that streams
-/// newline-free bytes must not grow server memory without limit. Large
-/// enough for a maximal predict request (4096 steps of indices).
+/// Upper bound on a buffered line, request or reply — a peer that streams
+/// newline-free bytes must not grow memory without limit. Large enough
+/// for a maximal predict request (4096 steps of indices).
 const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 
 /// Bytes requested per socket read: a paper-shape predict line (~9 KB)
@@ -701,7 +703,7 @@ const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 const READ_CHUNK: usize = 16 * 1024;
 
 /// NDJSON framing over a byte stream: buffers what the socket returns
-/// and hands out complete lines.
+/// and hands out complete lines, for the server and the client alike.
 ///
 /// Framing is done on raw bytes (split at `\n`, then validate UTF-8 per
 /// line) rather than `read_line`: a read timeout mid-line keeps every
@@ -709,7 +711,7 @@ const READ_CHUNK: usize = 16 * 1024;
 /// multi-byte UTF-8 character at the split point and corrupt the stream.
 /// Each byte is scanned for `\n` once, however many reads a line spans.
 #[derive(Debug, Default)]
-pub struct LineReader {
+pub(crate) struct LineReader {
     buf: Vec<u8>,
     /// Start of the first line not yet returned.
     start: usize,
@@ -718,23 +720,24 @@ pub struct LineReader {
 }
 
 impl LineReader {
-    /// An empty reader.
-    #[must_use]
-    pub fn new() -> Self {
-        LineReader::default()
-    }
-
     /// Reads once from `source` into the buffer, first dropping the lines
     /// already returned. Returns the byte count (0 at EOF).
     ///
     /// # Errors
     ///
-    /// Returns the read error (timeouts included) with the buffer intact.
-    pub fn fill(&mut self, source: &mut impl Read) -> std::io::Result<usize> {
+    /// Returns the read error (timeouts included) with the buffer intact,
+    /// or `InvalidData`, without reading, once a line exceeds 64 MiB.
+    pub(crate) fn fill(&mut self, source: &mut impl Read) -> std::io::Result<usize> {
         if self.start > 0 {
             self.buf.drain(..self.start);
             self.scanned -= self.start;
             self.start = 0;
+        }
+        if self.scanned > MAX_LINE_BYTES {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "line exceeds the 64 MiB size limit",
+            ));
         }
         let len = self.buf.len();
         self.buf.resize(len + READ_CHUNK, 0);
@@ -744,7 +747,7 @@ impl LineReader {
     }
 
     /// The next complete buffered line, without its `\n`.
-    pub fn next_line(&mut self) -> Option<&[u8]> {
+    pub(crate) fn next_line(&mut self) -> Option<&[u8]> {
         match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
             Some(offset) => {
                 let (start, end) = (self.start, self.scanned + offset);
@@ -758,12 +761,6 @@ impl LineReader {
             }
         }
     }
-
-    /// Bytes buffered toward the next, still incomplete line.
-    #[must_use]
-    fn partial_len(&self) -> usize {
-        self.buf.len() - self.start
-    }
 }
 
 /// Sends `line` and its terminating `\n` in one write, so a
@@ -772,12 +769,112 @@ impl LineReader {
 /// # Errors
 ///
 /// Returns the socket's write error.
-pub fn write_line(sink: &mut impl Write, line: &str) -> std::io::Result<()> {
+pub(crate) fn write_line(sink: &mut impl Write, line: &str) -> std::io::Result<()> {
     let mut framed = Vec::with_capacity(line.len() + 1);
     framed.extend_from_slice(line.as_bytes());
     framed.push(b'\n');
     sink.write_all(&framed)?;
     sink.flush()
+}
+
+/// The accept loop `Server` and the router share: a socket on
+/// 127.0.0.1 that serves each connection on its own thread.
+#[derive(Debug)]
+pub struct Listener {
+    socket: TcpListener,
+    stop: Arc<StopSignal>,
+}
+
+impl Listener {
+    /// Binds 127.0.0.1:`port` (0 picks an ephemeral port).
+    ///
+    /// # Errors
+    ///
+    /// Returns the bind error.
+    pub fn bind(port: u16) -> std::io::Result<Listener> {
+        let socket = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
+        let addr = socket.local_addr()?;
+        let raised = AtomicBool::new(false);
+        let stop = Arc::new(StopSignal { raised, addr });
+        Ok(Listener { socket, stop })
+    }
+
+    /// The bound address.
+    #[must_use]
+    pub fn local_addr(&self) -> SocketAddr {
+        self.stop.addr
+    }
+
+    /// The signal that stops this listener.
+    #[must_use]
+    pub fn stop_signal(&self) -> Arc<StopSignal> {
+        Arc::clone(&self.stop)
+    }
+
+    /// Starts the accept loop on a `{name}-accept` thread. Each
+    /// connection's `{name}-conn` thread answers every non-blank request
+    /// line (trimmed) with `handle`'s response line, and closes after a
+    /// response flagged `true`. Once stopped, the loop joins every
+    /// connection thread and exits; join the returned handle to wait.
+    ///
+    /// # Errors
+    ///
+    /// Returns the thread-spawn error.
+    pub fn serve<H>(self, name: &str, handle: H) -> std::io::Result<JoinHandle<()>>
+    where
+        H: Fn(&str) -> (String, bool) + Send + Sync + 'static,
+    {
+        let handle = Arc::new(handle);
+        let conn_name = format!("{name}-conn");
+        std::thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || {
+                let mut connections: Vec<JoinHandle<()>> = Vec::new();
+                for stream in self.socket.incoming() {
+                    if self.stop.is_raised() {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    let (stop, handle) = (Arc::clone(&self.stop), Arc::clone(&handle));
+                    let conn = std::thread::Builder::new().name(conn_name.clone());
+                    if let Ok(conn) = conn.spawn(move || {
+                        let _ = serve_connection(stream, &stop.raised, |line| handle(line));
+                    }) {
+                        connections.push(conn);
+                    }
+                    // Reap finished connections so a long-lived listener
+                    // does not accumulate handles.
+                    connections.retain(|c| !c.is_finished());
+                }
+                for conn in connections {
+                    let _ = conn.join();
+                }
+            })
+    }
+}
+
+/// Stops a [`Listener`]: its accept loop exits, and each connection
+/// closes within its 100 ms read timeout even if the client is quiet.
+#[derive(Debug)]
+pub struct StopSignal {
+    raised: AtomicBool,
+    addr: SocketAddr,
+}
+
+impl StopSignal {
+    /// Raises the signal. The first call wakes the accept loop, blocked
+    /// in `accept`, with a throwaway connection to the listener.
+    pub fn raise(&self) {
+        if !self.raised.swap(true, Ordering::AcqRel) {
+            let _ = TcpStream::connect(self.addr);
+        }
+    }
+
+    /// Whether the signal has been raised.
+    #[must_use]
+    pub fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::Acquire)
+    }
 }
 
 /// Serves one NDJSON connection: each non-blank request line (trimmed)
@@ -790,7 +887,7 @@ pub fn write_line(sink: &mut impl Write, line: &str) -> std::io::Result<()> {
 ///
 /// Returns socket errors, and `InvalidData` for a request line over
 /// 64 MiB.
-pub fn serve_connection(
+fn serve_connection(
     stream: TcpStream,
     stopping: &AtomicBool,
     mut handle: impl FnMut(&str) -> (String, bool),
@@ -801,7 +898,7 @@ pub fn serve_connection(
     stream.set_nodelay(true)?;
     let mut read_half = stream.try_clone()?;
     let mut writer = stream;
-    let mut lines = LineReader::new();
+    let mut lines = LineReader::default();
     loop {
         match lines.fill(&mut read_half) {
             Ok(0) => return Ok(()), // client closed
@@ -817,12 +914,6 @@ pub fn serve_connection(
                     if stop {
                         return Ok(());
                     }
-                }
-                if lines.partial_len() > MAX_LINE_BYTES {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "request line exceeds the size limit",
-                    ));
                 }
             }
             Err(e)
@@ -1227,7 +1318,7 @@ mod tests {
             [b":\"".as_slice(), &euro[..1]].concat(),
             [&euro[1..], b"\"}\n\n[1]\n[2".as_slice()].concat(),
         ]);
-        let mut reader = LineReader::new();
+        let mut reader = LineReader::default();
         let mut lines = Vec::new();
         while reader.fill(&mut source).unwrap() > 0 {
             while let Some(line) = reader.next_line() {
@@ -1236,9 +1327,9 @@ mod tests {
         }
         assert_eq!(lines, ["{\"a\":1}", "{\"b\":\"€\"}", "", "[1]"]);
         assert_eq!(
-            reader.partial_len(),
-            2,
-            "the unterminated \"[2\" stays buffered"
+            &reader.buf[reader.start..],
+            b"[2",
+            "the unterminated line stays buffered"
         );
     }
 

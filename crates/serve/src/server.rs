@@ -1,16 +1,17 @@
-//! The TCP front end: accepts localhost connections, speaks the NDJSON
-//! protocol, and routes predicts through the micro-batcher.
+//! The TCP front end: speaks the NDJSON protocol on localhost and routes
+//! predicts through the micro-batcher.
 //!
-//! One thread per connection reads request lines; `predict` ops are
-//! submitted to the shared [`Batcher`] (so requests from *different*
-//! connections batch together), control ops (`stats`, `swap`, `ping`,
-//! `shutdown`) are answered inline. Hot swaps go through the
-//! [`ModelRegistry`]: a `swap` op loads the checkpoint, the pointer
-//! exchange is atomic, and every in-flight batch keeps the snapshot it
-//! started with — zero dropped requests across a swap.
+//! The socket side — accept loop, one thread per connection, line
+//! framing, the stop signal — is the [`protocol::Listener`] the router
+//! also runs on; this module answers request lines. `predict` ops go to
+//! the shared [`Batcher`] (so requests from *different* connections
+//! batch together); control ops (`stats`, `swap`, `ping`, `shutdown`)
+//! are answered inline. Hot swaps go through the [`ModelRegistry`]: a
+//! `swap` op loads the checkpoint, the pointer exchange is atomic, and
+//! every in-flight batch keeps the snapshot it started with — zero
+//! dropped requests across a swap.
 
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 use serde_json::Value;
@@ -18,7 +19,7 @@ use serde_json::Value;
 use crate::batcher::{BatchConfig, Batcher};
 use crate::error::ServeError;
 use crate::metrics::Metrics;
-use crate::protocol::{self, Request};
+use crate::protocol::{self, Listener, Request, StopSignal};
 use crate::registry::ModelRegistry;
 use crate::sync::{not_replicating, ReplicaSync};
 
@@ -38,7 +39,7 @@ struct Shared {
     metrics: Arc<Metrics>,
     obs: Arc<ncl_obs::Registry>,
     batcher: Arc<Batcher>,
-    stopping: AtomicBool,
+    stop: Arc<StopSignal>,
     addr: SocketAddr,
     /// Replication handler, if this server is part of a fleet.
     sync: Option<Arc<dyn ReplicaSync>>,
@@ -89,8 +90,8 @@ impl Server {
         sync: Option<Arc<dyn ReplicaSync>>,
         obs: Arc<ncl_obs::Registry>,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, config.port))?;
-        let addr = listener.local_addr()?;
+        let listener = Listener::bind(config.port)?;
+        let addr = listener.local_addr();
         // Seed trace-id minting from the bound port: deterministic for a
         // fixed fleet layout, yet distinct per member, so span ids never
         // collide when the router stitches fragments across nodes.
@@ -107,14 +108,13 @@ impl Server {
             metrics,
             obs,
             batcher,
-            stopping: AtomicBool::new(false),
+            stop: listener.stop_signal(),
             addr,
             sync,
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
-            .name("ncl-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared))?;
+        let conn_shared = Arc::clone(&shared);
+        let accept_thread =
+            listener.serve("ncl-serve", move |line| handle_line(line, &conn_shared))?;
         Ok(Server {
             shared,
             accept_thread: Some(accept_thread),
@@ -157,45 +157,8 @@ impl Server {
 
     /// Stops accepting, drains in-flight work, and joins every thread.
     pub fn shutdown(self) {
-        request_stop(&self.shared);
+        self.shared.stop.raise();
         self.wait();
-    }
-}
-
-/// Flags the server to stop and unblocks the accept loop.
-fn request_stop(shared: &Shared) {
-    if shared.stopping.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    // The accept loop is blocked in accept(); a throwaway local
-    // connection wakes it so it can observe the flag.
-    let _ = TcpStream::connect(shared.addr);
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if shared.stopping.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_shared = Arc::clone(shared);
-        if let Ok(handle) = std::thread::Builder::new()
-            .name("ncl-serve-conn".into())
-            .spawn(move || {
-                let _ = protocol::serve_connection(stream, &conn_shared.stopping, |line| {
-                    handle_line(line, &conn_shared)
-                });
-            })
-        {
-            connections.push(handle);
-        }
-        // Opportunistically reap finished connections so a long-lived
-        // server does not accumulate handles.
-        connections.retain(|h| !h.is_finished());
-    }
-    for handle in connections {
-        let _ = handle.join();
     }
 }
 
@@ -276,7 +239,7 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
         ])
         .to_json(),
         Request::Shutdown => {
-            request_stop(shared);
+            shared.stop.raise();
             protocol::object(vec![
                 ("ok", Value::from(true)),
                 ("op", Value::from("shutdown")),
@@ -334,8 +297,7 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
             },
         ),
     };
-    let stop = shared.stopping.load(Ordering::Acquire);
-    (response, stop)
+    (response, shared.stop.is_raised())
 }
 
 fn predict(
@@ -712,6 +674,35 @@ mod tests {
         let ckpt = client.round_trip(r#"{"op":"checkpoint"}"#).unwrap();
         assert_eq!(ckpt.get("payload").and_then(Value::as_str), Some("01"));
 
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_request_line_drops_the_connection() {
+        use std::io::{Read, Write};
+        let server = start_server();
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .unwrap();
+        // One byte past the 64 MiB cap, and no newline.
+        let chunk = vec![b'x'; 1 << 20];
+        let mut left = 64 * 1024 * 1024 + 1;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            if stream.write_all(&chunk[..n]).is_err() {
+                break;
+            }
+            left -= n;
+        }
+        let mut reply = [0u8; 64];
+        match stream.read(&mut reply) {
+            Ok(n) => assert_eq!(n, 0, "the server hangs up without a reply"),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+        }
+        // Other connections are unaffected.
+        let mut client = NclClient::connect(server.local_addr()).unwrap();
+        assert!(client.ping().is_ok());
         server.shutdown();
     }
 
