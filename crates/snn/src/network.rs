@@ -10,7 +10,7 @@
 //! are the learning layers.
 
 use ncl_spike::SpikeRaster;
-use ncl_tensor::{ops, Rng};
+use ncl_tensor::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::ThresholdSchedule;
@@ -47,6 +47,15 @@ pub struct ForwardActivity {
 }
 
 impl ForwardActivity {
+    fn empty() -> Self {
+        ForwardActivity {
+            stages: Vec::new(),
+            readout_in_spikes: 0,
+            steps: 0,
+            outputs: 0,
+        }
+    }
+
     /// Accumulates another pass over the *same stage structure* into this
     /// one: spike counters and step counts add, so derived totals
     /// (`neuron_updates`, synaptic-op counts) stay exact for the combined
@@ -129,12 +138,7 @@ impl History {
             layer_membranes: Vec::new(),
             thresholds: Vec::new(),
             logits: Vec::new(),
-            activity: ForwardActivity {
-                stages: Vec::new(),
-                readout_in_spikes: 0,
-                steps: 0,
-                outputs: 0,
-            },
+            activity: ForwardActivity::empty(),
         }
     }
 }
@@ -193,6 +197,96 @@ impl ForwardScratch {
         self.logit_acc.resize(outputs, 0.0);
         self.spikes.clear();
         self.active.clear();
+    }
+
+    /// Logits of the last pass of `steps` timesteps that reached the
+    /// readout: the mean readout membrane.
+    fn logits(&self, steps: usize) -> impl Iterator<Item = f32> + '_ {
+        let inv_t = 1.0 / steps as f32;
+        self.logit_acc.iter().map(move |a| a * inv_t)
+    }
+}
+
+/// What a caller of [`Network::pass`] does besides the LIF arithmetic,
+/// once per timestep, layer step and readout step. Generic, so each
+/// caller's pass is monomorphised and a no-op hook compiles away.
+trait StepHook {
+    /// Whether the pass runs on through the readout (it then executes up
+    /// to the last stage) or stops at its last hidden stage.
+    const READOUT: bool = true;
+
+    /// The threshold applied at the step about to run.
+    fn threshold(&mut self, _threshold: f32) {}
+
+    /// Where executed layer `li` (of `n` neurons) writes its pre-reset
+    /// membranes at step `t`, if anywhere.
+    fn v_pre(&mut self, _li: usize, _t: usize, _n: usize) -> Option<&mut [f32]> {
+        None
+    }
+
+    /// Executed layer `li` took `active_in` spikes at step `t` and emitted
+    /// `spikes`.
+    fn layer(&mut self, _li: usize, _t: usize, _active_in: &[usize], _spikes: &[usize]) {}
+
+    /// The readout took `active_in` spikes.
+    fn readout(&mut self, _active_in: &[usize]) {}
+}
+
+/// Plain inference: no side effects.
+impl StepHook for () {}
+
+/// Cost-model counters.
+impl StepHook for ForwardActivity {
+    fn layer(&mut self, li: usize, _t: usize, active_in: &[usize], spikes: &[usize]) {
+        let stage = &mut self.stages[li];
+        stage.in_spikes += active_in.len() as u64;
+        stage.out_spikes += spikes.len() as u64;
+    }
+
+    fn readout(&mut self, active_in: &[usize]) {
+        self.readout_in_spikes += active_in.len() as u64;
+    }
+}
+
+/// BPTT recording: thresholds, pre-reset membranes, rasters and activity.
+impl StepHook for History {
+    fn threshold(&mut self, threshold: f32) {
+        self.thresholds.push(threshold);
+    }
+
+    fn v_pre(&mut self, li: usize, t: usize, n: usize) -> Option<&mut [f32]> {
+        Some(&mut self.layer_membranes[li][t * n..(t + 1) * n])
+    }
+
+    fn layer(&mut self, li: usize, t: usize, active_in: &[usize], spikes: &[usize]) {
+        self.activity.layer(li, t, active_in, spikes);
+        for &j in spikes {
+            self.layer_spikes[li].set(j, t, true);
+        }
+    }
+
+    fn readout(&mut self, active_in: &[usize]) {
+        self.activity.readout(active_in);
+    }
+}
+
+/// Latent-replay capture: the raster of the last executed stage, plus the
+/// activity of the executed (frozen) stages.
+struct Capture {
+    raster: SpikeRaster,
+    activity: ForwardActivity,
+}
+
+impl StepHook for Capture {
+    const READOUT: bool = false;
+
+    fn layer(&mut self, li: usize, t: usize, active_in: &[usize], spikes: &[usize]) {
+        self.activity.layer(li, t, active_in, spikes);
+        if li + 1 == self.activity.stages.len() {
+            for &j in spikes {
+                self.raster.set(j, t, true);
+            }
+        }
     }
 }
 
@@ -336,7 +430,7 @@ impl Network {
         input: &SpikeRaster,
         schedule: Option<&ThresholdSchedule>,
     ) -> Result<Vec<f32>, SnnError> {
-        Ok(self.run(from_stage, input, schedule)?.logits)
+        Ok(self.forward_from_traced(from_stage, input, schedule)?.0)
     }
 
     /// Like [`Network::forward_from`], returning the spike-activity trace
@@ -351,8 +445,26 @@ impl Network {
         input: &SpikeRaster,
         schedule: Option<&ThresholdSchedule>,
     ) -> Result<(Vec<f32>, ForwardActivity), SnnError> {
-        let run = self.run(from_stage, input, schedule)?;
-        Ok((run.logits, run.activity))
+        self.check_stage_input(from_stage, input)?;
+        let to_stage = self.layers.len();
+        let mut activity = ForwardActivity::empty();
+        self.reset_activity(
+            &mut activity,
+            from_stage,
+            to_stage,
+            input.steps(),
+            self.readout.outputs(),
+        );
+        let mut scratch = ForwardScratch::new();
+        self.pass(
+            from_stage,
+            to_stage,
+            input,
+            schedule,
+            &mut scratch,
+            &mut activity,
+        );
+        Ok((scratch.logits(input.steps()).collect(), activity))
     }
 
     /// Runs stages `1..=stage` at constant thresholds and returns the spike
@@ -385,68 +497,43 @@ impl Network {
         input: &SpikeRaster,
         schedule: Option<&ThresholdSchedule>,
     ) -> Result<SpikeRaster, SnnError> {
-        if stage == 0 {
-            self.check_stage_input(0, input)?;
-            return Ok(input.clone());
-        }
-        let mut rasters = self.run_frozen(stage, input, schedule)?;
-        Ok(rasters
-            .pop()
-            .expect("stage >= 1 executed at least one layer"))
+        Ok(self.activations_at_traced(stage, input, schedule)?.0)
     }
 
-    /// Runs stages `1..=stage`, returning every intermediate stage raster.
-    fn run_frozen(
+    /// Runs stages `1..=stage` like [`Network::activations_at`], returning
+    /// the captured raster together with the spike-activity trace of the
+    /// executed (frozen) stages — the cost of latent-replay generation.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Network::activations_at`].
+    pub fn activations_at_traced(
         &self,
         stage: usize,
         input: &SpikeRaster,
         schedule: Option<&ThresholdSchedule>,
-    ) -> Result<Vec<SpikeRaster>, SnnError> {
+    ) -> Result<(SpikeRaster, ForwardActivity), SnnError> {
         self.check_stage_input(0, input)?;
-        self.config.stage_width(stage)?;
-        debug_assert!(stage >= 1);
+        let width = self.config.stage_width(stage)?;
         let steps = input.steps();
-        let mut rasters: Vec<SpikeRaster> = (0..stage)
-            .map(|l| SpikeRaster::new(self.layers[l].neurons(), steps))
-            .collect();
-
-        let mut v: Vec<Vec<f32>> = (0..stage)
-            .map(|l| vec![0.0; self.layers[l].neurons()])
-            .collect();
-        let mut prev_active: Vec<Vec<usize>> = (0..stage).map(|_| Vec::new()).collect();
-        let mut spikes_scratch: Vec<usize> = Vec::new();
-        let mut current = vec![
-            0.0f32;
-            self.layers[..stage]
-                .iter()
-                .map(|l| l.neurons())
-                .max()
-                .unwrap_or(0)
-        ];
-
-        for t in 0..steps {
-            let threshold = schedule.map_or(self.config.lif.v_threshold, |s| s.value_at(t));
-            let mut active: Vec<usize> = input.active_at(t).collect();
-            for l in 0..stage {
-                let layer = &self.layers[l];
-                let n = layer.neurons();
-                layer.input_current(&active, &prev_active[l], &mut current[..n]);
-                layer.membrane_step(
-                    &current[..n],
-                    threshold,
-                    &mut v[l],
-                    None,
-                    &mut spikes_scratch,
-                );
-                for &j in &spikes_scratch {
-                    rasters[l].set(j, t, true);
-                }
-                prev_active[l].clear();
-                prev_active[l].extend_from_slice(&spikes_scratch);
-                active = spikes_scratch.clone();
-            }
-        }
-        Ok(rasters)
+        let mut capture = Capture {
+            raster: if stage == 0 {
+                input.clone()
+            } else {
+                SpikeRaster::new(width, steps)
+            },
+            activity: ForwardActivity::empty(),
+        };
+        self.reset_activity(&mut capture.activity, 0, stage, steps, 0);
+        self.pass(
+            0,
+            stage,
+            input,
+            schedule,
+            &mut ForwardScratch::new(),
+            &mut capture,
+        );
+        Ok((capture.raster, capture.activity))
     }
 
     /// Forward pass with full recording for BPTT.
@@ -487,9 +574,6 @@ impl Network {
         self.check_stage_input(from_stage, input)?;
         let steps = input.steps();
         let exec = &self.layers[from_stage..];
-        let outputs = self.readout.outputs();
-
-        // ---- Shape the history in place --------------------------------
         history.from_stage = from_stage;
         history.steps = steps;
         history.input.copy_from(input);
@@ -497,153 +581,47 @@ impl Network {
             .layer_spikes
             .resize_with(exec.len(), || SpikeRaster::new(0, 0));
         history.layer_membranes.resize_with(exec.len(), Vec::new);
-        for (raster, layer) in history.layer_spikes.iter_mut().zip(exec) {
+        for ((raster, membranes), layer) in history
+            .layer_spikes
+            .iter_mut()
+            .zip(&mut history.layer_membranes)
+            .zip(exec)
+        {
             raster.reset(layer.neurons(), steps);
-        }
-        for (membranes, layer) in history.layer_membranes.iter_mut().zip(exec) {
-            // Fully overwritten by `membrane_step` below; only resize.
+            // Fully overwritten by the pass; only resize.
             membranes.resize(layer.neurons() * steps, 0.0);
         }
         history.thresholds.clear();
-        history.activity.stages.clear();
-        for (i, layer) in exec.iter().enumerate() {
-            history.activity.stages.push(StageActivity {
-                stage: from_stage + 1 + i,
-                neurons: layer.neurons(),
-                in_spikes: 0,
-                out_spikes: 0,
-            });
-        }
-        history.activity.readout_in_spikes = 0;
-        history.activity.steps = steps;
-        history.activity.outputs = outputs;
-
-        scratch.prepare(exec, outputs);
-
-        // ---- Timestep loop (mirrors `run`, recording enabled) ----------
-        for t in 0..steps {
-            let threshold = schedule.map_or(self.config.lif.v_threshold, |s| s.value_at(t));
-            history.thresholds.push(threshold);
-            scratch.active.clear();
-            scratch.active.extend(input.active_at(t));
-            for (li, layer) in exec.iter().enumerate() {
-                let n = layer.neurons();
-                history.activity.stages[li].in_spikes += scratch.active.len() as u64;
-                layer.input_current(
-                    &scratch.active,
-                    &scratch.prev_active[li],
-                    &mut scratch.current[..n],
-                );
-                let v_pre = &mut history.layer_membranes[li][t * n..(t + 1) * n];
-                layer.membrane_step(
-                    &scratch.current[..n],
-                    threshold,
-                    &mut scratch.v[li],
-                    Some(v_pre),
-                    &mut scratch.spikes,
-                );
-                for &j in &scratch.spikes {
-                    history.layer_spikes[li].set(j, t, true);
-                }
-                history.activity.stages[li].out_spikes += scratch.spikes.len() as u64;
-                scratch.prev_active[li].clear();
-                scratch.prev_active[li].extend_from_slice(&scratch.spikes);
-                scratch.active.clear();
-                scratch.active.extend_from_slice(&scratch.spikes);
-            }
-            history.activity.readout_in_spikes += scratch.active.len() as u64;
-            self.readout
-                .step(&scratch.active, &mut scratch.u, &mut scratch.logit_acc);
-        }
-
-        let inv_t = 1.0 / steps as f32;
+        self.reset_activity(
+            &mut history.activity,
+            from_stage,
+            self.layers.len(),
+            steps,
+            self.readout.outputs(),
+        );
+        self.pass(
+            from_stage,
+            self.layers.len(),
+            input,
+            schedule,
+            scratch,
+            history,
+        );
         history.logits.clear();
-        history
-            .logits
-            .extend(scratch.logit_acc.iter().map(|a| a * inv_t));
+        history.logits.extend(scratch.logits(steps));
         Ok(())
     }
 
-    /// Runs stages `1..=stage` like [`Network::activations_at`], returning
-    /// the captured raster together with the spike-activity trace of the
-    /// executed (frozen) stages — the cost of latent-replay generation.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::activations_at`].
-    pub fn activations_at_traced(
-        &self,
-        stage: usize,
-        input: &SpikeRaster,
-        schedule: Option<&ThresholdSchedule>,
-    ) -> Result<(SpikeRaster, ForwardActivity), SnnError> {
-        self.check_stage_input(0, input)?;
-        self.config.stage_width(stage)?;
-        let steps = input.steps();
-        if stage == 0 {
-            return Ok((
-                input.clone(),
-                ForwardActivity {
-                    stages: Vec::new(),
-                    readout_in_spikes: 0,
-                    steps,
-                    outputs: 0,
-                },
-            ));
-        }
-        let mut rasters = self.run_frozen(stage, input, schedule)?;
-        let mut stages = Vec::with_capacity(stage);
-        let mut in_spikes = input.total_spikes() as u64;
-        for (l, raster) in rasters.iter().enumerate() {
-            let out_spikes = raster.total_spikes() as u64;
-            stages.push(StageActivity {
-                stage: l + 1,
-                neurons: self.layers[l].neurons(),
-                in_spikes,
-                out_spikes,
-            });
-            in_spikes = out_spikes;
-        }
-        let raster = rasters
-            .pop()
-            .expect("stage >= 1 executed at least one layer");
-        Ok((
-            raster,
-            ForwardActivity {
-                stages,
-                readout_in_spikes: 0,
-                steps,
-                outputs: 0,
-            },
-        ))
-    }
-
-    /// Predicted class for a raw input raster (argmax of logits).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::forward`].
-    pub fn predict(&self, input: &SpikeRaster) -> Result<usize, SnnError> {
-        let logits = self.forward(&input.clone())?;
-        Ok(ops::argmax(&logits).expect("output_size >= 1 is validated"))
-    }
-
     /// Batched inference entry point: full forward passes over many
-    /// rasters at constant thresholds, sharing every scratch buffer
+    /// rasters at constant thresholds, sharing one [`ForwardScratch`]
     /// (membranes, active-spike lists, input currents, readout
-    /// integrators) across the batch instead of reallocating them per
+    /// integrators) across the batch instead of reallocating it per
     /// call. This is the serving hot path (`ncl_serve`'s micro-batcher
     /// feeds it); results are bit-identical to calling
     /// [`Network::forward`] per raster.
     ///
     /// Rasters may have differing step counts; every raster must have the
     /// network's input width and at least one step.
-    ///
-    /// The timestep loop below deliberately mirrors [`Network::run`]'s
-    /// (without history/activity plumbing) so the scratch buffers can
-    /// live outside the per-sample loop; any semantic change to `run`
-    /// must land here too — `forward_batch_equals_sequential_forward` in
-    /// `tests/properties.rs` enforces the equivalence.
     ///
     /// # Errors
     ///
@@ -654,126 +632,94 @@ impl Network {
         for input in inputs {
             self.check_stage_input(0, input)?;
         }
-        let outputs = self.readout.outputs();
-        let threshold = self.config.lif.v_threshold;
-
-        let mut v: Vec<Vec<f32>> = self.layers.iter().map(|l| vec![0.0; l.neurons()]).collect();
-        let mut prev_active: Vec<Vec<usize>> = self.layers.iter().map(|_| Vec::new()).collect();
-        let mut spikes_scratch: Vec<usize> = Vec::new();
-        let max_width = self.layers.iter().map(|l| l.neurons()).max().unwrap_or(0);
-        let mut current = vec![0.0f32; max_width];
-        let mut u = vec![0.0f32; outputs];
-        let mut logit_acc = vec![0.0f32; outputs];
-        let mut active: Vec<usize> = Vec::new();
-
-        let mut results = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            for membranes in &mut v {
-                membranes.iter_mut().for_each(|x| *x = 0.0);
-            }
-            for pa in &mut prev_active {
-                pa.clear();
-            }
-            u.iter_mut().for_each(|x| *x = 0.0);
-            logit_acc.iter_mut().for_each(|x| *x = 0.0);
-
-            let steps = input.steps();
-            for t in 0..steps {
-                active.clear();
-                active.extend(input.active_at(t));
-                for (li, layer) in self.layers.iter().enumerate() {
-                    let n = layer.neurons();
-                    layer.input_current(&active, &prev_active[li], &mut current[..n]);
-                    layer.membrane_step(
-                        &current[..n],
-                        threshold,
-                        &mut v[li],
-                        None,
-                        &mut spikes_scratch,
-                    );
-                    prev_active[li].clear();
-                    prev_active[li].extend_from_slice(&spikes_scratch);
-                    active.clear();
-                    active.extend_from_slice(&spikes_scratch);
-                }
-                self.readout.step(&active, &mut u, &mut logit_acc);
-            }
-            let inv_t = 1.0 / steps as f32;
-            results.push(logit_acc.iter().map(|a| a * inv_t).collect());
-        }
-        Ok(results)
+        let mut scratch = ForwardScratch::new();
+        Ok(inputs
+            .iter()
+            .map(|input| {
+                self.pass(0, self.layers.len(), input, None, &mut scratch, &mut ());
+                scratch.logits(input.steps()).collect()
+            })
+            .collect())
     }
 
-    /// Executes the network from `from_stage` without recording.
-    fn run(
+    /// Shapes `activity` for a pass over stages `from_stage+1..=to_stage`
+    /// of `steps` timesteps into `outputs` readout units (0 when the pass
+    /// stops before the readout), with zeroed counters.
+    fn reset_activity(
+        &self,
+        activity: &mut ForwardActivity,
+        from_stage: usize,
+        to_stage: usize,
+        steps: usize,
+        outputs: usize,
+    ) {
+        activity.stages.clear();
+        activity
+            .stages
+            .extend(
+                self.layers[from_stage..to_stage]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, layer)| StageActivity {
+                        stage: from_stage + 1 + i,
+                        neurons: layer.neurons(),
+                        in_spikes: 0,
+                        out_spikes: 0,
+                    }),
+            );
+        activity.readout_in_spikes = 0;
+        activity.steps = steps;
+        activity.outputs = outputs;
+    }
+
+    /// The one LIF timestep loop. Runs hidden stages
+    /// `from_stage+1..=to_stage` over every timestep of `input` (the
+    /// stage-`from_stage` raster) on `scratch`, then the readout if the
+    /// hook asks for it (`to_stage` is then the last stage and the logits
+    /// are [`ForwardScratch::logits`]). `hook` sees every step; callers
+    /// validate the stages and the raster first.
+    fn pass<H: StepHook>(
         &self,
         from_stage: usize,
+        to_stage: usize,
         input: &SpikeRaster,
         schedule: Option<&ThresholdSchedule>,
-    ) -> Result<RunOutput, SnnError> {
-        self.check_stage_input(from_stage, input)?;
-        let steps = input.steps();
-        let exec = &self.layers[from_stage..]; // layers with stage > from_stage
-        let outputs = self.readout.outputs();
-
-        let mut v: Vec<Vec<f32>> = exec.iter().map(|l| vec![0.0; l.neurons()]).collect();
-        let mut prev_active: Vec<Vec<usize>> = exec.iter().map(|_| Vec::new()).collect();
-        let mut spikes_scratch: Vec<usize> = Vec::new();
-        let max_width = exec.iter().map(|l| l.neurons()).max().unwrap_or(0);
-        let mut current = vec![0.0f32; max_width];
-
-        let mut u = vec![0.0f32; outputs];
-        let mut logit_acc = vec![0.0f32; outputs];
-
-        let mut activity: Vec<StageActivity> = exec
-            .iter()
-            .enumerate()
-            .map(|(i, l)| StageActivity {
-                stage: from_stage + 1 + i,
-                neurons: l.neurons(),
-                in_spikes: 0,
-                out_spikes: 0,
-            })
-            .collect();
-        let mut readout_in = 0u64;
-        let mut active: Vec<usize> = Vec::new();
-
-        for t in 0..steps {
+        scratch: &mut ForwardScratch,
+        hook: &mut H,
+    ) {
+        debug_assert!(!H::READOUT || to_stage == self.layers.len());
+        let exec = &self.layers[from_stage..to_stage];
+        scratch.prepare(exec, self.readout.outputs());
+        for t in 0..input.steps() {
             let threshold = schedule.map_or(self.config.lif.v_threshold, |s| s.value_at(t));
-            active.clear();
-            active.extend(input.active_at(t));
+            hook.threshold(threshold);
+            scratch.active.clear();
+            scratch.active.extend(input.active_at(t));
             for (li, layer) in exec.iter().enumerate() {
                 let n = layer.neurons();
-                activity[li].in_spikes += active.len() as u64;
-                layer.input_current(&active, &prev_active[li], &mut current[..n]);
-                layer.membrane_step(
-                    &current[..n],
-                    threshold,
-                    &mut v[li],
-                    None,
-                    &mut spikes_scratch,
+                layer.input_current(
+                    &scratch.active,
+                    &scratch.prev_active[li],
+                    &mut scratch.current[..n],
                 );
-                activity[li].out_spikes += spikes_scratch.len() as u64;
-                prev_active[li].clear();
-                prev_active[li].extend_from_slice(&spikes_scratch);
-                active.clear();
-                active.extend_from_slice(&spikes_scratch);
+                layer.membrane_step(
+                    &scratch.current[..n],
+                    threshold,
+                    &mut scratch.v[li],
+                    hook.v_pre(li, t, n),
+                    &mut scratch.spikes,
+                );
+                hook.layer(li, t, &scratch.active, &scratch.spikes);
+                scratch.prev_active[li].clear();
+                scratch.prev_active[li].extend_from_slice(&scratch.spikes);
+                std::mem::swap(&mut scratch.active, &mut scratch.spikes);
             }
-            readout_in += active.len() as u64;
-            self.readout.step(&active, &mut u, &mut logit_acc);
+            if H::READOUT {
+                hook.readout(&scratch.active);
+                self.readout
+                    .step(&scratch.active, &mut scratch.u, &mut scratch.logit_acc);
+            }
         }
-
-        let inv_t = 1.0 / steps as f32;
-        let logits: Vec<f32> = logit_acc.iter().map(|a| a * inv_t).collect();
-        Ok(RunOutput {
-            logits,
-            activity: ForwardActivity {
-                stages: activity,
-                readout_in_spikes: readout_in,
-                steps,
-                outputs,
-            },
-        })
     }
 
     /// Number of trainable scalar parameters when training from
@@ -849,12 +795,6 @@ impl Network {
         f(self.readout.bias_mut());
         Ok(())
     }
-}
-
-/// Internal forward-pass output.
-struct RunOutput {
-    logits: Vec<f32>,
-    activity: ForwardActivity,
 }
 
 #[cfg(test)]
@@ -1053,12 +993,23 @@ mod tests {
         assert!(net.forward_batch(&[]).unwrap().is_empty());
     }
 
+    /// Pins the exact logits bits of the reference network, with and
+    /// without a threshold schedule. The path-equivalence properties
+    /// cannot see a change to the arithmetic order that every entry point
+    /// shares; this can.
     #[test]
-    fn predict_returns_argmax() {
+    fn forward_logits_are_pinned_bit_for_bit() {
         let net = tiny_net();
-        let input = dense_input(10);
-        let logits = net.forward(&input).unwrap();
-        let want = ncl_tensor::ops::argmax(&logits).unwrap();
-        assert_eq!(net.predict(&input).unwrap(), want);
+        let input = dense_input(12);
+        let bits = |logits: Vec<f32>| logits.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(net.forward(&input).unwrap()),
+            [0xbf35_a3be, 0xbeea_b4d3, 0x3cc3_37b3]
+        );
+        let schedule = ThresholdSchedule::constant(0.7, 12);
+        assert_eq!(
+            bits(net.forward_from(0, &input, Some(&schedule)).unwrap()),
+            [0xbfb7_3d8f, 0xbfc2_5643, 0x3ea1_ed92]
+        );
     }
 }

@@ -175,6 +175,47 @@ proptest! {
         }
     }
 
+    /// Every entry point runs the same timestep loop, so the recording,
+    /// non-recording, capture and stage-split paths must agree exactly,
+    /// with and without a threshold schedule, at every stage.
+    #[test]
+    fn entry_points_agree_at_every_stage(
+        config in config_strategy(),
+        seed in any::<u64>(),
+        scheduled in any::<bool>(),
+        threshold in 0.3f32..1.5
+    ) {
+        let net = Network::new(config.clone()).unwrap();
+        let input = raster_for(config.input_size, 11, seed);
+        let schedule = scheduled.then(|| ThresholdSchedule::constant(threshold, 11));
+        let schedule = schedule.as_ref();
+        let recorded = net.record_from(0, &input, schedule).unwrap();
+        let (logits, activity) = net.forward_from_traced(0, &input, schedule).unwrap();
+        prop_assert_eq!(&recorded.logits, &logits);
+        prop_assert_eq!(&recorded.activity, &activity);
+        for k in 0..=config.hidden_sizes.len() {
+            let captured = net.activations_at_scheduled(k, &input, schedule).unwrap();
+            let (traced, capture_activity) =
+                net.activations_at_traced(k, &input, schedule).unwrap();
+            if k == 0 {
+                prop_assert_eq!(&captured, &input);
+            } else {
+                prop_assert_eq!(&captured, &recorded.layer_spikes[k - 1]);
+            }
+            prop_assert_eq!(&traced, &captured);
+            // The capture stops before the readout, even at the last stage.
+            prop_assert_eq!(&capture_activity.stages[..], &activity.stages[..k]);
+            prop_assert_eq!(capture_activity.readout_in_spikes, 0);
+            prop_assert_eq!(capture_activity.steps, activity.steps);
+            prop_assert_eq!(capture_activity.outputs, 0);
+            let split = net.record_from(k, &captured, schedule).unwrap();
+            let (split_logits, split_activity) =
+                net.forward_from_traced(k, &captured, schedule).unwrap();
+            prop_assert_eq!(&split.logits, &split_logits);
+            prop_assert_eq!(&split.activity, &split_activity);
+        }
+    }
+
     /// `backward_into` on a zero-filled (reused, previously dirty) arena
     /// must be bit-identical to the allocating `backward` — arena reuse
     /// may not leak state between samples.

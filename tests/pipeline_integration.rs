@@ -141,8 +141,8 @@ fn serialized_network_reproduces_predictions() {
     let restored = ncl_snn::serialize::from_bytes(&bytes).unwrap();
     for s in data.iter().take(6) {
         assert_eq!(
-            net.predict(&s.raster).unwrap(),
-            restored.predict(&s.raster).unwrap(),
+            net.forward(&s.raster).unwrap(),
+            restored.forward(&s.raster).unwrap(),
             "restored network must predict identically"
         );
     }

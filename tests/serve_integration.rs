@@ -204,7 +204,8 @@ fn incompatible_swap_is_rejected_and_serving_continues() {
         .unwrap();
     assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(reply.get("model_version").and_then(Value::as_u64), Some(1));
-    let direct = server.registry().current().network.predict(&input).unwrap();
+    let logits = server.registry().current().network.forward(&input).unwrap();
+    let direct = ncl_tensor::ops::argmax(&logits).unwrap();
     assert_eq!(
         reply.get("prediction").and_then(Value::as_u64),
         Some(direct as u64)
