@@ -10,8 +10,10 @@
 //! explicit `--epochs`/`--samples` wins over it regardless of flag
 //! order.
 //!
-//! Runs whole training epochs on a demo-scale recurrent SNN through two
-//! paths and reports samples/s and epoch p50 latency for each:
+//! Runs whole training epochs on a demo-scale recurrent SNN — full
+//! pre-training, the CL update from stage 1, and the readout-only CL
+//! update from the last stage — through two paths and reports samples/s
+//! and epoch p50 latency for each:
 //!
 //! * `reference` — the seed-era per-sample-allocation loop
 //!   (`train_epoch_reference`): a fresh weight-shaped `Gradients`, a
@@ -133,11 +135,14 @@ struct Scenario {
     steps: usize,
 }
 
-/// The two training workloads of the methodology: full pre-training from
-/// the raw input, and the continual-learning update — learning stages
-/// only, fed stage-1 latent activations at the reduced timestep T* (the
-/// paper's headline latency metric, Fig. 2 / Fig. 11).
-fn scenarios(steps: usize) -> [Scenario; 2] {
+/// The training workloads of the methodology: full pre-training from the
+/// raw input, and the continual-learning update — learning stages only,
+/// fed latent activations at the reduced timestep T* (the paper's
+/// headline latency metric, Fig. 2 / Fig. 11) — once from stage 1, and
+/// once from the last stage, where only the readout trains (the paper
+/// shape's insertion layer).
+fn scenarios(steps: usize, net: &Network) -> [Scenario; 3] {
+    let t_star = (steps * 2 / 5).max(1);
     [
         Scenario {
             name: "pretrain_full",
@@ -152,7 +157,14 @@ fn scenarios(steps: usize) -> [Scenario; 2] {
                 "learning stages only, stage-1 latent activations at T* (Replay4NCL update)",
             from_stage: 1,
             input_neurons: 24,
-            steps: (steps * 2 / 5).max(1),
+            steps: t_star,
+        },
+        Scenario {
+            name: "cl_readout",
+            description: "readout only, last-stage latent activations at T* (Replay4NCL update at the paper's insertion layer)",
+            from_stage: net.layers(),
+            input_neurons: net.config().hidden_sizes[net.layers() - 1],
+            steps: t_star,
         },
     ]
 }
@@ -376,7 +388,7 @@ fn bench_scenario(scenario: &Scenario, args: &Args) -> ScenarioRun {
 
 fn main() {
     let args = parse_args();
-    let runs: Vec<ScenarioRun> = scenarios(args.steps)
+    let runs: Vec<ScenarioRun> = scenarios(args.steps, &train_demo::network())
         .iter()
         .map(|scenario| bench_scenario(scenario, &args))
         .collect();
@@ -409,7 +421,7 @@ fn main() {
         ]),
     );
     report.check("pool_bit_identical", bit_identical);
-    report.gate("scenarios", runs.len() as f64, Op::Ge, 2.0);
+    report.gate("scenarios", runs.len() as f64, Op::Ge, 3.0);
     // `samples_per_sec` is 0 exactly when the epoch p50 is 0 µs.
     let reference_sps = bench::min(runs.iter().map(|r| r.reference_sps));
     report.gate("reference_samples_per_sec_min", reference_sps, Op::Gt, 0.0);

@@ -13,6 +13,12 @@
 //! (same-timestep feed-forward cascade, one-step-delayed recurrence); a
 //! finite-difference check in the tests validates the implementation
 //! end-to-end on the *smoothed* network surrogate.
+//!
+//! Only credit that a trained parameter reads is computed. A readout-only
+//! backward (`from_stage == layers()`, the latent-replay update at the
+//! last insertion layer) trains no hidden layer, so it builds no spike
+//! credit `g_s = W · du` at all: its cost is the readout and bias
+//! gradients alone.
 
 use ncl_tensor::{ops, Matrix};
 
@@ -294,6 +300,14 @@ pub fn backward_into(
             actual: grads.layers.len(),
         });
     }
+    let input_width = net.config().stage_width(from_stage)?;
+    if history.input.neurons() != input_width {
+        return Err(SnnError::ShapeMismatch {
+            op: "bptt::backward_into",
+            expected: input_width,
+            actual: history.input.neurons(),
+        });
+    }
     let steps = history.steps;
     let loss = loss::cross_entropy_into(&history.logits, target, &mut scratch.dlogits)?;
     let dlogits = &scratch.dlogits;
@@ -311,13 +325,17 @@ pub fn backward_into(
         &history.input
     };
 
-    // g_s for the last hidden stage, time-major [t * n + i].
+    // g_s for the last hidden stage, time-major [t * n + i]. With no
+    // hidden layer trained nothing reads it, so it is not computed.
     let last_n = last_spikes.neurons();
-    zeroed(&mut scratch.gs_a, last_n * steps);
+    let need_gs = exec_layers > 0;
+    if need_gs {
+        zeroed(&mut scratch.gs_a, last_n * steps);
+        zeroed(&mut scratch.gs_row, last_n);
+    }
     let mut above_is_a = true;
 
     zeroed(&mut scratch.du, outputs);
-    zeroed(&mut scratch.gs_row, last_n);
     for t in (0..steps).rev() {
         for (j, d) in scratch.du.iter_mut().enumerate() {
             *d = dlogits[j] * inv_t + beta_r * *d;
@@ -329,10 +347,12 @@ pub fn backward_into(
             1.0,
         )?;
         ops::axpy(1.0, &scratch.du, &mut grads.readout_bias)?;
-        // g_s[t] += W · du  (row i of W dot du).
-        ops::gemv(readout.w(), &scratch.du, &mut scratch.gs_row)?;
-        for (i, g) in scratch.gs_row.iter().enumerate() {
-            scratch.gs_a[t * last_n + i] += g;
+        if need_gs {
+            // g_s[t] += W · du  (row i of W dot du).
+            ops::gemv(readout.w(), &scratch.du, &mut scratch.gs_row)?;
+            for (i, g) in scratch.gs_row.iter().enumerate() {
+                scratch.gs_a[t * last_n + i] += g;
+            }
         }
     }
 
@@ -653,5 +673,58 @@ mod tests {
             .unwrap();
         }
         assert!(last < 0.2, "single-sample loss should collapse, got {last}");
+    }
+
+    /// A readout-only history at the last stage (the paper's insertion
+    /// layer), on a latent raster with plenty of spikes.
+    fn readout_only_history(net: &Network) -> History {
+        let latent = random_input(4, 10, 21, 0.5);
+        net.record_from(net.layers(), &latent, None).unwrap()
+    }
+
+    /// Readout-only backward computes no spike credit, so nothing else in
+    /// it would notice a latent raster narrower than the readout: the
+    /// width check at the top of `backward_into` must reject it.
+    #[test]
+    fn readout_only_backward_rejects_a_latent_of_the_wrong_width() {
+        let net = Network::new(tiny_config()).unwrap();
+        let mut h = readout_only_history(&net);
+        assert!(backward(&net, &h, 1).is_ok());
+        h.input = random_input(3, 10, 21, 0.5);
+        assert!(backward(&net, &h, 1).is_err());
+    }
+
+    /// Pins the exact bits of a readout-only backward pass (loss, readout
+    /// weight and bias gradients), so skipping the unread spike-credit
+    /// plane provably leaves the gradient arithmetic untouched.
+    #[test]
+    fn readout_only_gradients_are_pinned_bit_for_bit() {
+        let net = Network::new(tiny_config()).unwrap();
+        let h = readout_only_history(&net);
+        let (loss, grads) = backward(&net, &h, 1).unwrap();
+        assert!(grads.layers.is_empty());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(loss.to_bits(), 0x40a6_994f);
+        assert_eq!(
+            bits(grads.readout_w.as_slice()),
+            [
+                0x3d26_8d68,
+                0xbf9b_fed3,
+                0x3f96_ca68,
+                0x3d4f_24b2,
+                0xbfc2_0375,
+                0x3fbb_8a4e,
+                0x3d4e_bba9,
+                0xbfc1_a114,
+                0x3fbb_2b36,
+                0x3d88_b30b,
+                0xc000_08e0,
+                0x3ff7_868d,
+            ]
+        );
+        assert_eq!(
+            bits(&grads.readout_bias),
+            [0x3df6_dc8f, 0xc067_36d6, 0x405f_7ff0]
+        );
     }
 }

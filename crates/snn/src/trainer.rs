@@ -17,11 +17,16 @@
 //! * per-sample gradients land in recycled [`Gradients`] arenas
 //!   (zero-filled in place, never reallocated) and are folded into one
 //!   batch accumulator;
-//! * with `parallelism > 1`, a pool of workers persists for the whole
-//!   `train_epoch` call (one `thread::scope` per epoch, not per batch),
-//!   fed from one shared task queue (any idle worker takes the oldest
-//!   task); the network is shared behind an `RwLock` that the optimizer
-//!   write-locks between batches;
+//! * `parallelism` threads compute gradients: the driving thread is one
+//!   of them, and with `parallelism > 1` it spawns `parallelism − 1`
+//!   helpers that persist for the whole `train_epoch_with` call (one
+//!   `thread::scope` per epoch, not per batch; at `parallelism = 1` no
+//!   thread is spawned and the same body is the serial epoch). All of
+//!   them take the oldest task from one shared queue; the driver does so
+//!   whenever the next result to merge is missing and no finished reply
+//!   is waiting, and blocks only when the queue is empty. The network is
+//!   shared behind an `RwLock` that the optimizer write-locks between
+//!   batches;
 //! * the `1/batch` mean reduction is folded into
 //!   [`Optimizer::step_scaled`] (scale-at-apply), removing one O(params)
 //!   sweep per batch.
@@ -57,7 +62,8 @@ pub struct TrainOptions {
     pub from_stage: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Worker threads for per-sample gradient computation.
+    /// Threads computing per-sample gradients, the calling thread
+    /// included (`parallelism − 1` are spawned per epoch).
     pub parallelism: usize,
     /// How firing thresholds are determined during training.
     pub threshold_mode: ThresholdMode,
@@ -262,6 +268,20 @@ struct Task {
 /// which the worker exits.
 type TaskReply = Result<(usize, f32, Gradients), SnnError>;
 
+/// Folds `more` into `acc`. Spike-activity counters are integer sums, so
+/// fold order cannot affect the result.
+fn fold_activity(
+    acc: &mut Option<ForwardActivity>,
+    more: Option<ForwardActivity>,
+) -> Result<(), SnnError> {
+    match (acc, more) {
+        (acc @ None, more) => *acc = more,
+        (Some(acc), Some(more)) => acc.merge(&more)?,
+        (Some(_), None) => {}
+    }
+    Ok(())
+}
+
 /// [`train_epoch_with`] with a transient [`TrainScratch`], for tests.
 #[cfg(test)]
 pub(crate) fn train_epoch(
@@ -315,11 +335,7 @@ pub fn train_epoch_with(
     scratch.order.extend(0..samples.len());
     rng.shuffle(&mut scratch.order);
 
-    let (loss_sum, activity) = if workers <= 1 {
-        epoch_serial(net, samples, optimizer, options, scratch)?
-    } else {
-        epoch_pooled(net, samples, optimizer, options, scratch, workers)?
-    };
+    let (loss_sum, activity) = run_epoch(net, samples, optimizer, options, scratch, workers)?;
     Ok(EpochReport {
         mean_loss: loss_sum / samples.len() as f32,
         samples: samples.len(),
@@ -327,57 +343,47 @@ pub fn train_epoch_with(
     })
 }
 
-/// Single-threaded epoch body: one arena, one recycled sample-gradient
-/// buffer, ordered accumulation.
-fn epoch_serial(
-    net: &mut Network,
-    samples: &[(&SpikeRaster, u16)],
-    optimizer: &mut Optimizer,
-    options: &TrainOptions,
-    scratch: &mut TrainScratch,
-) -> Result<(f32, Option<ForwardActivity>), SnnError> {
-    let TrainScratch {
-        arenas,
-        free_grads,
-        total,
-        order,
-        ..
-    } = scratch;
-    let arena = &mut arenas[0];
-    let sample_grad = &mut free_grads[0];
-    let total = total.as_mut().expect("prepared by train_epoch_with");
-
-    let mut loss_sum = 0.0f32;
-    let mut activity: Option<ForwardActivity> = None;
-    for batch in order.chunks(options.batch_size) {
-        total.zero_fill();
-        let mut batch_loss = 0.0f32;
-        for &i in batch {
-            let (raster, label) = samples[i];
-            let loss = sample_gradient_into(
-                net,
-                raster,
-                label,
-                options,
-                arena,
-                sample_grad,
-                &mut activity,
-            )?;
-            batch_loss += loss;
-            total.accumulate(sample_grad)?;
-        }
-        optimizer.step_scaled(net, total, 1.0 / batch.len() as f32)?;
-        loss_sum += batch_loss;
-    }
-    Ok((loss_sum, activity))
+/// What every thread of an epoch's pool shares: the network behind the
+/// lock the driver write-locks only between batches, the samples, the
+/// options and the task queue.
+struct Pool<'a, 'n> {
+    net: &'a RwLock<&'n mut Network>,
+    samples: &'a [(&'a SpikeRaster, u16)],
+    options: &'a TrainOptions,
+    queue: &'a TaskQueue,
 }
 
-/// Pooled epoch body: `workers` persistent threads compute sample
-/// gradients into recycled buffers; the driving thread merges them
-/// strictly in batch order (out-of-order completions wait in
-/// `scratch.pending`), then write-locks the network for the optimizer
-/// step. Byte-identical to [`epoch_serial`] by construction.
-fn epoch_pooled(
+impl Pool<'_, '_> {
+    /// Computes `task`'s sample gradient into its buffer under a read
+    /// lock of the network, folding its spike activity into `activity`.
+    fn run(
+        &self,
+        arena: &mut WorkerArena,
+        task: &mut Task,
+        activity: &mut Option<ForwardActivity>,
+    ) -> Result<f32, SnnError> {
+        let net = self.net.read();
+        let (raster, label) = self.samples[task.sample_idx];
+        sample_gradient_into(
+            &net,
+            raster,
+            label,
+            self.options,
+            arena,
+            &mut task.grads,
+            activity,
+        )
+    }
+}
+
+/// The epoch body: `workers` threads compute sample gradients into
+/// recycled buffers — the driving thread on arena 0 and `workers − 1`
+/// helpers on the others (none at `workers = 1`, which makes this the
+/// serial epoch). The driver merges results strictly in batch order
+/// (out-of-order completions wait in `scratch.pending`), so the weights
+/// do not depend on which thread computed a sample, then write-locks the
+/// network for the optimizer step.
+fn run_epoch(
     net: &mut Network,
     samples: &[(&SpikeRaster, u16)],
     optimizer: &mut Optimizer,
@@ -393,61 +399,71 @@ fn epoch_pooled(
         pending,
     } = scratch;
     let total = total.as_mut().expect("prepared by train_epoch_with");
+    let (own_arena, helper_arenas) = arenas[..workers]
+        .split_first_mut()
+        .expect("prepared by train_epoch_with");
     let net_lock = RwLock::new(net);
     let queue = TaskQueue::new();
+    let pool = Pool {
+        net: &net_lock,
+        samples,
+        options,
+        queue: &queue,
+    };
 
     let outcome = thread::scope(
         |scope| -> Result<(f32, Option<ForwardActivity>), SnnError> {
             let (reply_tx, reply_rx) = mpsc::channel::<TaskReply>();
-            let mut handles = Vec::with_capacity(workers);
-            for arena in arenas[..workers].iter_mut() {
+            let mut handles = Vec::with_capacity(helper_arenas.len());
+            for arena in helper_arenas.iter_mut() {
                 let reply_tx = reply_tx.clone();
-                let (net_lock, queue) = (&net_lock, &queue);
-                handles.push(scope.spawn(move |_| {
-                    worker_loop(net_lock, samples, options, arena, queue, &reply_tx)
-                }));
+                let pool = &pool;
+                handles.push(scope.spawn(move |_| worker_loop(pool, arena, &reply_tx)));
             }
             drop(reply_tx); // the driver only receives
 
             let driven = drive_batches(
-                &net_lock, optimizer, options, order, total, free_grads, pending, &queue, &reply_rx,
+                &pool, own_arena, optimizer, order, total, free_grads, pending, &reply_rx,
             );
 
-            // Close the task queue so every worker drains and exits, then
-            // fold their per-worker activity accumulators (integer counters:
-            // fold order cannot affect the result).
+            // Close the task queue so every helper drains and exits (the
+            // scope joins them on the error path), then fold their
+            // activity into the driver's.
             queue.close();
-            let mut activity: Option<ForwardActivity> = None;
+            let (loss_sum, mut activity) = driven?;
             for handle in handles {
-                if let Some(worker_activity) = handle.join().expect("training worker panicked") {
-                    match &mut activity {
-                        None => activity = Some(worker_activity),
-                        Some(acc) => acc.merge(&worker_activity)?,
-                    }
-                }
+                fold_activity(
+                    &mut activity,
+                    handle.join().expect("training worker panicked"),
+                )?;
             }
-            Ok((driven?, activity))
+            Ok((loss_sum, activity))
         },
     )
     .expect("training pool scope panicked");
     outcome
 }
 
-/// The per-batch dispatch/merge loop of the pooled epoch.
+/// The per-batch dispatch/compute/merge loop of the driving thread,
+/// returning the epoch's loss sum and the spike activity of the samples
+/// it computed itself. Whenever the next result in batch order is
+/// missing, the driver takes a finished reply if there is one, else
+/// computes the oldest queued task on its own arena, and blocks only
+/// when the queue is empty (a helper holds the missing task).
 #[allow(clippy::too_many_arguments)]
 fn drive_batches(
-    net_lock: &RwLock<&mut Network>,
+    pool: &Pool<'_, '_>,
+    arena: &mut WorkerArena,
     optimizer: &mut Optimizer,
-    options: &TrainOptions,
     order: &[usize],
     total: &mut Gradients,
     free_grads: &mut Vec<Gradients>,
     pending: &mut Vec<Option<(f32, Gradients)>>,
-    queue: &TaskQueue,
     reply_rx: &mpsc::Receiver<TaskReply>,
-) -> Result<f32, SnnError> {
+) -> Result<(f32, Option<ForwardActivity>), SnnError> {
     let mut loss_sum = 0.0f32;
-    for batch in order.chunks(options.batch_size) {
+    let mut activity: Option<ForwardActivity> = None;
+    for batch in order.chunks(pool.options.batch_size) {
         total.zero_fill();
         pending.clear();
         pending.resize_with(batch.len(), || None);
@@ -455,46 +471,56 @@ fn drive_batches(
         let mut next_merge = 0usize;
         let mut batch_loss = 0.0f32;
 
-        while next_merge < batch.len() {
+        loop {
+            // Merge every result that is next in batch order.
+            while let Some((loss, grads)) = pending.get_mut(next_merge).and_then(Option::take) {
+                batch_loss += loss;
+                total.accumulate(&grads)?;
+                free_grads.push(grads);
+                next_merge += 1;
+            }
+            if next_merge == batch.len() {
+                break;
+            }
             // Dispatch while recycled buffers are available; backpressure
             // otherwise (in-flight tasks hold the missing buffers).
             while dispatched < batch.len() {
                 let Some(grads) = free_grads.pop() else {
                     break;
                 };
-                queue.push(Task {
+                pool.queue.push(Task {
                     pos: dispatched,
                     sample_idx: batch[dispatched],
                     grads,
                 });
                 dispatched += 1;
             }
-            let reply = reply_rx.recv().map_err(|_| pool_hangup())?;
-            let (pos, loss, grads) = reply?;
+            let (pos, loss, grads) = match reply_rx.try_recv() {
+                Ok(reply) => reply?,
+                Err(_) => match pool.queue.try_pop() {
+                    Some(mut task) => {
+                        let loss = pool.run(arena, &mut task, &mut activity)?;
+                        (task.pos, loss, task.grads)
+                    }
+                    None => reply_rx.recv().map_err(|_| pool_hangup())??,
+                },
+            };
             pending[pos] = Some((loss, grads));
-            // Merge every result that is next in batch order.
-            while let Some(slot) = pending.get_mut(next_merge).and_then(Option::take) {
-                let (loss, grads) = slot;
-                batch_loss += loss;
-                total.accumulate(&grads)?;
-                free_grads.push(grads);
-                next_merge += 1;
-            }
         }
 
-        let mut net = net_lock.write();
+        let mut net = pool.net.write();
         optimizer.step_scaled(&mut net, total, 1.0 / batch.len() as f32)?;
         drop(net);
         loss_sum += batch_loss;
     }
-    Ok(loss_sum)
+    Ok((loss_sum, activity))
 }
 
-/// Shared work queue the pool workers pull from: any idle worker takes
-/// the oldest queued task (no per-worker pinning, so a slow worker never
-/// blocks work that an idle one could do). Determinism is unaffected —
-/// the driver merges replies strictly in batch order regardless of which
-/// worker computed them.
+/// Shared work queue of the pool: any idle thread, helper or driver,
+/// takes the oldest queued task (no per-worker pinning, so a slow worker
+/// never blocks work that an idle one could do). Determinism is
+/// unaffected — the driver merges results strictly in batch order
+/// regardless of which thread computed them.
 struct TaskQueue {
     state: std::sync::Mutex<TaskQueueState>,
     ready: std::sync::Condvar,
@@ -535,6 +561,15 @@ impl TaskQueue {
         self.ready.notify_all();
     }
 
+    /// The oldest queued task, without blocking (the driver's pop).
+    fn try_pop(&self) -> Option<Task> {
+        self.state
+            .lock()
+            .expect("task queue poisoned")
+            .tasks
+            .pop_front()
+    }
+
     /// Blocks for the next task; `None` once the queue is closed.
     fn pop(&self) -> Option<Task> {
         let mut state = self.state.lock().expect("task queue poisoned");
@@ -550,36 +585,19 @@ impl TaskQueue {
     }
 }
 
-/// A pool worker: pulls tasks from the shared queue until it closes,
-/// computing each sample under a read lock of the shared network (the
-/// driver write-locks it only between batches, when no tasks are in
-/// flight). Returns the worker's accumulated spike activity. On the
-/// first error the worker reports it through the reply channel and
-/// exits; its remaining queued work is picked up by the other workers.
+/// A pool helper: pulls tasks from the shared queue until it closes and
+/// replies with each result. Returns the helper's accumulated spike
+/// activity. On the first error the helper reports it through the reply
+/// channel and exits; its remaining queued work is picked up by the
+/// other threads.
 fn worker_loop(
-    net_lock: &RwLock<&mut Network>,
-    samples: &[(&SpikeRaster, u16)],
-    options: &TrainOptions,
+    pool: &Pool<'_, '_>,
     arena: &mut WorkerArena,
-    queue: &TaskQueue,
     reply_tx: &mpsc::Sender<TaskReply>,
 ) -> Option<ForwardActivity> {
     let mut activity: Option<ForwardActivity> = None;
-    while let Some(mut task) = queue.pop() {
-        let guard = net_lock.read();
-        let net: &Network = &guard;
-        let (raster, label) = samples[task.sample_idx];
-        let outcome = sample_gradient_into(
-            net,
-            raster,
-            label,
-            options,
-            arena,
-            &mut task.grads,
-            &mut activity,
-        );
-        drop(guard);
-        match outcome {
+    while let Some(mut task) = pool.queue.pop() {
+        match pool.run(arena, &mut task, &mut activity) {
             Ok(loss) => {
                 if reply_tx.send(Ok((task.pos, loss, task.grads))).is_err() {
                     break; // driver gone (epoch aborted)
@@ -638,10 +656,7 @@ fn reference_batch_gradient(
                 reference_sample_gradient(net, raster, label, options)?;
             loss_sum += loss;
             total.accumulate(&grads)?;
-            match &mut activity {
-                None => activity = Some(sample_activity),
-                Some(acc) => acc.merge(&sample_activity)?,
-            }
+            fold_activity(&mut activity, Some(sample_activity))?;
         }
         Ok((loss_sum, total, activity))
     };
@@ -670,11 +685,7 @@ fn reference_batch_gradient(
         let (loss, grads, chunk_activity) = result?;
         loss_sum += loss;
         total.accumulate(&grads)?;
-        match (&mut activity, chunk_activity) {
-            (None, x) => activity = x,
-            (Some(acc), Some(x)) => acc.merge(&x)?,
-            (Some(_), None) => {}
-        }
+        fold_activity(&mut activity, chunk_activity)?;
     }
     Ok((loss_sum, total, activity))
 }
@@ -725,11 +736,7 @@ pub fn train_epoch_reference(
         grads.scale(1.0 / batch.len() as f32);
         optimizer.step(net, &grads)?;
         loss_sum += batch_loss;
-        match (&mut activity, batch_activity) {
-            (None, x) => activity = x,
-            (Some(acc), Some(x)) => acc.merge(&x)?,
-            (Some(_), None) => {}
-        }
+        fold_activity(&mut activity, batch_activity)?;
     }
     Ok(EpochReport {
         mean_loss: loss_sum / samples.len() as f32,
@@ -841,11 +848,7 @@ impl IncrementalTrainer {
                 total.inc();
             }
             epoch_losses.push(report.mean_loss);
-            match (&mut activity, report.activity) {
-                (acc @ None, fresh) => *acc = fresh,
-                (Some(acc), Some(fresh)) => acc.merge(&fresh)?,
-                (Some(_), None) => {}
-            }
+            fold_activity(&mut activity, report.activity)?;
         }
         self.increments += 1;
         Ok(IncrementOutcome {

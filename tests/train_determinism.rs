@@ -43,11 +43,37 @@ fn setup() -> (Network, Vec<(SpikeRaster, u16)>) {
     (net, data)
 }
 
-fn train(parallelism: usize, reference: bool) -> (Vec<u8>, Vec<trainer::EpochReport>) {
-    let (mut net, data) = setup();
+/// The readout-only update at the insertion layer `net.layers()`: the
+/// setup's rasters captured as latents at the last stage.
+fn readout_only_setup() -> (Network, Vec<(SpikeRaster, u16)>) {
+    let (net, data) = setup();
+    let latents: Vec<(SpikeRaster, u16)> = data
+        .iter()
+        .map(|(r, l)| (net.activations_at(net.layers(), r).unwrap(), *l))
+        .collect();
+    assert!(
+        latents.iter().any(|(r, _)| r.total_spikes() > 0),
+        "the latents must carry spikes for the readout gradient to be non-trivial"
+    );
+    (net, latents)
+}
+
+/// Trains four epochs from stage 0, or readout-only from the last stage.
+fn train(
+    readout_only: bool,
+    parallelism: usize,
+    reference: bool,
+) -> (Vec<u8>, Vec<trainer::EpochReport>) {
+    let (mut net, data) = if readout_only {
+        readout_only_setup()
+    } else {
+        setup()
+    };
+    let from_stage = if readout_only { net.layers() } else { 0 };
     let refs: Vec<(&SpikeRaster, u16)> = data.iter().map(|(r, l)| (r, *l)).collect();
     let mut optimizer = Optimizer::adam(2e-3);
     let options = TrainOptions {
+        from_stage,
         batch_size: 5,
         parallelism,
         ..TrainOptions::default()
@@ -77,9 +103,9 @@ fn train(parallelism: usize, reference: bool) -> (Vec<u8>, Vec<trainer::EpochRep
 
 #[test]
 fn worker_count_does_not_change_trained_weights() {
-    let (reference_bytes, reference_reports) = train(1, true);
+    let (reference_bytes, reference_reports) = train(false, 1, true);
     for workers in [1usize, 2, 4] {
-        let (bytes, reports) = train(workers, false);
+        let (bytes, reports) = train(false, workers, false);
         assert_eq!(
             bytes, reference_bytes,
             "{workers}-worker pool must serialize byte-identically to the reference path"
@@ -87,6 +113,24 @@ fn worker_count_does_not_change_trained_weights() {
         assert_eq!(
             reports, reference_reports,
             "{workers}-worker epoch reports must equal the reference path"
+        );
+    }
+}
+
+/// The same contract for the update the paper runs: insertion at the last
+/// stage, so only the readout trains on captured latents.
+#[test]
+fn worker_count_does_not_change_readout_only_weights() {
+    let (reference_bytes, reference_reports) = train(true, 1, true);
+    for workers in [1usize, 2, 4] {
+        let (bytes, reports) = train(true, workers, false);
+        assert_eq!(
+            bytes, reference_bytes,
+            "{workers}-worker readout-only pool must serialize byte-identically to the reference path"
+        );
+        assert_eq!(
+            reports, reference_reports,
+            "{workers}-worker readout-only reports must equal the reference path"
         );
     }
 }
