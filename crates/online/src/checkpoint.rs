@@ -58,19 +58,89 @@ pub struct Checkpoint {
     pub pending: Vec<(u16, ncl_spike::SpikeRaster)>,
 }
 
+/// Slicing-by-8 lookup tables for CRC-32 (IEEE, reflected polynomial
+/// `0xEDB8_8320`): the first is the classic byte-at-a-time table, and
+/// table `k` maps a byte to the CRC register after that byte is
+/// followed by `k` zero bytes, so eight lookups fold one 8-byte word.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut base = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        base[i] = crc;
+        i += 1;
+    }
+    let mut tables = [base; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ base[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// CRC-32 (IEEE, reflected). Detects every single-byte corruption, which
 /// is the guarantee the corrupt-one-byte restore tests pin down.
 #[must_use]
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let byte = |word: u64, k: u32| ((word >> (8 * k)) & 0xFF) as usize;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for chunk in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let w = u64::from_le_bytes(word) ^ u64::from(crc);
+        crc = t7[byte(w, 0)]
+            ^ t6[byte(w, 1)]
+            ^ t5[byte(w, 2)]
+            ^ t4[byte(w, 3)]
+            ^ t3[byte(w, 4)]
+            ^ t2[byte(w, 5)]
+            ^ t1[byte(w, 6)]
+            ^ t0[byte(w, 7)];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t0[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
+}
+
+/// Splits a sealed encoding (a checkpoint or a delta) into its body and
+/// the little-endian CRC-32 trailer it ends with; `None` when there are
+/// fewer than 4 bytes.
+pub(crate) fn split_crc(bytes: &[u8]) -> Option<(&[u8], u32)> {
+    let (body, trailer) = bytes.split_at(bytes.len().checked_sub(4)?);
+    let crc = trailer
+        .iter()
+        .rev()
+        .fold(0u32, |acc, &b| (acc << 8) | u32::from(b));
+    Some((body, crc))
+}
+
+/// Checks a sealed encoding's trailer against the CRC of its body and
+/// returns the body.
+pub(crate) fn verify_crc(bytes: &[u8]) -> Result<&[u8], OnlineError> {
+    let (body, stored_crc) = split_crc(bytes).ok_or_else(|| bad("shorter than its checksum"))?;
+    let actual_crc = crc32(body);
+    if stored_crc != actual_crc {
+        return Err(bad(format!(
+            "checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
+        )));
+    }
+    Ok(body)
 }
 
 fn alignment_tag(alignment: Alignment) -> u8 {
@@ -283,20 +353,7 @@ impl Checkpoint {
         if bytes.len() < MAGIC.len() + 4 {
             return Err(bad("shorter than magic + checksum"));
         }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        // split_at guarantees 4 trailing bytes; the fold keeps the
-        // little-endian read panic-free all the same.
-        let stored_crc = crc_bytes
-            .iter()
-            .rev()
-            .fold(0u32, |acc, &b| (acc << 8) | u32::from(b));
-        let actual_crc = crc32(body);
-        if stored_crc != actual_crc {
-            return Err(bad(format!(
-                "checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-            )));
-        }
-        let mut buf = body;
+        let mut buf = verify_crc(bytes)?;
         let mut magic = [0u8; 8];
         buf.copy_to_slice(&mut magic);
         if &magic != MAGIC {
@@ -558,11 +615,41 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The bitwise CRC-32 (one shift per bit): the reference the
+    /// table-driven [`crc32`] must match.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The IEEE check value: CRC-32 of "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        for crc in [crc32, crc32_bitwise] {
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b""), 0);
+        }
+    }
+
+    proptest::proptest! {
+        /// The table-driven CRC equals the bitwise reference. Every case
+        /// also checks the prefixes that drop up to 8 trailing bytes, so
+        /// each tail length 0-7 after the 8-byte words is covered.
+        #[test]
+        fn table_crc_matches_the_bitwise_reference(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..1025),
+        ) {
+            for n in bytes.len().saturating_sub(8)..=bytes.len() {
+                proptest::prop_assert_eq!(crc32(&bytes[..n]), crc32_bitwise(&bytes[..n]));
+            }
+        }
     }
 
     #[test]

@@ -18,13 +18,20 @@
 //!   empties on the very increment that published the delta);
 //! * the scalar header (versions, cursor, digests, known classes).
 //!
-//! The format is sealed twice: a trailing CRC-32 over the delta bytes
-//! (any single corrupted byte fails the decode) and a `target_crc` over
-//! the **target checkpoint's full encoding** — [`CheckpointDelta::apply`]
-//! re-encodes its result and refuses to return anything that is not
-//! bit-identical to the checkpoint the learner published from. A
-//! follower that applies a delta therefore holds *exactly* the
-//! learner's bytes, or an error — never an approximation.
+//! The format is sealed twice. A trailing CRC-32 over the delta bytes
+//! makes any single corrupted byte fail the decode. The `target_crc`
+//! seal is the **target checkpoint's own trailing CRC-32**, the CRC of
+//! its body: the learner reads it from the encoding it publishes, and
+//! [`CheckpointDelta::apply`] encodes its result once and compares that
+//! encoding's trailer with the seal, so it refuses anything that is not
+//! bit-identical to the checkpoint the learner published. A follower
+//! that applies a delta therefore holds *exactly* the learner's bytes,
+//! or an error — never an approximation.
+//!
+//! The seal is the CRC of the body, not of the whole encoding: the
+//! CRC-32 of any message followed by its own CRC-32 is a constant (the
+//! residue `0x2144DF1C`), so a CRC over a sealed encoding would be the
+//! same for every target and verify nothing.
 //!
 //! Reconciliation contract: `apply` rejects a delta whose base version
 //! is not the follower's current version with
@@ -36,11 +43,11 @@ use ncl_snn::Network;
 use replay4ncl::buffer::{LatentEntry, LatentReplayBuffer};
 
 use crate::checkpoint::{bad, crc32, need, read_entry, read_pending, write_entry, write_pending};
-use crate::checkpoint::{Checkpoint, MAGIC as CHECKPOINT_MAGIC};
+use crate::checkpoint::{split_crc, verify_crc, Checkpoint};
 use crate::error::OnlineError;
 
 /// Magic + version prefix of the delta format.
-pub const MAGIC: &[u8; 8] = b"NCLDLT01";
+pub const MAGIC: &[u8; 8] = b"NCLDLT02";
 
 /// One changed trainable plane: its canonical visitation index (stage 0
 /// order) and the full replacement values.
@@ -80,8 +87,9 @@ pub struct CheckpointDelta {
     pub tail: Vec<LatentEntry>,
     /// Target pending pool (full replacement).
     pub pending: Vec<(u16, ncl_spike::SpikeRaster)>,
-    /// CRC-32 of the target checkpoint's full encoding — the
-    /// bit-identity seal [`CheckpointDelta::apply`] verifies.
+    /// The target checkpoint's trailing CRC-32 (the CRC of its body,
+    /// not of the whole encoding, whose CRC is the constant residue) —
+    /// the bit-identity seal [`CheckpointDelta::apply`] verifies.
     pub target_crc: u32,
 }
 
@@ -107,7 +115,9 @@ fn plane_differs(a: &[f32], b: &[f32]) -> bool {
 }
 
 impl CheckpointDelta {
-    /// Builds the delta turning `base` into `next`.
+    /// Builds the delta turning `base` into `next`, where `next_bytes`
+    /// is `next`'s encoding ([`Checkpoint::to_bytes`]): the seal is read
+    /// from its trailer, so building a delta encodes no checkpoint.
     ///
     /// The store diff matches `next`'s entries as a subsequence of
     /// `base`'s (the store's push-appends/evict-anywhere discipline
@@ -120,8 +130,15 @@ impl CheckpointDelta {
     /// Returns [`OnlineError::Checkpoint`] if `next` does not advance
     /// `base` (version not increasing), the config digests differ, or
     /// the store policies (alignment, capacity) differ — none of which
-    /// a consecutive-increment pair can produce.
-    pub fn between(base: &Checkpoint, next: &Checkpoint) -> Result<Self, OnlineError> {
+    /// a consecutive-increment pair can produce, or if `next_bytes` is
+    /// too short to carry a checksum.
+    pub fn between(
+        base: &Checkpoint,
+        next: &Checkpoint,
+        next_bytes: &[u8],
+    ) -> Result<Self, OnlineError> {
+        let (_, target_crc) =
+            split_crc(next_bytes).ok_or_else(|| bad("target encoding has no checksum"))?;
         if next.version <= base.version {
             return Err(bad(format!(
                 "delta must advance the version: base v{}, next v{}",
@@ -210,7 +227,7 @@ impl CheckpointDelta {
             kept,
             tail,
             pending: next.pending.clone(),
-            target_crc: crc32(&next.to_bytes()),
+            target_crc,
         })
     }
 
@@ -279,24 +296,11 @@ impl CheckpointDelta {
         if bytes.len() < MAGIC.len() + 4 {
             return Err(bad("shorter than magic + checksum"));
         }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        // split_at guarantees 4 trailing bytes; the fold keeps the
-        // little-endian read panic-free all the same.
-        let stored_crc = crc_bytes
-            .iter()
-            .rev()
-            .fold(0u32, |acc, &b| (acc << 8) | u32::from(b));
-        let actual_crc = crc32(body);
-        if stored_crc != actual_crc {
-            return Err(bad(format!(
-                "checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-            )));
-        }
-        let mut buf = body;
+        let mut buf = verify_crc(bytes)?;
         let mut magic = [0u8; 8];
         buf.copy_to_slice(&mut magic);
         if &magic != MAGIC {
-            return Err(bad("bad magic (not an NCLDLT01 delta)"));
+            return Err(bad("bad magic (not an NCLDLT02 delta)"));
         }
 
         need(&buf, 8 * 5 + 4, "header")?;
@@ -424,9 +428,10 @@ impl CheckpointDelta {
 
     /// Applies the delta to `base`, producing the target checkpoint.
     ///
-    /// The result is verified against [`CheckpointDelta::target_crc`]:
-    /// the returned checkpoint's encoding is **bit-identical** to the
-    /// checkpoint the delta was built from, or this fails.
+    /// The result is encoded once and its trailing CRC-32 compared with
+    /// [`CheckpointDelta::target_crc`]: the returned checkpoint's
+    /// encoding is **bit-identical** to the checkpoint the delta was
+    /// built from, or this fails.
     ///
     /// # Errors
     ///
@@ -522,12 +527,12 @@ impl CheckpointDelta {
             pending: self.pending.clone(),
         };
         let encoded = next.to_bytes();
-        debug_assert_eq!(&encoded[..8], &CHECKPOINT_MAGIC[..]);
-        let actual = crc32(&encoded);
-        if actual != self.target_crc {
+        let actual = split_crc(&encoded).map(|(_, crc)| crc);
+        if actual != Some(self.target_crc) {
             return Err(bad(format!(
                 "applied delta does not reproduce the target checkpoint \
-                 (crc {actual:#010x}, expected {:#010x})",
+                 (crc {:#010x}, expected {:#010x})",
+                actual.unwrap_or_default(),
                 self.target_crc
             )));
         }
@@ -604,7 +609,7 @@ mod tests {
     fn between_apply_is_bit_identical() {
         let base = base_checkpoint();
         let next = next_checkpoint(&base);
-        let delta = CheckpointDelta::between(&base, &next).unwrap();
+        let delta = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap();
         let applied = delta.apply(&base).unwrap();
         assert_eq!(applied, next);
         assert_eq!(applied.to_bytes(), next.to_bytes());
@@ -623,7 +628,7 @@ mod tests {
     fn round_trip_is_exact() {
         let base = base_checkpoint();
         let next = next_checkpoint(&base);
-        let delta = CheckpointDelta::between(&base, &next).unwrap();
+        let delta = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap();
         let bytes = delta.to_bytes();
         let decoded = CheckpointDelta::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, delta);
@@ -634,7 +639,9 @@ mod tests {
     fn every_single_byte_corruption_is_rejected() {
         let base = base_checkpoint();
         let next = next_checkpoint(&base);
-        let bytes = CheckpointDelta::between(&base, &next).unwrap().to_bytes();
+        let bytes = CheckpointDelta::between(&base, &next, &next.to_bytes())
+            .unwrap()
+            .to_bytes();
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
@@ -650,7 +657,7 @@ mod tests {
     fn base_version_mismatch_is_rejected() {
         let base = base_checkpoint();
         let next = next_checkpoint(&base);
-        let delta = CheckpointDelta::between(&base, &next).unwrap();
+        let delta = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap();
         // A replica that already advanced past the base must not apply.
         let err = delta.apply(&next).unwrap_err();
         assert!(
@@ -673,7 +680,7 @@ mod tests {
         let base = base_checkpoint();
         let mid = next_checkpoint(&base);
         let tip = next_checkpoint(&mid);
-        let second = CheckpointDelta::between(&mid, &tip).unwrap();
+        let second = CheckpointDelta::between(&mid, &tip, &tip.to_bytes()).unwrap();
         let err = second.apply(&base).unwrap_err();
         assert!(matches!(
             err,
@@ -683,7 +690,7 @@ mod tests {
             }
         ));
         // In order, the chain reproduces the tip bit-exactly.
-        let first = CheckpointDelta::between(&base, &mid).unwrap();
+        let first = CheckpointDelta::between(&base, &mid, &mid.to_bytes()).unwrap();
         let applied = second.apply(&first.apply(&base).unwrap()).unwrap();
         assert_eq!(applied.to_bytes(), tip.to_bytes());
     }
@@ -691,13 +698,13 @@ mod tests {
     #[test]
     fn non_advancing_deltas_are_rejected() {
         let base = base_checkpoint();
-        assert!(CheckpointDelta::between(&base, &base).is_err());
+        assert!(CheckpointDelta::between(&base, &base, &base.to_bytes()).is_err());
         let mut regressed = next_checkpoint(&base);
         regressed.version = base.version; // same version
-        assert!(CheckpointDelta::between(&base, &regressed).is_err());
+        assert!(CheckpointDelta::between(&base, &regressed, &regressed.to_bytes()).is_err());
         // A decoded delta claiming version <= base_version fails too.
         let next = next_checkpoint(&base);
-        let mut delta = CheckpointDelta::between(&base, &next).unwrap();
+        let mut delta = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap();
         delta.version = delta.base_version;
         assert!(CheckpointDelta::from_bytes(&delta.to_bytes()).is_err());
     }
@@ -707,10 +714,10 @@ mod tests {
         let base = base_checkpoint();
         let mut next = next_checkpoint(&base);
         next.config_digest ^= 1;
-        assert!(CheckpointDelta::between(&base, &next).is_err());
+        assert!(CheckpointDelta::between(&base, &next, &next.to_bytes()).is_err());
         // And a tampered (re-encoded) delta fails on apply.
         next.config_digest = base.config_digest;
-        let mut delta = CheckpointDelta::between(&base, &next).unwrap();
+        let mut delta = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap();
         delta.config_digest ^= 1;
         let err = delta.apply(&base).unwrap_err();
         assert!(matches!(err, OnlineError::Checkpoint { .. }));
@@ -734,7 +741,7 @@ mod tests {
             entries,
         )
         .unwrap();
-        let delta = CheckpointDelta::between(&base, &next).unwrap();
+        let delta = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap();
         assert!(delta.kept.iter().all(|&k| !k), "nothing should be kept");
         assert_eq!(delta.tail.len(), next.buffer.len());
         let applied = delta.apply(&base).unwrap();
@@ -745,7 +752,9 @@ mod tests {
     fn truncation_is_rejected_everywhere() {
         let base = base_checkpoint();
         let next = next_checkpoint(&base);
-        let bytes = CheckpointDelta::between(&base, &next).unwrap().to_bytes();
+        let bytes = CheckpointDelta::between(&base, &next, &next.to_bytes())
+            .unwrap()
+            .to_bytes();
         for cut in [0, 7, 12, 44, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 CheckpointDelta::from_bytes(&bytes[..cut]).is_err(),
@@ -755,5 +764,64 @@ mod tests {
         let mut extended = bytes;
         extended.extend_from_slice(&[0u8; 2]);
         assert!(CheckpointDelta::from_bytes(&extended).is_err());
+    }
+
+    #[test]
+    fn a_delta_onto_a_diverged_frozen_backbone_is_refused() {
+        let base = base_checkpoint();
+        let next = next_checkpoint(&base);
+        let delta = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap();
+        // Same version, same store, one frozen stage-0 weight off. The
+        // delta ships no stage-0 plane, so only the seal can tell: the
+        // result's encoding is not the learner's, and apply must refuse.
+        let mut diverged = base.clone();
+        let w = diverged.network.layer(0).w_ff().get(0, 0);
+        diverged.network.layer_mut(0).w_ff_mut().set(0, 0, w + 0.5);
+        assert!(delta.apply(&base).is_ok());
+        let err = delta.apply(&diverged).unwrap_err();
+        assert!(
+            err.to_string().contains("does not reproduce the target"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn distinct_targets_get_distinct_seals() {
+        let base = base_checkpoint();
+        let next = next_checkpoint(&base);
+        let mut other = next.clone();
+        other.cursor += 1;
+        let (next_bytes, other_bytes) = (next.to_bytes(), other.to_bytes());
+        let a = CheckpointDelta::between(&base, &next, &next_bytes).unwrap();
+        let b = CheckpointDelta::between(&base, &other, &other_bytes).unwrap();
+        assert_ne!(a.target_crc, b.target_crc);
+        // CRC-32 over a body followed by its own CRC is this constant
+        // residue, whatever the body: a seal that equals it seals nothing.
+        for seal in [a.target_crc, b.target_crc] {
+            assert_ne!(seal, 0x2144_DF1C);
+        }
+        assert_eq!(crc32(&next_bytes), 0x2144_DF1C);
+        // The seal is the CRC of the target's body.
+        let body = &next_bytes[..next_bytes.len() - 4];
+        assert_eq!(a.target_crc, crc32(body));
+    }
+
+    #[test]
+    fn a_version_one_delta_is_refused() {
+        let base = base_checkpoint();
+        let next = next_checkpoint(&base);
+        let bytes = CheckpointDelta::between(&base, &next, &next.to_bytes())
+            .unwrap()
+            .to_bytes();
+        // The old magic under a valid checksum: only the magic is wrong.
+        let mut old = bytes[..bytes.len() - 4].to_vec();
+        old[..8].copy_from_slice(b"NCLDLT01");
+        let crc = crc32(&old);
+        old.extend_from_slice(&crc.to_le_bytes());
+        let err = CheckpointDelta::from_bytes(&old).unwrap_err();
+        assert!(
+            err.to_string().contains("bad magic"),
+            "unexpected error: {err}"
+        );
     }
 }

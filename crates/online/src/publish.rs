@@ -75,8 +75,10 @@ impl DeltaPublisher {
     }
 
     /// Publishes the checkpoint produced by a committed increment:
-    /// computes the delta from the previously published checkpoint,
-    /// appends it to the ring and advances the base.
+    /// encodes it once, computes the delta from the previously published
+    /// checkpoint (sealed with that encoding's trailing CRC), appends it
+    /// to the ring and advances the base. The one encoding becomes the
+    /// full checkpoint this publisher serves.
     ///
     /// Returns the encoded size of the new delta.
     ///
@@ -86,6 +88,8 @@ impl DeltaPublisher {
     /// the published version (see [`CheckpointDelta::between`]); the
     /// published state is unchanged.
     pub fn publish(&self, next: Checkpoint) -> Result<usize, OnlineError> {
+        // Encoded before taking the lock, so fetches are not held up.
+        let full_bytes = next.to_bytes();
         // Publisher state stays valid across any unwind point (the
         // fallible work happens before the mutations), so recover a
         // poisoned guard instead of cascading the panic.
@@ -93,7 +97,7 @@ impl DeltaPublisher {
             .inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let delta = CheckpointDelta::between(&inner.base, &next)?;
+        let delta = CheckpointDelta::between(&inner.base, &next, &full_bytes)?;
         let bytes = delta.to_bytes();
         let size = bytes.len();
         if inner.ring.len() == self.capacity {
@@ -104,7 +108,7 @@ impl DeltaPublisher {
             version: delta.version,
             bytes,
         });
-        inner.full_bytes = next.to_bytes();
+        inner.full_bytes = full_bytes;
         inner.base = next;
         Ok(size)
     }
@@ -129,11 +133,18 @@ impl DeltaPublisher {
     /// The full encoding of the latest published checkpoint.
     #[must_use]
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        self.inner
+        self.latest().1
+    }
+
+    /// The latest published version and its full encoding, read under
+    /// one lock (a publish cannot slip in between).
+    #[must_use]
+    pub fn latest(&self) -> (u64, Vec<u8>) {
+        let inner = self
+            .inner
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .full_bytes
-            .clone()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        (inner.base.version, inner.full_bytes.clone())
     }
 
     /// The latest published version.

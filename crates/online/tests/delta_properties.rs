@@ -91,7 +91,7 @@ proptest! {
     fn delta_apply_reconstructs_the_target_bit_identically(k in knobs()) {
         let base = build_base(k.0, k.1, k.2, k.3);
         let next = evolve(&base, k.4, k.5);
-        let delta = CheckpointDelta::between(&base, &next).unwrap();
+        let delta = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap();
         let decoded = CheckpointDelta::from_bytes(&delta.to_bytes()).unwrap();
         let rebuilt = decoded.apply(&base).unwrap();
         prop_assert_eq!(rebuilt.to_bytes(), next.to_bytes());
@@ -109,7 +109,7 @@ proptest! {
     ) {
         let base = build_base(k.0, k.1, k.2, k.3);
         let next = evolve(&base, k.4, k.5);
-        let bytes = CheckpointDelta::between(&base, &next).unwrap().to_bytes();
+        let bytes = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap().to_bytes();
         let index = (position % bytes.len() as u64) as usize;
         let mut corrupt = bytes.clone();
         corrupt[index] ^= flip;
@@ -125,7 +125,7 @@ proptest! {
     fn apply_to_any_other_version_is_rejected(k in knobs(), skew in 1u64..5) {
         let base = build_base(k.0, k.1, k.2, k.3);
         let next = evolve(&base, k.4, k.5);
-        let delta = CheckpointDelta::between(&base, &next).unwrap();
+        let delta = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap();
         let mut wrong = base.clone();
         wrong.version = base.version.wrapping_add(skew);
         match delta.apply(&wrong) {
@@ -147,8 +147,8 @@ fn out_of_order_chain_application_is_rejected() {
     let v1 = build_base(0xD17A, 10, 4, false);
     let v2 = evolve(&v1, 0xBEEF, 2);
     let v3 = evolve(&v2, 0xF00D, 1);
-    let d12 = CheckpointDelta::between(&v1, &v2).unwrap();
-    let d23 = CheckpointDelta::between(&v2, &v3).unwrap();
+    let d12 = CheckpointDelta::between(&v1, &v2, &v2.to_bytes()).unwrap();
+    let d23 = CheckpointDelta::between(&v2, &v3, &v3.to_bytes()).unwrap();
 
     // Skipping d12: d23 names v2 as its base, v1 is not it.
     assert!(matches!(

@@ -23,9 +23,12 @@
 //!   learner nudges the router (`published`), which at once pulls the
 //!   published [`ncl_online::CheckpointDelta`] and pushes it to every
 //!   follower that is behind (a clock tick is the fallback); any
-//!   mismatch falls back to a full checkpoint. Followers apply bit-identically (the
-//!   delta's `target_crc` guarantees it) and hot-swap at the learner's
-//!   exact version.
+//!   mismatch falls back to a full checkpoint. Followers apply
+//!   bit-identically and hot-swap at the learner's exact version: the
+//!   delta's `target_crc` is the target checkpoint's own trailing
+//!   CRC-32 (the CRC of its body — a CRC over body and trailer together
+//!   is a constant residue and would seal nothing), and a follower
+//!   refuses a result whose encoding ends in any other.
 //! * [`replica`] — [`ElasticReplica`], the one
 //!   [`ncl_serve::ReplicaSync`] implementation the `ncl-replica` binary
 //!   mounts: a follower applying deltas that the router (or a fresh

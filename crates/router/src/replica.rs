@@ -281,13 +281,19 @@ impl ElasticReplica {
     /// (bit-identity checks in tests and benches).
     #[must_use]
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        self.versioned_checkpoint().1
+    }
+
+    /// The version and full encoding of the checkpoint
+    /// [`ElasticReplica::checkpoint_bytes`] returns, read together.
+    fn versioned_checkpoint(&self) -> (u64, Vec<u8>) {
         let role = self
             .role
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         match &*role {
-            RoleState::Follower { state } => state.to_bytes(),
-            RoleState::Learner { publisher, .. } => publisher.checkpoint_bytes(),
+            RoleState::Follower { state } => (state.version, state.to_bytes()),
+            RoleState::Learner { publisher, .. } => publisher.latest(),
         }
     }
 }
@@ -328,9 +334,10 @@ fn nudge_router(router: &Mutex<Option<SocketAddr>>, version: u64, epoch: u64) {
 
 /// The promoted learner's ingest loop: continue the deterministic
 /// stream from the resumed checkpoint's cursor, publish after every
-/// increment and hand `published` the new version and the delta's
-/// size, stop on demand. Runs on its own thread; must never panic —
-/// failures park in `ingest_error` and end the loop.
+/// increment (timed as `online_stage_us{stage="publish"}` in the
+/// learner's registry) and hand `published` the new version and the
+/// delta's size, stop on demand. Runs on its own thread; must never
+/// panic — failures park in `ingest_error` and end the loop.
 fn run_ingest(
     mut learner: OnlineLearner,
     stream: &SampleStream,
@@ -345,19 +352,25 @@ fn run_ingest(
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(message);
     };
+    let publish_stage = learner.obs().stage("online_stage_us", "publish");
     let cursor = learner.cursor();
     for event in stream.events_from(cursor) {
         if stop.load(Ordering::Acquire) {
             return;
         }
         match learner.ingest(event) {
-            Ok(IngestOutcome::Increment(_)) => match publisher.publish(learner.checkpoint()) {
-                Ok(size) => published(publisher.version(), size),
-                Err(e) => {
-                    fail(format!("publishing an increment failed: {e}"));
-                    return;
+            Ok(IngestOutcome::Increment(_)) => {
+                let span = publish_stage.enter();
+                let outcome = publisher.publish(learner.checkpoint());
+                span.close();
+                match outcome {
+                    Ok(size) => published(publisher.version(), size),
+                    Err(e) => {
+                        fail(format!("publishing an increment failed: {e}"));
+                        return;
+                    }
                 }
-            },
+            }
             Ok(_) => {}
             Err(e) => {
                 fail(format!("ingest failed: {e}"));
@@ -577,8 +590,8 @@ impl ReplicaSync for ElasticReplica {
         }
     }
 
-    fn fetch_checkpoint(&self) -> Result<Vec<u8>, ServeError> {
-        Ok(self.checkpoint_bytes())
+    fn fetch_checkpoint(&self) -> Result<(u64, Vec<u8>), ServeError> {
+        Ok(self.versioned_checkpoint())
     }
 
     fn apply_checkpoint(&self, payload: &[u8]) -> Result<u64, ServeError> {
@@ -680,7 +693,7 @@ mod tests {
         let follower = follower(base.clone());
         assert_eq!(follower.registry().version(), 1);
 
-        let delta = CheckpointDelta::between(&base, &next).unwrap();
+        let delta = CheckpointDelta::between(&base, &next, &next.to_bytes()).unwrap();
         let version = follower.apply_delta(&delta.to_bytes()).unwrap();
         assert_eq!(version, 2);
         assert_eq!(follower.registry().version(), 2);
@@ -699,7 +712,8 @@ mod tests {
 
         // A delta skipping the held base: replication error (router
         // falls back to a full checkpoint), state untouched.
-        let wrong_base = CheckpointDelta::between(&after, &checkpoint(4)).unwrap();
+        let wrong_base =
+            CheckpointDelta::between(&after, &checkpoint(4), &checkpoint(4).to_bytes()).unwrap();
         assert!(matches!(
             follower.apply_delta(&wrong_base.to_bytes()),
             Err(ServeError::Replication { .. })
@@ -742,7 +756,10 @@ mod tests {
         assert_eq!(version, target);
         assert!(CheckpointDelta::from_bytes(&bytes).is_ok());
         assert!(learner.fetch_delta(target + 7).is_err());
-        assert_eq!(learner.fetch_checkpoint().unwrap(), reference.published);
+        assert_eq!(
+            learner.fetch_checkpoint().unwrap(),
+            (target, reference.published)
+        );
         assert!(learner.apply_delta(&bytes).is_err());
         assert!(learner.apply_checkpoint(&[]).is_err());
     }
@@ -764,6 +781,13 @@ mod tests {
         assert!(
             text.contains(&format!("online_delta_bytes_sum {published}\n")),
             "one sample per published delta, of its encoded size:\n{text}"
+        );
+        // The publish span closes before the size is recorded.
+        assert!(
+            text.contains(&format!(
+                "online_stage_us_count{{stage=\"publish\"}} {increments}\n"
+            )),
+            "one publish span per increment:\n{text}"
         );
     }
 

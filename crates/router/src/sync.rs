@@ -6,10 +6,18 @@
 //! every healthy follower that is behind, pulls the delta covering
 //! *that follower's* version from the learner and pushes it via
 //! `apply_delta`. Any step failing — the learner no longer retains that
-//! delta, the follower's base mismatches (its `target_crc` check makes
-//! wrong bytes impossible to apply silently) — falls back to relaying
-//! the learner's full checkpoint. Followers therefore converge to the
-//! learner's exact bytes, normally paying only KB-scale deltas.
+//! delta, or the follower's base mismatches — falls back to relaying
+//! the learner's full checkpoint. Wrong bytes cannot be applied
+//! silently: a delta carries its target checkpoint's trailing CRC-32
+//! (the CRC of the target's body; a CRC over the whole encoding, trailer
+//! included, is the same constant residue for every checkpoint), and the
+//! follower refuses a result whose own encoding ends in a different one.
+//! Followers therefore converge to the learner's exact bytes, normally
+//! paying only KB-scale deltas. A fetched checkpoint whose version does
+//! not advance the follower is not relayed: between the learner's
+//! registry swap and its publish, the learner serves the new version
+//! but its published checkpoint is still the old one, which the
+//! follower already holds.
 //!
 //! **When a pass runs.** The learner drives it: after every delta it
 //! publishes, the promoted replica sends the router a `published`
@@ -163,7 +171,9 @@ fn apply_outcome(response: &str) -> Apply {
 /// checkpoint on any failure. Applies carry the fleet `epoch`, so a
 /// replica fenced at a newer epoch refuses them (split-brain safety).
 /// Only an apply that advanced the follower is counted; a stale refusal
-/// means it is already there.
+/// means it is already there. A fetched payload that would not advance
+/// the follower (the learner swapped but has not published yet) is not
+/// relayed at all: the learner's next publish nudges another pass.
 fn propagate(learner: &Backend, follower: &Backend, epoch: u64, stats: &SyncStats) {
     let follower_version = follower.model_version();
     // The delta path: ask the learner for exactly this follower's gap,
@@ -181,9 +191,13 @@ fn propagate(learner: &Backend, follower: &Backend, epoch: u64, stats: &SyncStat
         ),
     ];
     for (fetch, apply_op, applied) in attempts {
-        let Some((_, payload)) = learner.request(&fetch).ok().and_then(|r| ok_payload(&r)) else {
+        let Some((version, payload)) = learner.request(&fetch).ok().and_then(|r| ok_payload(&r))
+        else {
             continue;
         };
+        if version.is_some_and(|v| v <= follower_version) {
+            return;
+        }
         let Ok(response) = follower.request(&format!(
             r#"{{"op":"{apply_op}","payload":"{payload}","epoch":{epoch}}}"#
         )) else {

@@ -231,8 +231,8 @@ impl ReplicaSync for PublisherSync {
         })
     }
 
-    fn fetch_checkpoint(&self) -> Result<Vec<u8>, ServeError> {
-        Ok(self.0.checkpoint_bytes())
+    fn fetch_checkpoint(&self) -> Result<(u64, Vec<u8>), ServeError> {
+        Ok(self.0.latest())
     }
 
     fn apply_checkpoint(&self, _payload: &[u8]) -> Result<u64, ServeError> {
@@ -413,4 +413,64 @@ pub fn make_server() -> Result<Server, Error> {
     let network = Network::new(NetworkConfig::tiny(6, 3))?;
     let registry = Arc::new(ModelRegistry::new(network, "test"));
     Ok(Server::start(registry, ServerConfig::default())?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::Backend;
+    use crate::faults::{FaultAction, FaultPlan, FaultRule};
+    use crate::router::{Router, RouterConfig};
+
+    #[test]
+    fn a_checkpoint_that_does_not_advance_the_follower_is_not_relayed() {
+        let learner = SynthLearner::start(4).unwrap();
+        let follower = start_synth_follower().unwrap();
+        // The window between a learner's registry swap and its publish:
+        // it serves v2, but v1 is still all it has published, so no delta
+        // from the follower's v1 exists and its checkpoint is v1.
+        learner
+            .registry
+            .swap_network_at(synth(2).unwrap().network, "synth", 2)
+            .unwrap();
+        // Any checkpoint relayed to the follower is dropped, and counted.
+        let plan = Arc::new(FaultPlan::with_rules(
+            7,
+            vec![FaultRule::every(1.0, FaultAction::Drop).on_op("apply_checkpoint")],
+        ));
+        let follower_backend = Arc::new(Backend::new(1, follower.server.local_addr()));
+        follower_backend.arm_faults(Arc::clone(&plan));
+        let backends = vec![
+            Arc::new(Backend::new(0, learner.server.local_addr())),
+            follower_backend,
+        ];
+        let router = Router::start(
+            backends,
+            RouterConfig {
+                sync_interval: Duration::from_secs(3600),
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+
+        router.sync_now();
+        assert_eq!(plan.injected(), 0, "the stale checkpoint was relayed");
+        let stats = router.sync_stats();
+        assert_eq!((stats.full_syncs.get(), stats.failures.get()), (0, 0));
+        assert_eq!(follower.replica.registry().version(), 1);
+
+        // Once the learner publishes, the next pass ships the delta.
+        learner.publisher.publish(synth(2).unwrap()).unwrap();
+        router.sync_now();
+        assert_eq!(stats.deltas_applied.get(), 1);
+        assert_eq!(
+            follower.replica.checkpoint_bytes(),
+            learner.publisher.checkpoint_bytes()
+        );
+        assert_eq!(plan.injected(), 0);
+
+        router.shutdown();
+        learner.server.shutdown();
+        follower.server.shutdown();
+    }
 }

@@ -14,7 +14,7 @@
 //! | `{"op":"health","router":"127.0.0.1:7100"}` | `{"ok":true,"op":"health","model_version":3,"role":"follower",...}` |
 //! | `{"op":"delta","base_version":3}` | `{"ok":true,"op":"delta","version":4,"payload":"<hex>"}` |
 //! | `{"op":"apply_delta","payload":"<hex>"}` | `{"ok":true,"op":"apply_delta","model_version":4}` |
-//! | `{"op":"checkpoint"}` | `{"ok":true,"op":"checkpoint","payload":"<hex>"}` |
+//! | `{"op":"checkpoint"}` | `{"ok":true,"op":"checkpoint","version":4,"payload":"<hex>"}` |
 //! | `{"op":"apply_checkpoint","payload":"<hex>"}` | `{"ok":true,"op":"apply_checkpoint","model_version":4}` |
 //! | `{"op":"promote","epoch":2}` | `{"ok":true,"op":"promote","epoch":2,"model_version":4}` |
 //! | `{"op":"demote","epoch":2}` | `{"ok":true,"op":"demote","epoch":2,"model_version":4}` |

@@ -269,9 +269,10 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
             s.apply_delta(&payload)
         }),
         Request::CheckpointFetch => match sync_handler(shared).and_then(|s| s.fetch_checkpoint()) {
-            Ok(bytes) => protocol::object(vec![
+            Ok((version, bytes)) => protocol::object(vec![
                 ("ok", Value::from(true)),
                 ("op", Value::from("checkpoint")),
+                ("version", Value::from(version)),
                 ("payload", Value::from(protocol::to_hex(&bytes))),
             ])
             .to_json(),
@@ -601,8 +602,8 @@ mod tests {
                 })
             }
         }
-        fn fetch_checkpoint(&self) -> Result<Vec<u8>, ServeError> {
-            Ok(vec![0x01])
+        fn fetch_checkpoint(&self) -> Result<(u64, Vec<u8>), ServeError> {
+            Ok((2, vec![0x01]))
         }
         fn apply_checkpoint(&self, _payload: &[u8]) -> Result<u64, ServeError> {
             Ok(self.registry.version())
@@ -672,6 +673,7 @@ mod tests {
             .contains("stale version"));
 
         let ckpt = client.round_trip(r#"{"op":"checkpoint"}"#).unwrap();
+        assert_eq!(ckpt.get("version").and_then(Value::as_u64), Some(2));
         assert_eq!(ckpt.get("payload").and_then(Value::as_str), Some("01"));
 
         server.shutdown();

@@ -56,12 +56,15 @@ pub trait ReplicaSync: Send + Sync {
     /// [`ServeError::StaleVersion`] for duplicates.
     fn apply_delta(&self, payload: &[u8]) -> Result<u64, ServeError>;
 
-    /// The full encoding of this replica's latest checkpoint.
+    /// Returns `(version, checkpoint_bytes)`: the version and full
+    /// encoding of this replica's latest checkpoint, read together so
+    /// the caller can tell whether the bytes advance a follower before
+    /// relaying them.
     ///
     /// # Errors
     ///
     /// [`ServeError::Replication`] if this replica does not publish.
-    fn fetch_checkpoint(&self) -> Result<Vec<u8>, ServeError>;
+    fn fetch_checkpoint(&self) -> Result<(u64, Vec<u8>), ServeError>;
 
     /// Applies an encoded full checkpoint and hot-swaps the result,
     /// returning the new model version.

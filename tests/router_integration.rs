@@ -364,7 +364,8 @@ fn racing_sync_passes_count_each_applied_delta_once() {
 fn malformed_epoch_stamps_are_refused_not_applied_unfenced() {
     let follower = start_synth_follower().unwrap();
     follower.replica.observe_epoch(2).unwrap();
-    let delta = CheckpointDelta::between(&synth(1).unwrap(), &synth(2).unwrap()).unwrap();
+    let target = synth(2).unwrap();
+    let delta = CheckpointDelta::between(&synth(1).unwrap(), &target, &target.to_bytes()).unwrap();
     let payload = protocol::to_hex(&delta.to_bytes());
     // Both writes would apply unfenced: the delta advances v1 to v2,
     // the full checkpoint jumps to v3.
