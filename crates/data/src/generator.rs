@@ -180,12 +180,6 @@ impl ClassPrototype {
         let frac = x - i as f32;
         self.waypoints[i] * (1.0 - frac) + self.waypoints[i + 1] * frac
     }
-
-    /// Borrow of the waypoint channels.
-    #[must_use]
-    pub fn waypoints(&self) -> &[f32] {
-        &self.waypoints
-    }
 }
 
 /// Draws one sample of `class` using the caller's RNG stream.
@@ -381,7 +375,7 @@ mod tests {
                 let c = p.center_at(u);
                 assert!(c >= 0.0 && c < config.channels as f32);
             }
-            assert_eq!(p.waypoints().len(), config.waypoints);
+            assert_eq!(p.waypoints.len(), config.waypoints);
         }
     }
 

@@ -85,15 +85,6 @@ impl RateCodedConfig {
         }
         Ok(())
     }
-
-    /// The analog rate prototype of `class`: a deterministic pattern of
-    /// per-channel intensities in `[0, 1]`.
-    #[must_use]
-    pub fn prototype(&self, class: u16) -> Vec<f32> {
-        let mut rng =
-            Rng::seed_from_u64(self.seed ^ RATE_SALT ^ u64::from(class).wrapping_mul(0x9E37_79B9));
-        (0..self.channels).map(|_| rng.uniform_f32()).collect()
-    }
 }
 
 const RATE_SALT: u64 = 0x7A7E_C0DE;
@@ -200,7 +191,7 @@ mod tests {
         let data = generate(&config).unwrap();
         // Mean firing rate of each sample correlates with its prototype.
         for class in 0..config.classes {
-            let proto = config.prototype(class);
+            let proto = prototype_of(&config, class);
             let idx = data.train.indices_of_class(class);
             let sample = &data.train.samples()[idx[0]];
             let rates = firing_rates(&sample.raster);

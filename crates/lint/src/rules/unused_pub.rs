@@ -14,7 +14,8 @@
 //! - the signature of another non-test `pub` item of the same crate,
 //!   so types reachable through the public API stay public.
 //!
-//! `pub use` re-exports and the defining occurrence of a name do not
+//! `pub use` re-exports, the defining occurrence of a name and binders
+//! (a field, parameter or generic name before a single `:`) do not
 //! count. Being name-based, the check errs towards silence: any same-
 //! named identifier elsewhere keeps an item public.
 
@@ -119,7 +120,13 @@ impl PubItem {
         let name_idx = self.name_idx;
         (a..=b).filter_map(move |i| {
             let t = file.tokens.get(i)?;
-            (t.kind == TokenKind::Ident && i != name_idx).then(|| t.text(&file.src))
+            if t.kind != TokenKind::Ident || i == name_idx {
+                return None;
+            }
+            let next = file.skip_comments(i + 1);
+            let after = next.and_then(|n| file.skip_comments(n + 1));
+            let token = |j: Option<usize>| j.and_then(|j| file.tokens.get(j));
+            (!is_binder(&file.src, token(next), token(after))).then(|| t.text(&file.src))
         })
     }
 }
@@ -142,7 +149,8 @@ fn library_crate(path: &str) -> Option<&str> {
 }
 
 /// Identifiers a file uses: every code identifier except those inside
-/// a `pub use` re-export and the names an item definition introduces.
+/// a `pub use` re-export, the names an item definition introduces and
+/// binders.
 /// Test code included — an item another crate's tests name must stay
 /// public for them to compile.
 fn used_names(file: &SourceFile) -> Vec<&str> {
@@ -168,11 +176,19 @@ fn used_names(file: &SourceFile) -> Vec<&str> {
             continue;
         }
         let defines = prev.is_some_and(|p| DEFINING_KEYWORDS.iter().any(|kw| p.is_ident(src, kw)));
-        if !defines {
+        if !defines && !is_binder(src, code.get(k + 1).copied(), code.get(k + 2).copied()) {
             names.push(t.text(src));
         }
     }
     names
+}
+
+/// Whether an identifier followed by the code tokens `next`, `after`
+/// is a binder: a field, parameter or generic name before a single `:`
+/// (not a `::` path). A binder introduces its own name; a private field
+/// `log: Vec<u8>` is no use of a same-named `pub fn log`.
+fn is_binder(src: &str, next: Option<&Token>, after: Option<&Token>) -> bool {
+    next.is_some_and(|t| t.is_punct(src, ':')) && !after.is_some_and(|t| t.is_punct(src, ':'))
 }
 
 /// Keywords whose following identifier is the name being defined.

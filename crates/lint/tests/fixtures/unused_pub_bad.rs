@@ -16,6 +16,18 @@ impl Orphan {
     pub fn poke(&self) {}
 }
 
+/// A type a user names, whose private field shares a method's name.
+pub struct Ring {
+    log: Vec<u8>,
+}
+
+impl Ring {
+    /// Named only by binders: the field above and a user's parameter.
+    pub fn log(&self) -> &[u8] {
+        &self.log
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

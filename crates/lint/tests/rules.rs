@@ -330,7 +330,8 @@ fn unused_pub_symbols(sources: Vec<(&str, String)>) -> Vec<String> {
 #[test]
 fn unused_pub_fires_on_items_only_their_own_crate_names() {
     // Users that do not count: a comment, a string literal and a
-    // `pub use` re-export naming `only_mentioned`.
+    // `pub use` re-export naming `only_mentioned`, and binders (a
+    // field, a parameter) named like `Ring::log`.
     let symbols = unused_pub_symbols(vec![
         (UNUSED_PUB_PATH, UNUSED_PUB_BAD.to_owned()),
         (
@@ -341,6 +342,10 @@ fn unused_pub_fires_on_items_only_their_own_crate_names() {
             "src/lib.rs",
             "pub use ncl_spike::codec::only_mentioned;\n".to_owned(),
         ),
+        (
+            "tests/ring.rs",
+            "fn drain(log: &ncl_spike::codec::Ring) {}\n".to_owned(),
+        ),
     ]);
     assert_eq!(
         symbols,
@@ -348,7 +353,8 @@ fn unused_pub_fires_on_items_only_their_own_crate_names() {
             "only_unit_tested",
             "only_mentioned",
             "Orphan",
-            "Orphan::poke"
+            "Orphan::poke",
+            "Ring::log"
         ],
     );
 }

@@ -225,19 +225,19 @@ impl Tracer {
     /// Traces dropped by tail-sampling or eviction
     /// (`obs_traces_dropped_total`).
     #[must_use]
-    pub fn traces_dropped(&self) -> Arc<Counter> {
+    pub(crate) fn traces_dropped(&self) -> Arc<Counter> {
         Arc::clone(&self.traces_dropped)
     }
 
     /// Traces the sampler decided to keep (`obs_traces_kept_total`).
     #[must_use]
-    pub fn traces_kept(&self) -> Arc<Counter> {
+    pub(crate) fn traces_kept(&self) -> Arc<Counter> {
         Arc::clone(&self.traces_kept)
     }
 
     /// Occupancy of the kept store in spans (`obs_trace_buffer_spans`).
     #[must_use]
-    pub fn buffer_spans(&self) -> Arc<Gauge> {
+    pub(crate) fn buffer_spans(&self) -> Arc<Gauge> {
         Arc::clone(&self.buffer_spans)
     }
 

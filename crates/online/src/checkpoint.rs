@@ -1,6 +1,6 @@
 //! Atomic daemon checkpoints.
 //!
-//! A checkpoint is everything `ncl-learnd` needs to resume mid-stream
+//! A checkpoint is everything a learner needs to resume mid-stream
 //! **bit-identically**: the model bytes (the `ncl_snn::serialize`
 //! format), the replay buffer with every latent entry RLE-encoded, the
 //! stream cursor, the daemon version counter and the rolling digest of

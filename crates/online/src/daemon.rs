@@ -13,7 +13,7 @@
 //!
 //! ```text
 //!             ┌────────────────────────────────────────────────┐
-//!             │                ncl-learnd                      │
+//!             │          ncl-replica --role learner            │
 //!  stream ───▶│ ingest ─▶ novelty check ─▶ capture latent (T*) │
 //!             │    │            │                │             │
 //!             │    │        known class      novel class       │
@@ -60,12 +60,6 @@ use crate::stream::{SampleStream, StreamEvent};
 
 /// Seed salt for per-increment training RNG streams.
 const INCREMENT_SALT: u64 = 0x1C4;
-
-/// Retained tail of the in-memory event log (the rolling digest carries
-/// the full history; the log itself is for inspection and must not grow
-/// without bound in a lifelong daemon). Trimming happens in blocks of
-/// this size, so appends stay amortized O(1).
-const EVENT_LOG_CAP: usize = 1024;
 
 /// Configuration of the online daemon.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -178,9 +172,9 @@ impl OnlineConfig {
     }
 }
 
-/// What one applied event did (the event-log payload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EventAction {
+/// What one applied event did (the event-digest payload).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EventAction {
     /// A known-class sample passed through without touching the store.
     Observed,
     /// A known-class latent was captured into the replay store,
@@ -205,14 +199,14 @@ pub enum EventAction {
 }
 
 /// One applied stream event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EventRecord {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EventRecord {
     /// Stream sequence number.
-    pub seq: u64,
+    seq: u64,
     /// Sample label.
-    pub label: u16,
+    label: u16,
     /// What the daemon did with it.
-    pub action: EventAction,
+    action: EventAction,
 }
 
 impl EventRecord {
@@ -275,7 +269,7 @@ pub struct IncrementReport {
     /// `capacity_bits`) — nonzero means the just-learned class has less
     /// replay representation than its arrival produced; with a budget
     /// smaller than one entry it has **none**, and will be forgotten by
-    /// the next increment. Callers should surface this loudly.
+    /// the next increment. The learner emits a `Warn` event for it.
     pub rejected_entries: usize,
     /// Set when the increment applied and hot-swapped but its checkpoint
     /// write failed — the daemon keeps running (availability over
@@ -394,7 +388,6 @@ pub struct OnlineLearner {
     cursor: u64,
     version: u64,
     event_digest: u64,
-    event_log: Vec<EventRecord>,
     pretrain_acc: f64,
 }
 
@@ -470,7 +463,6 @@ impl OnlineLearner {
             cursor: 0,
             version: 1,
             event_digest: EVENT_DIGEST_SEED,
-            event_log: Vec::new(),
             pretrain_acc,
         })
     }
@@ -482,9 +474,6 @@ impl OnlineLearner {
     /// where an uninterrupted one would be — same future increments,
     /// same future checkpoints.
     ///
-    /// The in-memory event *log* restarts empty; its rolling digest
-    /// carries the history.
-    ///
     /// # Errors
     ///
     /// Returns [`OnlineError::InvalidConfig`] if no checkpoint path is
@@ -494,19 +483,6 @@ impl OnlineLearner {
     /// restored store — and [`OnlineError::Io`]/
     /// [`OnlineError::Checkpoint`] for unreadable or corrupt checkpoints.
     pub fn resume(config: OnlineConfig) -> Result<Self, OnlineError> {
-        Self::resume_with_obs(config, Arc::new(ObsRegistry::new()))
-    }
-
-    /// [`resume`](OnlineLearner::resume) publishing into a shared
-    /// observability registry.
-    ///
-    /// # Errors
-    ///
-    /// As [`resume`](OnlineLearner::resume).
-    pub fn resume_with_obs(
-        config: OnlineConfig,
-        obs: Arc<ObsRegistry>,
-    ) -> Result<Self, OnlineError> {
         let path = config
             .checkpoint_path
             .as_ref()
@@ -515,34 +491,16 @@ impl OnlineLearner {
                 detail: "resume needs a checkpoint path".into(),
             })?;
         let ckpt = Checkpoint::read(path)?;
-        let source = format!("checkpoint:{}", path.display());
-        Self::resume_from_checkpoint_with_obs(config, ckpt, &source, obs)
-    }
-
-    /// Resumes from an in-memory [`Checkpoint`] instead of a file, publishing
-    /// into a shared observability registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OnlineError::InvalidConfig`] if the checkpoint's
-    /// determinism digest does not match `config` (see
-    /// [`resume`](OnlineLearner::resume)).
-    fn resume_from_checkpoint_with_obs(
-        config: OnlineConfig,
-        ckpt: Checkpoint,
-        source: &str,
-        obs: Arc<ObsRegistry>,
-    ) -> Result<Self, OnlineError> {
         let registry = Arc::new(ModelRegistry::with_initial_version(
             ckpt.network.clone(),
-            source,
+            &format!("checkpoint:{}", path.display()),
             ckpt.version,
         ));
-        Self::resume_into_registry_with_obs(config, ckpt, registry, obs)
+        Self::resume_into_registry_with_obs(config, ckpt, registry, Arc::new(ObsRegistry::new()))
     }
 
-    /// [`resume_from_checkpoint_with_obs`](OnlineLearner::resume_from_checkpoint_with_obs)
-    /// publishing into an *existing* [`ModelRegistry`] — the registry a
+    /// Resumes from an in-memory [`Checkpoint`], publishing into an
+    /// *existing* [`ModelRegistry`] — the registry a
     /// running server is already bound to. The registry must already
     /// hold the checkpoint's version (the follower applied those exact
     /// bytes before promotion), so the learner continues publishing
@@ -617,7 +575,6 @@ impl OnlineLearner {
             cursor: ckpt.cursor,
             version: ckpt.version,
             event_digest: ckpt.event_digest,
-            event_log: Vec::new(),
             pretrain_acc: f64::NAN,
         })
     }
@@ -683,15 +640,6 @@ impl OnlineLearner {
     #[must_use]
     pub fn event_digest(&self) -> u64 {
         self.event_digest
-    }
-
-    /// The most recent events applied by *this process* — a bounded tail
-    /// (the digest spans the whole lifetime across restarts; the log is
-    /// trimmed past [`EVENT_LOG_CAP`] retained records so a lifelong
-    /// daemon's memory stays flat).
-    #[must_use]
-    pub fn event_log(&self) -> &[EventRecord] {
-        &self.event_log
     }
 
     /// Old-class test accuracy of the pre-trained model (NaN after a
@@ -864,12 +812,6 @@ impl OnlineLearner {
         for word in record.digest_words() {
             self.event_digest = fnv1a_fold(self.event_digest, word);
         }
-        self.event_log.push(record);
-        // The digest carries the full history; the in-memory log is a
-        // bounded tail so a lifelong daemon does not grow without limit.
-        if self.event_log.len() >= 2 * EVENT_LOG_CAP {
-            self.event_log.drain(..EVENT_LOG_CAP);
-        }
 
         // An increment is the durable state change; persist it before the
         // next event so a crash resumes from *after* the increment. A
@@ -992,9 +934,9 @@ impl OnlineLearner {
         self.version = next_version;
         // Fold the pending latents into the store (they are the new
         // class's replay data for *future* increments) and promote every
-        // class that contributed. A budget rejection here means the class
-        // will have NO replay representation — surfaced in the report so
-        // callers can alarm on it.
+        // class that contributed. A budget rejection here leaves the class
+        // under-represented in replay (with none at all if every entry was
+        // rejected) — surfaced in the report and as a `Warn` event.
         let mut classes: Vec<u16> = self.pending.iter().map(|(l, _)| *l).collect();
         classes.sort_unstable();
         classes.dedup();
@@ -1011,6 +953,19 @@ impl OnlineLearner {
         }
         for &class in &classes {
             self.tracker.promote(class);
+        }
+        if rejected_entries > 0 {
+            obs.registry.event(
+                Level::Warn,
+                "the latent budget rejected new-class entries; the class is \
+                 under-represented in replay",
+                &[
+                    ("version", &self.version.to_string()),
+                    ("rejected", &rejected_entries.to_string()),
+                    ("produced", &(rejected_entries + stored_entries).to_string()),
+                    ("classes", &format!("{classes:?}")),
+                ],
+            );
         }
         debug_assert!(classes.contains(&trigger_class));
 
@@ -1078,36 +1033,6 @@ impl OnlineLearner {
             }
         }
         Ok(correct as f64 / samples.len().max(1) as f64)
-    }
-
-    /// Renders the daemon state as a deterministic JSON object (the
-    /// `ncl-learnd` status line and the bench emitter both use it).
-    #[must_use]
-    pub fn status_json(&self) -> serde_json::Value {
-        use serde_json::Value;
-        ncl_serve::protocol::object(vec![
-            ("version", Value::from(self.version)),
-            ("cursor", Value::from(self.cursor)),
-            ("increments", Value::from(self.version.saturating_sub(1))),
-            (
-                "known_classes",
-                self.tracker
-                    .known_classes()
-                    .iter()
-                    .map(|&c| Value::from(u64::from(c)))
-                    .collect::<Value>(),
-            ),
-            ("pending_samples", Value::from(self.pending.len() as u64)),
-            ("buffer_entries", Value::from(self.buffer.len() as u64)),
-            (
-                "buffer_bits",
-                Value::from(self.buffer.footprint().total_bits),
-            ),
-            (
-                "event_digest",
-                Value::from(format!("{:016x}", self.event_digest)),
-            ),
-        ])
     }
 }
 
@@ -1216,6 +1141,31 @@ mod tests {
             assert_eq!(child.parent, Some(root.span_id), "{stage} parents the root");
         }
         std::fs::remove_file(&ckpt_path).ok();
+    }
+
+    #[test]
+    fn budget_rejections_at_an_increment_raise_a_warning() {
+        let (mut config, stream_config) = test_config("ncl-online-budget-test");
+        config.checkpoint_path = None;
+        // Smaller than any latent entry: every one is rejected.
+        config.capacity_bits = Some(1);
+        let stream = SampleStream::generate(&stream_config).unwrap();
+        let mut learner = OnlineLearner::bootstrap(config).unwrap();
+        learner.obs().mute_event_echo();
+        let warns = "obs_events_total{level=\"warn\"}";
+        assert!(
+            learner.obs().render().contains(&format!("{warns} 0\n")),
+            "no warning before an increment"
+        );
+        let summary = learner.run_stream(&stream).unwrap();
+        assert!(!summary.increments.is_empty());
+        assert!(summary.increments.iter().all(|r| r.rejected_entries > 0));
+        let expected = format!("{warns} {}\n", summary.increments.len());
+        let text = learner.obs().render();
+        assert!(
+            text.contains(&expected),
+            "one warning per rejecting increment:\n{text}"
+        );
     }
 
     #[test]

@@ -51,9 +51,9 @@
 //! # }
 //! ```
 //!
-//! The `ncl-learnd` binary wraps this into a process (serve + ingest +
-//! checkpoint); `ncl-online-bench` measures it and emits
-//! `BENCH_online.json`.
+//! `ncl-replica --role learner` (in `ncl_router`) wraps this into a
+//! process (serve + ingest + checkpoint); `ncl-online-bench` measures it
+//! and emits `BENCH_online.json`.
 
 pub mod checkpoint;
 pub mod daemon;

@@ -261,7 +261,7 @@ impl Backend {
 
     /// Requests currently relayed to this replica.
     #[must_use]
-    pub fn inflight(&self) -> usize {
+    pub(crate) fn inflight(&self) -> usize {
         self.inflight.load(Ordering::Acquire)
     }
 

@@ -23,26 +23,42 @@
 //! local bootstrap entirely and cold-starts from the fleet's current
 //! checkpoint, fetched through the router's `checkpoint` relay.
 //!
+//! Without `--join`, `--role learner` is the single-node online
+//! continual-learning daemon: it serves predictions while it learns the
+//! stream's novel class and hot-swaps each increment in. Durability
+//! flags: `--checkpoint PATH` makes every increment write an atomic
+//! checkpoint there, so killing the process loses at most the events
+//! since the last increment; `--resume` starts from that checkpoint
+//! instead of bootstrapping (a missing file is an error, never a silent
+//! fresh start) and continues the stream from its cursor.
+//! `--verify-checkpoint` loads the checkpoint, validates it end to end
+//! (CRC, model bytes, RLE frames, budget invariant), prints a JSON
+//! summary and exits.
+//!
 //! ```sh
 //! ncl-replica --role learner|follower [--port N] [--workers N]
 //!             [--events N] [--warmup N] [--novel-every N] [--pace-ms N]
 //!             [--arrival-threshold N] [--cl-epochs N] [--pretrain-epochs N]
 //!             [--seed N] [--delta-ring N] [--join ADDR]
-//!             [--bootstrap-from ADDR] [--quiet]
+//!             [--bootstrap-from ADDR] [--checkpoint PATH] [--resume] [--quiet]
+//! ncl-replica --verify-checkpoint --checkpoint PATH
 //! ```
 //!
 //! The stream flags matter for the learner and for any follower that
 //! may be promoted; pass one flag set to the whole fleet so every
-//! member would continue the identical stream.
+//! member would continue the identical stream. A resumed run must pass
+//! the flags of the run that wrote the checkpoint.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ncl_online::checkpoint::Checkpoint;
 use ncl_online::daemon::{OnlineConfig, OnlineLearner};
 use ncl_online::stream::{SampleStream, StreamConfig};
 use ncl_router::replica::ElasticReplica;
 use ncl_serve::client::NclClient;
-use ncl_serve::protocol::from_hex;
+use ncl_serve::protocol::{from_hex, object};
 use ncl_serve::server::{Server, ServerConfig};
 use ncl_serve::sync::ReplicaSync;
 use serde_json::Value;
@@ -68,6 +84,9 @@ struct Args {
     delta_ring: usize,
     join: Option<String>,
     bootstrap_from: Option<String>,
+    checkpoint: Option<PathBuf>,
+    resume: bool,
+    verify_checkpoint: bool,
     quiet: bool,
 }
 
@@ -77,7 +96,8 @@ fn usage(problem: &str) -> ! {
         "usage: ncl-replica --role learner|follower [--port N] [--workers N] [--events N] \
          [--warmup N] [--novel-every N] [--pace-ms N] [--arrival-threshold N] [--cl-epochs N] \
          [--pretrain-epochs N] [--seed N] [--delta-ring N] [--join ADDR] \
-         [--bootstrap-from ADDR] [--quiet]"
+         [--bootstrap-from ADDR] [--checkpoint PATH] [--resume] [--quiet]\n       \
+         ncl-replica --verify-checkpoint --checkpoint PATH"
     );
     std::process::exit(2);
 }
@@ -98,6 +118,9 @@ fn parse_args() -> Args {
         delta_ring: OnlineConfig::smoke().delta_ring,
         join: None,
         bootstrap_from: None,
+        checkpoint: None,
+        resume: false,
+        verify_checkpoint: false,
         quiet: false,
     };
     let mut role_given = false;
@@ -136,9 +159,18 @@ fn parse_args() -> Args {
             "--delta-ring" => args.delta_ring = parse!("--delta-ring"),
             "--join" => args.join = Some(value("--join")),
             "--bootstrap-from" => args.bootstrap_from = Some(value("--bootstrap-from")),
+            "--checkpoint" => args.checkpoint = Some(PathBuf::from(value("--checkpoint"))),
+            "--resume" => args.resume = true,
+            "--verify-checkpoint" => args.verify_checkpoint = true,
             "--quiet" => args.quiet = true,
             other => usage(&format!("unknown flag {other}")),
         }
+    }
+    if (args.verify_checkpoint || args.resume) && args.checkpoint.is_none() {
+        usage("--verify-checkpoint and --resume need --checkpoint PATH");
+    }
+    if args.verify_checkpoint {
+        return args;
     }
     if !role_given {
         usage("--role is required");
@@ -146,14 +178,68 @@ fn parse_args() -> Args {
     if args.role == Role::Learner && args.bootstrap_from.is_some() {
         usage("--bootstrap-from is a follower flag (the learner's state comes from training)");
     }
+    if args.resume && args.bootstrap_from.is_some() {
+        usage("--resume and --bootstrap-from are two different starting states; pick one");
+    }
     args
 }
 
 fn main() {
     let args = parse_args();
+    if let (true, Some(path)) = (args.verify_checkpoint, &args.checkpoint) {
+        std::process::exit(verify_checkpoint(path));
+    }
     if let Err(e) = run(&args) {
         eprintln!("ncl-replica: {e}");
         std::process::exit(1);
+    }
+}
+
+/// Loads and validates the checkpoint at `path`, printing a one-line
+/// JSON summary; the exit code is 0 for a clean restore, 1 otherwise.
+fn verify_checkpoint(path: &Path) -> i32 {
+    match Checkpoint::read(path) {
+        Ok(ckpt) => {
+            let summary = object(vec![
+                ("ok", Value::from(true)),
+                ("version", Value::from(ckpt.version)),
+                ("cursor", Value::from(ckpt.cursor)),
+                ("increments", Value::from(ckpt.version.saturating_sub(1))),
+                ("entries", Value::from(ckpt.buffer.len())),
+                (
+                    "buffer_bits",
+                    Value::from(ckpt.buffer.footprint().total_bits),
+                ),
+                (
+                    "event_digest",
+                    Value::from(format!("{:016x}", ckpt.event_digest)),
+                ),
+                (
+                    "known_classes",
+                    ckpt.known_classes
+                        .iter()
+                        .map(|&c| Value::from(u64::from(c)))
+                        .collect::<Value>(),
+                ),
+                (
+                    "model_bytes",
+                    Value::from(ncl_snn::serialize::to_bytes(&ckpt.network).len()),
+                ),
+            ]);
+            println!("{}", summary.to_json());
+            0
+        }
+        Err(e) => {
+            println!(
+                "{}",
+                object(vec![
+                    ("ok", Value::from(false)),
+                    ("error", Value::from(e.to_string())),
+                ])
+                .to_json()
+            );
+            1
+        }
     }
 }
 
@@ -201,6 +287,7 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     config.scenario.pretrain_epochs = args.pretrain_epochs.max(1);
     config.arrival_threshold = args.arrival_threshold;
     config.delta_ring = args.delta_ring.max(1);
+    config.checkpoint_path = args.checkpoint.clone();
 
     // One metric registry per process; the `metrics` wire op serves it,
     // and the router merges it into the fleet exposition.
@@ -240,6 +327,38 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         replica
+    } else if let (true, Some(path)) = (args.resume, &args.checkpoint) {
+        // Never fall back to a fresh bootstrap: a missing file (typo,
+        // unmounted volume) would re-pretrain from scratch and serve a
+        // model that forgot every online-learned class.
+        if !path.exists() {
+            return Err(format!(
+                "--resume: checkpoint {} does not exist; drop --resume to bootstrap fresh",
+                path.display()
+            )
+            .into());
+        }
+        let ckpt = Checkpoint::read(path)?;
+        let (version, cursor, entries) = (ckpt.version, ckpt.cursor, ckpt.buffer.len());
+        let replica = ElasticReplica::follower(config, ckpt, stream, pace, Arc::clone(&obs))
+            .map_err(|e| format!("--resume: {e}"))?;
+        if !args.quiet {
+            println!(
+                "resumed from checkpoint: model v{version}, cursor {cursor}, \
+                 {entries} latent entries"
+            );
+        }
+        // The config is digest-checked against the checkpoint, but the
+        // stream is input data the checkpoint cannot vouch for: the
+        // events before the cursor came from the original run's stream.
+        eprintln!(
+            "ncl-replica: note: resuming at cursor {cursor} of a generated stream \
+             (--seed {} --events {} --warmup {} --novel-every {}); these flags must \
+             match the original run, or the continued history diverges from the \
+             recorded one",
+            args.seed, args.events, args.warmup, args.novel_every
+        );
+        replica
     } else {
         let learner = OnlineLearner::bootstrap_with_obs(config.clone(), Arc::clone(&obs))?;
         if !args.quiet {
@@ -253,17 +372,24 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         ElasticReplica::follower(config, learner.checkpoint(), stream, pace, Arc::clone(&obs))?
     };
     replica.register_into(&obs);
+    let replica = Arc::new(replica);
+    let sync = Arc::clone(&replica) as Arc<dyn ReplicaSync>;
+    let server = Server::start_with_obs(
+        replica.registry(),
+        server_config,
+        Some(sync),
+        Arc::clone(&obs),
+    )?;
+    // Promote only once serving, so predictions flow from the stream's
+    // first event on.
     if args.role == Role::Learner {
         replica.promote(1)?;
     }
-    let registry = replica.registry();
-    let role = replica.role();
-    let sync: Arc<dyn ReplicaSync> = Arc::new(replica);
-    let server = Server::start_with_obs(registry, server_config, Some(sync), Arc::clone(&obs))?;
     println!(
-        "listening on {} (model v{}, role {role})",
+        "listening on {} (model v{}, role {})",
         server.local_addr(),
-        server.registry().version()
+        server.registry().version(),
+        replica.role()
     );
     if let Some(router) = &args.join {
         join_fleet(router, &server.local_addr().to_string(), args.quiet)?;

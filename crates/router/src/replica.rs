@@ -181,9 +181,15 @@ impl ElasticReplica {
                 detail: "bootstrap checkpoint from a differently-configured fleet".into(),
             });
         }
+        // A replica starting past v1 (a resume or a cold join) labels
+        // its model the way a full-checkpoint apply does.
+        let source = match initial.version {
+            1 => "bootstrap".to_owned(),
+            v => format!("checkpoint-v{v}"),
+        };
         let registry = Arc::new(ModelRegistry::with_initial_version(
             initial.network.clone(),
-            "bootstrap",
+            &source,
             initial.version,
         ));
         Ok(ElasticReplica {
@@ -269,7 +275,7 @@ impl ElasticReplica {
     /// The error that stopped a promoted learner's ingest thread, if
     /// one occurred.
     #[must_use]
-    pub fn ingest_error(&self) -> Option<String> {
+    pub(crate) fn ingest_error(&self) -> Option<String> {
         self.ingest_error
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

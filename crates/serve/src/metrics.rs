@@ -122,7 +122,7 @@ impl Metrics {
     /// The queue-depth gauge (incremented on submit, drained by the
     /// batch workers).
     #[must_use]
-    pub fn queue_depth(&self) -> &Arc<Gauge> {
+    pub(crate) fn queue_depth(&self) -> &Arc<Gauge> {
         &self.queue_depth
     }
 

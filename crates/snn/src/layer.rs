@@ -105,7 +105,7 @@ impl RecurrentLifLayer {
 
     /// Borrow of the recurrent weights, if enabled.
     #[must_use]
-    pub fn w_rec(&self) -> Option<&Matrix> {
+    pub(crate) fn w_rec(&self) -> Option<&Matrix> {
         self.w_rec.as_ref()
     }
 
@@ -116,7 +116,7 @@ impl RecurrentLifLayer {
 
     /// Borrow of the bias currents.
     #[must_use]
-    pub fn bias(&self) -> &[f32] {
+    pub(crate) fn bias(&self) -> &[f32] {
         &self.bias
     }
 

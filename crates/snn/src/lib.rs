@@ -60,7 +60,7 @@ pub mod layer;
 pub mod loss;
 pub mod network;
 pub mod optimizer;
-pub mod readout;
+pub(crate) mod readout;
 pub mod serialize;
 pub mod surrogate;
 pub mod trainer;

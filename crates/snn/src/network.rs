@@ -376,7 +376,7 @@ impl Network {
 
     /// Borrow of the readout.
     #[must_use]
-    pub fn readout(&self) -> &LiReadout {
+    pub(crate) fn readout(&self) -> &LiReadout {
         &self.readout
     }
 

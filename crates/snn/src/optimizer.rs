@@ -19,9 +19,16 @@ use crate::network::Network;
 ///
 /// ```
 /// use ncl_snn::optimizer::Optimizer;
+/// use ncl_snn::{Gradients, Network, NetworkConfig};
 ///
-/// let opt = Optimizer::adam(1e-3);
-/// assert!((opt.learning_rate() - 1e-3).abs() < 1e-9);
+/// let mut net = Network::new(NetworkConfig::tiny(6, 3))?;
+/// let before = net.clone();
+/// let mut opt = Optimizer::adam(1e-3);
+/// // A zero gradient moves no weight.
+/// let zero = Gradients::zeros(&net, 0)?;
+/// opt.step(&mut net, &zero)?;
+/// assert_eq!(net, before);
+/// # Ok::<(), ncl_snn::SnnError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Optimizer {
@@ -47,12 +54,6 @@ impl Optimizer {
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Current learning rate.
-    #[must_use]
-    pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
     }
 
     /// Applies one update step of `grads` to the trainable parameters of
@@ -164,12 +165,6 @@ mod tests {
         let mut rng = Rng::seed_from_u64(3);
         let input = SpikeRaster::from_fn(6, 12, |_, _| rng.bernoulli(0.4));
         (net, input)
-    }
-
-    #[test]
-    fn learning_rate_roundtrip() {
-        let o = Optimizer::adam(1e-5);
-        assert!((o.learning_rate() - 1e-5).abs() < 1e-12);
     }
 
     #[test]

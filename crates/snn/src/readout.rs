@@ -49,12 +49,6 @@ impl LiReadout {
         })
     }
 
-    /// Number of pre-synaptic inputs.
-    #[must_use]
-    pub fn inputs(&self) -> usize {
-        self.w.rows()
-    }
-
     /// Number of outputs (classes).
     #[must_use]
     pub fn outputs(&self) -> usize {
@@ -80,7 +74,7 @@ impl LiReadout {
 
     /// Borrow of the biases.
     #[must_use]
-    pub fn bias(&self) -> &[f32] {
+    pub(crate) fn bias(&self) -> &[f32] {
         &self.bias
     }
 
@@ -122,7 +116,7 @@ mod tests {
     #[test]
     fn construction_and_shapes() {
         let r = readout();
-        assert_eq!(r.inputs(), 4);
+        assert_eq!(r.w().rows(), 4);
         assert_eq!(r.outputs(), 3);
         assert_eq!(r.bias().len(), 3);
         let mut rng = Rng::seed_from_u64(2);

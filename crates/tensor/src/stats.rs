@@ -10,22 +10,6 @@ pub fn mean(xs: &[f32]) -> f32 {
     xs.iter().sum::<f32>() / xs.len() as f32
 }
 
-/// Population variance; `0.0` for slices shorter than 2.
-#[must_use]
-pub(crate) fn variance(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / xs.len() as f32
-}
-
-/// Population standard deviation.
-#[must_use]
-pub fn std_dev(xs: &[f32]) -> f32 {
-    variance(xs).sqrt()
-}
-
 /// Minimum value; `None` for an empty slice (NaNs are ignored).
 #[must_use]
 pub fn min(xs: &[f32]) -> Option<f32> {
@@ -55,17 +39,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_known() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(mean(&xs), 2.5);
-        assert!((variance(&xs) - 1.25).abs() < 1e-6);
-        assert!((std_dev(&xs) - 1.25f32.sqrt()).abs() < 1e-6);
+    fn mean_known() {
+        assert_eq!(mean(&[1.0, 2.0, 3.0, 4.0]), 2.5);
     }
 
     #[test]
     fn empty_and_short_slices() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[1.0]), 0.0);
         assert_eq!(min(&[]), None);
         assert_eq!(max(&[]), None);
         assert_eq!(roughness(&[1.0]), 0.0);

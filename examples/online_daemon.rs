@@ -1,6 +1,6 @@
 //! The online daemon, end to end **in one process**: the loop
-//! `ncl-learnd` runs as a service, driven here so every stage is
-//! observable.
+//! `ncl-replica --role learner` runs as a service, driven here so every
+//! stage is observable.
 //!
 //! 1. Bootstrap: pre-train on the known classes, seed the budgeted
 //!    latent store, publish the model as v1 and start `ncl-serve`.

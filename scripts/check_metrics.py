@@ -8,7 +8,7 @@ reply from the `metrics` op (in which case the `exposition` field is
 extracted). `<role>` picks the layer coverage the scrape must show:
 
     serve     a bare model server            -> serve_*
-    learner   ncl-learnd / learner replica   -> serve_*, online_*, snn_*
+    learner   a learner replica              -> serve_*, online_*, snn_*
     follower  a follower replica             -> serve_*, online_*, replica_*
     router    the fleet router               -> router_*, plus per-replica
               serve_* series stamped with a replica="N" label
