@@ -568,11 +568,9 @@ impl ReplicaSync for ElasticReplica {
             RoleState::Learner { publisher, .. } => {
                 publisher
                     .delta_from(base_version)
-                    .ok_or_else(|| ServeError::Replication {
-                        detail: format!(
-                            "no retained delta from v{base_version} (published v{})",
-                            publisher.version()
-                        ),
+                    .ok_or_else(|| ServeError::NoRetainedDelta {
+                        base_version,
+                        published: publisher.version(),
                     })
             }
         }

@@ -126,15 +126,33 @@ impl SyncStats {
     }
 }
 
-/// Extracts the `payload` hex string of an `{"ok":true}` response.
-fn ok_payload(response: &str) -> Option<(Option<u64>, String)> {
-    let value: Value = serde_json::from_str(response).ok()?;
+/// A learner's answer to a delta or checkpoint fetch.
+enum Fetched {
+    /// The `payload` hex string of an `{"ok":true}` response, with the
+    /// version it brings a follower to.
+    Payload(Option<u64>, String),
+    /// A refusal, a transport error or an unreadable reply; a delta
+    /// refusal names the learner's published version.
+    Refused { published: Option<u64> },
+}
+
+fn fetched(response: std::io::Result<String>) -> Fetched {
+    let refused = Fetched::Refused { published: None };
+    let Some(value) = response.ok().and_then(|r| serde_json::from_str(&r).ok()) else {
+        return refused;
+    };
     if value.get("ok").and_then(Value::as_bool) != Some(true) {
-        return None;
+        return Fetched::Refused {
+            published: value.get("published_version").and_then(Value::as_u64),
+        };
     }
-    let version = value.get("version").and_then(Value::as_u64);
-    let payload = value.get("payload").and_then(Value::as_str)?.to_owned();
-    Some((version, payload))
+    match value.get("payload").and_then(Value::as_str) {
+        Some(payload) => Fetched::Payload(
+            value.get("version").and_then(Value::as_u64),
+            payload.to_owned(),
+        ),
+        None => refused,
+    }
 }
 
 /// What a follower made of a pushed delta or checkpoint.
@@ -171,9 +189,10 @@ fn apply_outcome(response: &str) -> Apply {
 /// checkpoint on any failure. Applies carry the fleet `epoch`, so a
 /// replica fenced at a newer epoch refuses them (split-brain safety).
 /// Only an apply that advanced the follower is counted; a stale refusal
-/// means it is already there. A fetched payload that would not advance
-/// the follower (the learner swapped but has not published yet) is not
-/// relayed at all: the learner's next publish nudges another pass.
+/// means it is already there. When the learner has published nothing
+/// past the follower (it swapped but has not published yet), no
+/// checkpoint is fetched and nothing is relayed or counted: the
+/// learner's next publish nudges another pass.
 fn propagate(learner: &Backend, follower: &Backend, epoch: u64, stats: &SyncStats) {
     let follower_version = follower.model_version();
     // The delta path: ask the learner for exactly this follower's gap,
@@ -191,9 +210,12 @@ fn propagate(learner: &Backend, follower: &Backend, epoch: u64, stats: &SyncStat
         ),
     ];
     for (fetch, apply_op, applied) in attempts {
-        let Some((version, payload)) = learner.request(&fetch).ok().and_then(|r| ok_payload(&r))
-        else {
-            continue;
+        let (version, payload) = match fetched(learner.request(&fetch)) {
+            Fetched::Payload(version, payload) => (version, payload),
+            Fetched::Refused {
+                published: Some(published),
+            } if published <= follower_version => return,
+            Fetched::Refused { .. } => continue,
         };
         if version.is_some_and(|v| v <= follower_version) {
             return;

@@ -220,8 +220,9 @@ impl ReplicaSync for PublisherSync {
     fn fetch_delta(&self, base_version: u64) -> Result<(u64, Vec<u8>), ServeError> {
         self.0
             .delta_from(base_version)
-            .ok_or_else(|| ServeError::Replication {
-                detail: format!("no retained delta from v{base_version}"),
+            .ok_or_else(|| ServeError::NoRetainedDelta {
+                base_version,
+                published: self.0.version(),
             })
     }
 
@@ -440,10 +441,16 @@ mod tests {
         ));
         let follower_backend = Arc::new(Backend::new(1, follower.server.local_addr()));
         follower_backend.arm_faults(Arc::clone(&plan));
-        let backends = vec![
-            Arc::new(Backend::new(0, learner.server.local_addr())),
-            follower_backend,
-        ];
+        // The delta refusal names v1 as published, so no full checkpoint
+        // (which could only be v1) is even fetched: every such fetch would
+        // be dropped, and counted.
+        let fetches = Arc::new(FaultPlan::with_rules(
+            8,
+            vec![FaultRule::every(1.0, FaultAction::Drop).on_op("checkpoint")],
+        ));
+        let learner_backend = Arc::new(Backend::new(0, learner.server.local_addr()));
+        learner_backend.arm_faults(Arc::clone(&fetches));
+        let backends = vec![learner_backend, follower_backend];
         let router = Router::start(
             backends,
             RouterConfig {
@@ -455,6 +462,11 @@ mod tests {
 
         router.sync_now();
         assert_eq!(plan.injected(), 0, "the stale checkpoint was relayed");
+        assert_eq!(
+            fetches.injected(),
+            0,
+            "a checkpoint that cannot advance was fetched"
+        );
         let stats = router.sync_stats();
         assert_eq!((stats.full_syncs.get(), stats.failures.get()), (0, 0));
         assert_eq!(follower.replica.registry().version(), 1);
@@ -467,7 +479,7 @@ mod tests {
             follower.replica.checkpoint_bytes(),
             learner.publisher.checkpoint_bytes()
         );
-        assert_eq!(plan.injected(), 0);
+        assert_eq!((plan.injected(), fetches.injected()), (0, 0));
 
         router.shutdown();
         learner.server.shutdown();

@@ -35,6 +35,15 @@ pub enum ServeError {
         /// Human-readable detail.
         detail: String,
     },
+    /// A delta fetch found no retained delta from `base_version`. The
+    /// refusal names the learner's `published` version so the caller can
+    /// tell whether a full checkpoint could advance it at all.
+    NoRetainedDelta {
+        /// The version the requested delta would start from.
+        base_version: u64,
+        /// The latest version the learner has published.
+        published: u64,
+    },
     /// A swap/apply proposed a version at or behind the one already
     /// serving — wire-visible versions are monotonic, so the stale
     /// update is refused instead of silently regressing.
@@ -57,6 +66,13 @@ impl fmt::Display for ServeError {
             ServeError::Io(e) => write!(f, "i/o failure: {e}"),
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
             ServeError::Replication { detail } => write!(f, "replication failure: {detail}"),
+            ServeError::NoRetainedDelta {
+                base_version,
+                published,
+            } => write!(
+                f,
+                "replication failure: no retained delta from v{base_version} (published v{published})"
+            ),
             ServeError::StaleVersion { current, proposed } => write!(
                 f,
                 "stale version: serving v{current}, refused proposed v{proposed}"

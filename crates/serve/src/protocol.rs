@@ -33,7 +33,8 @@
 //! `input` is the spike raster as one array per timestep listing the
 //! active input-neuron indices at that step. Failures answer
 //! `{"ok":false,"error":"...","id":...}` and keep the connection open;
-//! only `shutdown` (or client EOF) closes it.
+//! only `shutdown` (or client EOF) closes it. A `delta` refused for want
+//! of a retained delta also names the learner's `published_version`.
 //!
 //! The replication ops (`health`, `delta`, `apply_delta`, `checkpoint`,
 //! `apply_checkpoint`, `promote`, `demote`) are answered only by
@@ -680,13 +681,17 @@ fn parse_span(trace_id: u128, span: &Value) -> Option<TraceSpanRecord> {
     })
 }
 
-/// Renders an error response line.
+/// Renders an error response line. A delta refusal also carries the
+/// learner's `published_version`.
 #[must_use]
 pub fn error_response(id: Option<u64>, error: &ServeError) -> String {
     let mut pairs = vec![
         ("ok", Value::from(false)),
         ("error", Value::from(error.to_string())),
     ];
+    if let ServeError::NoRetainedDelta { published, .. } = error {
+        pairs.push(("published_version", Value::from(*published)));
+    }
     if let Some(id) = id {
         pairs.push(("id", Value::from(id)));
     }

@@ -42,8 +42,10 @@ pub trait ReplicaSync: Send + Sync {
     /// # Errors
     ///
     /// [`ServeError::Replication`] if this replica does not publish
-    /// (followers) or no longer holds a delta from `base_version` — the
-    /// caller falls back to [`ReplicaSync::fetch_checkpoint`].
+    /// (followers), [`ServeError::NoRetainedDelta`] if it no longer holds
+    /// a delta from `base_version` — the caller falls back to
+    /// [`ReplicaSync::fetch_checkpoint`] when the published version is
+    /// past `base_version`.
     fn fetch_delta(&self, base_version: u64) -> Result<(u64, Vec<u8>), ServeError>;
 
     /// Applies an encoded delta and hot-swaps the result, returning the

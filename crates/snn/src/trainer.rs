@@ -220,6 +220,28 @@ impl TrainScratch {
     }
 }
 
+/// The threshold schedule a pass from `from_stage` over `raster` reads,
+/// built into `out`. A readout-only pass (`from_stage == net.layers()`)
+/// executes no LIF layer and so reads no threshold: the schedule is not
+/// built, but an adaptive policy is still validated, so an invalid one
+/// errors on every path.
+fn stage_schedule<'a>(
+    net: &Network,
+    from_stage: usize,
+    mode: ThresholdMode,
+    raster: &SpikeRaster,
+    out: &'a mut ThresholdSchedule,
+) -> Result<Option<&'a ThresholdSchedule>, SnnError> {
+    if from_stage < net.layers() {
+        mode.schedule_into(raster, net.config().lif.v_threshold, out)?;
+        return Ok(Some(out));
+    }
+    if let ThresholdMode::Adaptive(policy) = mode {
+        policy.validate()?;
+    }
+    Ok(None)
+}
+
 /// Computes one sample's loss and gradients into the caller-owned arena
 /// buffers: `grads` receives exactly the sample's gradients (it is
 /// zero-filled here), `arena` provides all transient state, and the
@@ -234,14 +256,17 @@ fn sample_gradient_into(
     grads: &mut Gradients,
     activity: &mut Option<ForwardActivity>,
 ) -> Result<f32, SnnError> {
-    let base = net.config().lif.v_threshold;
-    options
-        .threshold_mode
-        .schedule_into(raster, base, &mut arena.schedule)?;
+    let schedule = stage_schedule(
+        net,
+        options.from_stage,
+        options.threshold_mode,
+        raster,
+        &mut arena.schedule,
+    )?;
     net.record_from_into(
         options.from_stage,
         raster,
-        Some(&arena.schedule),
+        schedule,
         &mut arena.history,
         &mut arena.fwd,
     )?;
@@ -871,12 +896,11 @@ pub fn evaluate(
     from_stage: usize,
     threshold_mode: ThresholdMode,
 ) -> Result<Accuracy, SnnError> {
-    let base = net.config().lif.v_threshold;
-    let mut schedule = ThresholdSchedule::empty();
+    let mut buffer = ThresholdSchedule::empty();
     let mut acc = Accuracy::default();
     for &(raster, label) in samples {
-        threshold_mode.schedule_into(raster, base, &mut schedule)?;
-        let logits = net.forward_from(from_stage, raster, Some(&schedule))?;
+        let schedule = stage_schedule(net, from_stage, threshold_mode, raster, &mut buffer)?;
+        let logits = net.forward_from(from_stage, raster, schedule)?;
         let pred = ncl_tensor::ops::argmax(&logits).expect("non-empty logits");
         acc.total += 1;
         if pred == label as usize {
@@ -1226,5 +1250,32 @@ mod tests {
         )
         .unwrap();
         assert!(acc.total == refs.len());
+    }
+
+    #[test]
+    fn readout_only_passes_still_reject_an_invalid_policy() {
+        // No LIF layer runs from the last stage, so no schedule is built
+        // there; the policy must still be checked.
+        let mut net = Network::new(NetworkConfig::tiny(8, 2)).unwrap();
+        let last = net.layers();
+        let acts: Vec<(SpikeRaster, u16)> = toy_problem(2, 10)
+            .iter()
+            .map(|(r, l)| (net.activations_at(last, r).unwrap(), *l))
+            .collect();
+        let refs = toy_refs(&acts);
+        let invalid = ThresholdMode::Adaptive(crate::adaptive::AdaptivePolicy {
+            adjust_interval: 0,
+            ..crate::adaptive::AdaptivePolicy::default()
+        });
+        let options = TrainOptions {
+            from_stage: last,
+            threshold_mode: invalid,
+            ..TrainOptions::default()
+        };
+        let mut opt = Optimizer::adam(1e-3);
+        let mut rng = Rng::seed_from_u64(12);
+        assert!(train_epoch(&mut net, &refs, &mut opt, &options, &mut rng).is_err());
+        assert!(evaluate(&net, &refs, last, invalid).is_err());
+        assert!(evaluate(&net, &refs, last, ThresholdMode::Constant).is_ok());
     }
 }

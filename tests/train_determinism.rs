@@ -11,6 +11,7 @@
 //! (`train_epoch_reference`), which the zero-allocation rewrite kept as
 //! its oracle.
 
+use ncl_snn::adaptive::{AdaptivePolicy, ThresholdMode};
 use ncl_snn::optimizer::Optimizer;
 use ncl_snn::trainer::{self, TrainOptions, TrainScratch};
 use ncl_snn::{serialize, Network, NetworkConfig};
@@ -61,6 +62,7 @@ fn readout_only_setup() -> (Network, Vec<(SpikeRaster, u16)>) {
 /// Trains four epochs from stage 0, or readout-only from the last stage.
 fn train(
     readout_only: bool,
+    threshold_mode: ThresholdMode,
     parallelism: usize,
     reference: bool,
 ) -> (Vec<u8>, Vec<trainer::EpochReport>) {
@@ -76,7 +78,7 @@ fn train(
         from_stage,
         batch_size: 5,
         parallelism,
-        ..TrainOptions::default()
+        threshold_mode,
     };
     let mut rng = Rng::seed_from_u64(0x5EED);
     let mut scratch = TrainScratch::new();
@@ -103,9 +105,9 @@ fn train(
 
 #[test]
 fn worker_count_does_not_change_trained_weights() {
-    let (reference_bytes, reference_reports) = train(false, 1, true);
+    let (reference_bytes, reference_reports) = train(false, ThresholdMode::Constant, 1, true);
     for workers in [1usize, 2, 4] {
-        let (bytes, reports) = train(false, workers, false);
+        let (bytes, reports) = train(false, ThresholdMode::Constant, workers, false);
         assert_eq!(
             bytes, reference_bytes,
             "{workers}-worker pool must serialize byte-identically to the reference path"
@@ -118,19 +120,27 @@ fn worker_count_does_not_change_trained_weights() {
 }
 
 /// The same contract for the update the paper runs: insertion at the last
-/// stage, so only the readout trains on captured latents.
+/// stage, so only the readout trains on captured latents. Under the
+/// adaptive policy the pool skips the threshold schedule no layer reads,
+/// while the reference path still builds it: equal bytes show the skip
+/// changes nothing.
 #[test]
 fn worker_count_does_not_change_readout_only_weights() {
-    let (reference_bytes, reference_reports) = train(true, 1, true);
-    for workers in [1usize, 2, 4] {
-        let (bytes, reports) = train(true, workers, false);
-        assert_eq!(
-            bytes, reference_bytes,
-            "{workers}-worker readout-only pool must serialize byte-identically to the reference path"
-        );
-        assert_eq!(
-            reports, reference_reports,
-            "{workers}-worker readout-only reports must equal the reference path"
-        );
+    for mode in [
+        ThresholdMode::Constant,
+        ThresholdMode::Adaptive(AdaptivePolicy::default()),
+    ] {
+        let (reference_bytes, reference_reports) = train(true, mode, 1, true);
+        for workers in [1usize, 2, 4] {
+            let (bytes, reports) = train(true, mode, workers, false);
+            assert_eq!(
+                bytes, reference_bytes,
+                "{workers}-worker readout-only pool ({mode:?}) must serialize byte-identically to the reference path"
+            );
+            assert_eq!(
+                reports, reference_reports,
+                "{workers}-worker readout-only reports ({mode:?}) must equal the reference path"
+            );
+        }
     }
 }
