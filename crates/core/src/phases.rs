@@ -67,8 +67,6 @@ static DATA_SLOT: Mutex<DataSlot> = Mutex::new(None);
 ///
 /// Returns [`NclError::Data`] for invalid dataset parameters.
 pub fn scenario_data(config: &ScenarioConfig) -> Result<Arc<GeneratedData>, NclError> {
-    #[cfg(test)]
-    let _shared = tests::slot_gate_shared();
     let key = &config.data;
     let evicted = {
         let mut slot = DATA_SLOT.lock();
@@ -82,8 +80,6 @@ pub fn scenario_data(config: &ScenarioConfig) -> Result<Arc<GeneratedData>, NclE
     drop(evicted);
 
     let data = Arc::new(generator::generate_pair(key)?);
-    #[cfg(test)]
-    tests::record_generation(key);
     let mut slot = DATA_SLOT.lock();
     if let Some((held, raced)) = &*slot {
         if held == key {
@@ -309,10 +305,6 @@ pub fn cl_rng(config: &ScenarioConfig) -> Rng {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
-
-    use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
     use super::*;
     use crate::methods::MethodSpec;
 
@@ -320,142 +312,6 @@ mod tests {
         let mut c = ScenarioConfig::smoke();
         c.pretrain_epochs = 2; // keep the phase tests fast
         c
-    }
-
-    /// Real generations per data config (memo misses), for the memo
-    /// tests. `ShdLikeConfig` holds floats and is not `Hash`, so this is
-    /// a list searched by equality.
-    static GENERATIONS: Mutex<Vec<(ShdLikeConfig, u64)>> = Mutex::new(Vec::new());
-
-    pub(super) fn record_generation(config: &ShdLikeConfig) {
-        let mut counts = GENERATIONS.lock();
-        match counts.iter_mut().find(|(c, _)| c == config) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((config.clone(), 1)),
-        }
-    }
-
-    fn generations(config: &ShdLikeConfig) -> u64 {
-        GENERATIONS
-            .lock()
-            .iter()
-            .find(|(c, _)| c == config)
-            .map_or(0, |(_, n)| *n)
-    }
-
-    /// Tests run in parallel and the memo has one slot, so a test that
-    /// asserts on what stays in the slot *across* calls holds this gate
-    /// exclusively ([`exclusive_slot`]); every `scenario_data` call on
-    /// another thread holds it shared for its duration.
-    static SLOT_GATE: RwLock<()> = RwLock::new(());
-
-    thread_local! {
-        static HOLDS_SLOT: Cell<bool> = const { Cell::new(false) };
-    }
-
-    pub(super) fn slot_gate_shared() -> Option<RwLockReadGuard<'static, ()>> {
-        (!HOLDS_SLOT.with(Cell::get)).then(|| SLOT_GATE.read())
-    }
-
-    /// The slot to this thread alone until dropped.
-    struct ExclusiveSlot {
-        _gate: RwLockWriteGuard<'static, ()>,
-    }
-
-    impl Drop for ExclusiveSlot {
-        fn drop(&mut self) {
-            HOLDS_SLOT.with(|h| h.set(false));
-        }
-    }
-
-    fn exclusive_slot() -> ExclusiveSlot {
-        let guard = SLOT_GATE.write();
-        HOLDS_SLOT.with(|h| h.set(true));
-        ExclusiveSlot { _gate: guard }
-    }
-
-    /// The smoke scenario on a data seed no other test uses, so the
-    /// generation counts of one test are its own.
-    fn with_data_seed(seed: u64) -> ScenarioConfig {
-        let mut c = smoke();
-        c.data.seed = seed;
-        c
-    }
-
-    #[test]
-    fn equal_configs_share_one_generation() {
-        let config = with_data_seed(0xDA7A_0001);
-        let _slot = exclusive_slot();
-        let a = scenario_data(&config).unwrap();
-        let b = scenario_data(&config.clone()).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "equal configs must share the Arc");
-        assert_eq!(*a, generator::generate_pair(&config.data).unwrap());
-        assert_eq!(generations(&config.data), 1);
-    }
-
-    #[test]
-    fn a_second_config_replaces_the_slot() {
-        let first = with_data_seed(0xDA7A_0002);
-        let second = with_data_seed(0xDA7A_0003);
-        let _slot = exclusive_slot();
-        let old = scenario_data(&first).unwrap();
-        let new = scenario_data(&second).unwrap();
-        assert!(!Arc::ptr_eq(&old, &new));
-        assert_eq!(Arc::strong_count(&old), 1, "the slot evicted the old data");
-        assert_eq!(*old, generator::generate_pair(&first.data).unwrap());
-        assert_eq!(*new, generator::generate_pair(&second.data).unwrap());
-        // The old config is a miss again; the new one is still held.
-        let again = scenario_data(&first).unwrap();
-        assert!(!Arc::ptr_eq(&old, &again));
-        assert_eq!(*old, *again);
-        assert_eq!(generations(&first.data), 2);
-        assert_eq!(generations(&second.data), 1);
-    }
-
-    #[test]
-    fn racing_threads_get_freshly_generated_data() {
-        let one = with_data_seed(0xDA7A_0004);
-        let other = with_data_seed(0xDA7A_0005);
-        let want_one = generator::generate_pair(&one.data).unwrap();
-        let want_other = generator::generate_pair(&other.data).unwrap();
-        // All threads on one config, then threads alternating two.
-        for alternate in [false, true] {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..6)
-                    .map(|i| {
-                        let (config, want) = if alternate && i % 2 == 1 {
-                            (&other, &want_other)
-                        } else {
-                            (&one, &want_one)
-                        };
-                        scope.spawn(move || {
-                            for _ in 0..3 {
-                                assert_eq!(*scenario_data(config).unwrap(), *want);
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("racer panicked");
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn pretrain_and_method_runs_generate_once() {
-        let mut config = with_data_seed(0xDA7A_0006);
-        config.cl_epochs = 1;
-        let _slot = exclusive_slot();
-        let outcome = pretrain(&config).unwrap();
-        for method in [
-            MethodSpec::spiking_lr(2),
-            MethodSpec::replay4ncl(2, config.data.steps / 2),
-        ] {
-            crate::scenario::run_method(&config, &method, &outcome.network, outcome.test_acc)
-                .unwrap();
-        }
-        assert_eq!(generations(&config.data), 1);
     }
 
     #[test]

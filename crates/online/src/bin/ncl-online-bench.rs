@@ -12,6 +12,9 @@
 //! increment, hot-swap — all while two background TCP clients hammer
 //! predictions. Reported:
 //!
+//! * **cold set-up** — `setup_ms`: the stream generation plus the
+//!   bootstrap, the set-up `ncl-replica` makes before it listens, timed
+//!   once in a fresh process (`bootstrap_ms` is its bootstrap part);
 //! * **ingest throughput** — stream events applied per second (capture +
 //!   bookkeeping + the amortized increment);
 //! * **increment wall time** — the background Replay4NCL update
@@ -119,14 +122,18 @@ fn main() {
         novel_every: 3,
         seed: 0xBE_4C4,
     };
-    let stream = SampleStream::generate(&stream_config).expect("stream generates");
 
-    // --- bootstrap -------------------------------------------------------
+    // --- set-up: the stream, then the bootstrap, as `ncl-replica` does --
+    // This process's first set-up, so its dataset is generated cold.
+    let setup_started = Instant::now();
+    let stream = SampleStream::generate(&stream_config).expect("stream generates");
     let boot_started = Instant::now();
     let mut learner = OnlineLearner::bootstrap(config.clone()).expect("bootstrap");
     let bootstrap_ms = boot_started.elapsed().as_secs_f64() * 1e3;
+    let setup_ms = setup_started.elapsed().as_secs_f64() * 1e3;
     println!(
-        "bootstrap: {:.0} ms (pretrain acc {:.1}%, {} latent entries)",
+        "set-up: {:.1} ms, of which bootstrap {:.1} ms (pretrain acc {:.1}%, {} latent entries)",
+        setup_ms,
         bootstrap_ms,
         learner.pretrain_acc() * 100.0,
         learner.buffer().len()
@@ -264,6 +271,7 @@ fn main() {
                 ("round_trip_ok", Value::from(round_trip_ok)),
             ]),
         ),
+        ("setup_ms", Value::from(setup_ms)),
         ("bootstrap_ms", Value::from(bootstrap_ms)),
         ("final_version", Value::from(learner.version())),
         (

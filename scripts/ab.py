@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Paired A/B runs of the repository benchmark declared in BENCHMARK.json.
 
-    python3 scripts/ab.py [--base REV|DIR] [--change REV|DIR] [--pairs N]
-                          [--seed S] [--workloads paper,edge] [--raw FILE]
+    python3 scripts/ab.py [--base REV] [--change REV] [--pairs N] [--seed S]
+                          [--raw FILE]
     python3 scripts/ab.py --report FILE
 
 A side is a git revision, checked out with `git worktree` under the
-gitignored `.bench_build/`, or the path of a checkout that already exists
-(default: base `HEAD~1`, change `HEAD`). Both sides are built first. Then,
-per workload, N pairs of runs of the unmodified BENCHMARK.json command with
+gitignored `.bench_build/` (default: base `HEAD~1`, change `HEAD`). Both
+sides are built first. Then, per BENCHMARK.json workload, N pairs of runs of the unmodified BENCHMARK.json command with
 `--workload W --seed S+i --seconds <run_seconds>` appended: pair i uses seed
 S+i on both sides, and even pairs run the base first, odd pairs the change.
 A run's result is the JSON object on its last stdout line. With --raw each
@@ -19,9 +18,11 @@ Per workload and end-to-end metric the report gives each side's median and
 quartiles, the median of the per-pair ratios change/base, the pairs the
 change won, tied and lost, and a verdict:
 
-  gain        the change wins at least 9/10 of the pairs (ties count for
-              neither side) and its median is better by more than the
-              base's interquartile range;
+  gain        the change wins at least 9/10 of the pairs run (ties count
+              for neither side; a pair in which either run lacks the
+              metric, e.g. because it failed, counts as lost) and its
+              median is better by more than the base's interquartile
+              range;
   regression  the change's median is worse than the base's by more than
               the metric's BENCHMARK.json bound (relative to the base);
   identical   every pair reads the same value on both sides;
@@ -84,10 +85,7 @@ def result_line(stdout):
 
 
 def checkout(side, root):
-    """The directory holding `side`: an existing checkout as given, or a
-    git worktree of the revision under .bench_build/."""
-    if os.path.isdir(side):
-        return os.path.abspath(side)
+    """A git worktree of revision `side` under .bench_build/."""
     sha = subprocess.run(["git", "rev-parse", "--verify", side + "^{commit}"], cwd=root,
                          check=True, capture_output=True, text=True).stdout.strip()
     path = os.path.join(root, ".bench_build", sha[:12])
@@ -127,7 +125,8 @@ def ratio(change, base):
 
 def compare(pairs, name, better, bound):
     """The analysis of one metric over (base_run, change_run) pairs, or
-    None if no pair has it on both sides."""
+    None if no pair has it on both sides. The statistics read the pairs
+    that have it on both sides; the win share counts every pair."""
     values = [(metric_value(b, name), metric_value(c, name)) for b, c in pairs]
     values = [(b, c) for b, c in values if b is not None and c is not None]
     if not values:
@@ -137,15 +136,15 @@ def compare(pairs, name, better, bound):
     sign = 1 if better == "lower" else -1
     wins = sum(1 for b, c in values if sign * (b - c) > 0)
     ties = sum(1 for b, c in values if b == c)
-    losses = len(values) - wins - ties
+    losses = len(pairs) - wins - ties
     bq1, bmed, bq3 = quartiles(base)
     cq1, cmed, cq3 = quartiles(change)
     gain = sign * (bmed - cmed)  # > 0: the change's median is better
     iqr = bq3 - bq1
     limit = bound * abs(bmed)
-    if ties == len(values):
+    if ties == len(pairs):
         verdict = "identical"
-    elif wins >= WIN_SHARE * len(values) and gain > iqr:
+    elif wins >= WIN_SHARE * len(pairs) and gain > iqr:
         verdict = "gain"
     elif -gain > limit:
         verdict = "regression"
@@ -155,7 +154,7 @@ def compare(pairs, name, better, bound):
         verdict = "unresolved"
     return {
         "metric": name,
-        "n": len(values),
+        "n": len(pairs),
         "base": (bq1, bmed, bq3),
         "change": (cq1, cmed, cq3),
         "ratio": statistics.median(ratio(c, b) for b, c in values),
@@ -230,23 +229,18 @@ def read_raw(path):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", default="HEAD~1", help="revision or checkout (HEAD~1)")
-    parser.add_argument("--change", default="HEAD", help="revision or checkout (HEAD)")
+    parser.add_argument("--base", default="HEAD~1", help="revision (HEAD~1)")
+    parser.add_argument("--change", default="HEAD", help="revision (HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1000, help="seed of pair 0")
-    parser.add_argument("--workloads", help="comma-separated (default: all)")
-    parser.add_argument("--bench", default=os.path.join(ROOT, "BENCHMARK.json"))
     parser.add_argument("--raw", help="append each run here as a JSON line")
     parser.add_argument("--report", help="analyse this --raw file; run nothing")
     args = parser.parse_args(argv)
-    bench = load_bench(args.bench)
+    bench = load_bench(os.path.join(ROOT, "BENCHMARK.json"))
 
     if args.report:
         return 0 if analyse(read_raw(args.report), bench) else 1
 
-    names = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        names = [n for n in args.workloads.split(",") if n]
     command = bench["command"]
     dirs = {"base": checkout(args.base, ROOT), "change": checkout(args.change, ROOT)}
     build = build_command(command)
@@ -256,7 +250,7 @@ def main(argv=None):
             subprocess.run(build, cwd=directory, check=True)
 
     records = []
-    for workload in names:
+    for workload in (w["name"] for w in bench["workloads"]):
         for pair, seed, order in schedule(args.pairs, args.seed):
             for side in order:
                 result = run_once(command, dirs[side],

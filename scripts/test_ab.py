@@ -10,7 +10,6 @@ import json
 import os
 import tempfile
 import unittest
-from unittest import mock
 
 import ab
 
@@ -62,6 +61,12 @@ class StatisticsTest(unittest.TestCase):
     def test_missing_metric_is_skipped(self):
         self.assertIsNone(ab.compare(pairs([1], [1]), "absent", "lower", 0.1))
 
+    def test_a_pair_without_the_change_value_counts_as_lost(self):
+        runs = pairs([0.2] * 10, [0.03] * 10)
+        runs[3] = (runs[3][0], {"error": "exit 101: panicked"})
+        row = ab.compare(runs, "setup_s", "lower", 0.25)
+        self.assertEqual((row["n"], row["wins"], row["ties"], row["losses"]), (10, 9, 0, 1))
+
 
 class VerdictTest(unittest.TestCase):
     def test_gain_needs_nine_tenths_of_the_pairs(self):
@@ -69,6 +74,15 @@ class VerdictTest(unittest.TestCase):
         self.assertEqual(verdict(base, [5] * 10)["verdict"], "gain")
         # 8/10 won: the same medians are no longer a gain.
         self.assertEqual(verdict(base, [5] * 8 + [20, 20])["verdict"], "unresolved")
+
+    def test_gain_counts_the_pairs_whose_change_run_failed(self):
+        # 9 of the 9 complete pairs won, but only 9 of the 10 pairs run, and
+        # a second failed run leaves 8/10: no longer a gain.
+        runs = pairs([10, 11, 12, 10, 11, 12, 10, 11, 12, 11], [5] * 10)
+        runs[0] = (runs[0][0], {"error": "exit 101: panicked"})
+        self.assertEqual(ab.compare(runs, "setup_s", "lower", 0.25)["verdict"], "gain")
+        runs[1] = (runs[1][0], {"error": "exit 101: panicked"})
+        self.assertEqual(ab.compare(runs, "setup_s", "lower", 0.25)["verdict"], "unresolved")
 
     def test_gain_needs_a_gap_wider_than_the_base_iqr(self):
         # Every pair won, but by less than the base's own spread.
@@ -145,17 +159,23 @@ class ReportTest(unittest.TestCase):
         self.assertFalse(self.analyse(self.records(change_failed=1))[0])
         self.assertFalse(self.analyse(self.records(change_correct=False))[0])
 
+    def test_an_errored_change_run_is_a_lost_pair_and_fails_the_report(self):
+        records = self.records()
+        records[7]["result"] = {"error": "exit 101: panicked"}  # pair 3, change
+        ok, text = self.analyse(records)
+        self.assertFalse(ok)
+        self.assertIn("| 9/0/1 | gain |", text)
+        self.assertIn("runs failing their checks: base 0, change 1", text)
+
     def test_report_reads_a_raw_file(self):
         with tempfile.TemporaryDirectory() as tmp:
             raw = os.path.join(tmp, "raw.jsonl")
             with open(raw, "w") as handle:
                 for record in self.records():
                     handle.write(json.dumps(record) + "\n")
-            bench = os.path.join(tmp, "BENCHMARK.json")
-            with open(bench, "w") as handle:
-                json.dump(BENCH, handle)
-            with mock.patch("sys.stdout", io.StringIO()):
-                self.assertEqual(ab.main(["--report", raw, "--bench", bench]), 0)
+            ok, text = self.analyse(ab.read_raw(raw))
+        self.assertTrue(ok)
+        self.assertEqual(text, self.analyse(self.records())[1])
 
 
 if __name__ == "__main__":
