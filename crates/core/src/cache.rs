@@ -179,11 +179,12 @@ fn evaluate_pretrain(config: &ScenarioConfig, network: &Network) -> Result<f64, 
     let split = phases::scenario_split(config)?;
     let test = split.pretrain_subset(&data.test);
     let refs = phases::sample_refs(&test);
-    let acc = ncl_snn::trainer::evaluate(
+    let acc = ncl_snn::trainer::evaluate_parallel(
         network,
         &refs,
         0,
         ncl_snn::adaptive::ThresholdMode::Constant,
+        config.parallelism,
     )?;
     Ok(acc.top1())
 }

@@ -27,7 +27,10 @@ pub struct ScenarioConfig {
     pub pretrain_lr: f32,
     /// Mini-batch size for both phases.
     pub batch_size: usize,
-    /// Gradient-worker threads.
+    /// Threads of every per-sample pass, the calling thread included:
+    /// gradient workers in training, and the fan-out of latent capture
+    /// and evaluation (`ncl_snn::trainer::map_chunks`). Results do not
+    /// depend on it.
     pub parallelism: usize,
     /// Shuffling/derived-stream seed (independent of data and weight
     /// seeds).

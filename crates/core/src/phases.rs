@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 
 use ncl_data::generator::{self, GeneratedData, ShdLikeConfig};
 use ncl_data::split::{replay_subset, ClassIncrementalSplit};
-use ncl_data::Dataset;
+use ncl_data::{Dataset, LabeledSample};
 use ncl_hw::OpCounts;
 use ncl_snn::adaptive::ThresholdMode;
 use ncl_snn::optimizer::Optimizer;
@@ -169,7 +169,13 @@ pub fn pretrain(config: &ScenarioConfig) -> Result<PretrainOutcome, NclError> {
     }
 
     let test_refs = sample_refs(&test);
-    let acc = trainer::evaluate(&network, &test_refs, 0, ThresholdMode::Constant)?;
+    let acc = trainer::evaluate_parallel(
+        &network,
+        &test_refs,
+        0,
+        ThresholdMode::Constant,
+        config.parallelism,
+    )?;
     Ok(PretrainOutcome {
         network,
         test_acc: acc.top1(),
@@ -177,10 +183,51 @@ pub fn pretrain(config: &ScenarioConfig) -> Result<PretrainOutcome, NclError> {
     })
 }
 
+/// Runs `raster` through a method's frozen pipeline: decimation to the
+/// operating timestep (reduced methods decimate at the sensor interface,
+/// so the whole pass runs at T*), then stages `1..=insertion_layer` under
+/// the method's threshold policy — Alg. 1 lines 8–19 adapt `V_thr`
+/// during latent generation, not only during training. Returns the
+/// activation and the device work of both steps.
+fn capture(
+    network: &Network,
+    config: &ScenarioConfig,
+    method: &MethodSpec,
+    raster: &SpikeRaster,
+) -> Result<(SpikeRaster, OpCounts), NclError> {
+    let (input, mut ops) = method_input(raster, method, config)?;
+    let schedule = method
+        .threshold_mode
+        .schedule_for(&input, config.network.lif.v_threshold)?;
+    let (activation, activity) =
+        network.activations_at_traced(config.insertion_layer, &input, Some(&schedule))?;
+    ops += OpCounts::forward(&activity, config.network.recurrent);
+    Ok((activation, ops))
+}
+
+/// [`capture`] of every sample, on up to `config.parallelism` threads
+/// ([`trainer::map_chunks`]): one `(activation, work)` per sample, in
+/// input order, whatever the thread count.
+fn capture_all(
+    network: &Network,
+    config: &ScenarioConfig,
+    method: &MethodSpec,
+    samples: &[LabeledSample],
+) -> Result<Vec<(SpikeRaster, OpCounts)>, NclError> {
+    let parts = trainer::map_chunks(samples, config.parallelism, |chunk| {
+        chunk
+            .iter()
+            .map(|s| capture(network, config, method, &s.raster))
+            .collect::<Result<Vec<_>, _>>()
+    })?;
+    Ok(parts.into_iter().flatten().collect())
+}
+
 /// Latent-replay generation (Alg. 1 lines 6–20): runs the frozen stages on
 /// the replay subset, stores activations per the method's storage policy,
 /// and counts the device work (frozen inference + codec + latent-memory
-/// writes).
+/// writes). The frozen passes run on up to `config.parallelism` threads;
+/// the buffer is filled and the work folded serially, in sample order.
 ///
 /// # Errors
 ///
@@ -202,19 +249,9 @@ pub fn prepare_buffer(
     let mut rng = Rng::seed_from_u64(config.seed ^ REPLAY_SALT);
     let replay_set = replay_subset(train_data, split, replay.per_class, &mut rng)?;
 
-    let base = config.network.lif.v_threshold;
-    for sample in &replay_set {
-        // Reduced methods decimate the event stream first: their whole
-        // latent-generation pass runs at T*.
-        let (input, input_ops) = method_input(&sample.raster, method, config)?;
-        ops += input_ops;
-        // Alg. 1 lines 8-19: the latent activations are generated with the
-        // method's threshold policy applied to the frozen stages.
-        let schedule = method.threshold_mode.schedule_for(&input, base)?;
-        let (activation, activity) =
-            network.activations_at_traced(config.insertion_layer, &input, Some(&schedule))?;
-        ops += OpCounts::forward(&activity, config.network.recurrent);
-
+    let captured = capture_all(network, config, method, replay_set.samples())?;
+    for (sample, (activation, capture_ops)) in replay_set.iter().zip(captured) {
+        ops += capture_ops;
         let entry = match replay.storage {
             StoragePolicy::Codec(factor) => {
                 let compressed = codec::compress(&activation, factor);
@@ -243,9 +280,10 @@ pub fn prepare_buffer(
 
 /// New-task activation capture (Alg. 1 line 23): decimates each CL
 /// training sample to the method's operating timestep, then runs the
-/// frozen stages on it. Returns the samples and the device work of one
-/// generation pass; the scenario charges that work once per CL epoch, as
-/// Alg. 1 regenerates `A_new` inside the epoch loop.
+/// frozen stages on it, on up to `config.parallelism` threads. Returns
+/// the samples and the device work of one generation pass; the scenario
+/// charges that work once per CL epoch, as Alg. 1 regenerates `A_new`
+/// inside the epoch loop.
 ///
 /// # Errors
 ///
@@ -256,25 +294,22 @@ pub fn new_task_activations(
     method: &MethodSpec,
     cl_train: &Dataset,
 ) -> Result<(Vec<(SpikeRaster, u16)>, OpCounts), NclError> {
-    let mut samples = Vec::with_capacity(cl_train.len());
     let mut ops = OpCounts::default();
-    let base = config.network.lif.v_threshold;
-    for s in cl_train {
-        let (input, input_ops) = method_input(&s.raster, method, config)?;
-        ops += input_ops;
-        let schedule = method.threshold_mode.schedule_for(&input, base)?;
-        let (activation, activity) =
-            network.activations_at_traced(config.insertion_layer, &input, Some(&schedule))?;
-        ops += OpCounts::forward(&activity, config.network.recurrent);
-        samples.push((activation, s.label));
-    }
+    let samples = capture_all(network, config, method, cl_train.samples())?
+        .into_iter()
+        .zip(cl_train)
+        .map(|((activation, capture_ops), s)| {
+            ops += capture_ops;
+            (activation, s.label)
+        })
+        .collect();
     Ok((samples, ops))
 }
 
 /// Converts evaluation samples to the learning-path inputs of a method:
 /// input decimated to the operating timestep, then frozen activations at
-/// the insertion layer. (Evaluation work is not charged to training
-/// cost.)
+/// the insertion layer, on up to `config.parallelism` threads.
+/// (Evaluation work is not charged to training cost.)
 ///
 /// # Errors
 ///
@@ -285,16 +320,11 @@ pub fn eval_activations(
     method: &MethodSpec,
     eval_data: &Dataset,
 ) -> Result<Vec<(SpikeRaster, u16)>, NclError> {
-    let base = config.network.lif.v_threshold;
-    let mut out = Vec::with_capacity(eval_data.len());
-    for s in eval_data {
-        let (input, _) = method_input(&s.raster, method, config)?;
-        let schedule = method.threshold_mode.schedule_for(&input, base)?;
-        let activation =
-            network.activations_at_scheduled(config.insertion_layer, &input, Some(&schedule))?;
-        out.push((activation, s.label));
-    }
-    Ok(out)
+    Ok(capture_all(network, config, method, eval_data.samples())?
+        .into_iter()
+        .zip(eval_data)
+        .map(|((activation, _), s)| (activation, s.label))
+        .collect())
 }
 
 /// The RNG stream for the CL training phase of a scenario.

@@ -203,20 +203,17 @@ pub fn run_method(
             ops += OpCounts::training(activity, config.network.recurrent, trained_params);
         }
 
-        let old_acc = trainer::evaluate(
-            &network,
-            &old_eval_refs,
-            config.insertion_layer,
-            method.threshold_mode,
-        )?
-        .top1();
-        let new_acc = trainer::evaluate(
-            &network,
-            &new_eval_refs,
-            config.insertion_layer,
-            method.threshold_mode,
-        )?
-        .top1();
+        let eval = |refs: &[(&SpikeRaster, u16)]| {
+            trainer::evaluate_parallel(
+                &network,
+                refs,
+                config.insertion_layer,
+                method.threshold_mode,
+                config.parallelism,
+            )
+        };
+        let old_acc = eval(&old_eval_refs)?.top1();
+        let new_acc = eval(&new_eval_refs)?.top1();
 
         epochs.push(EpochRecord {
             epoch,

@@ -110,11 +110,12 @@ pub fn run_sequence(
             &mut scratch,
         )?;
     }
-    let pretrain_acc = trainer::evaluate(
+    let pretrain_acc = trainer::evaluate_parallel(
         &network,
         &phases::sample_refs(&pre_test_set),
         0,
         ncl_snn::adaptive::ThresholdMode::Constant,
+        config.parallelism,
     )?
     .top1();
 
@@ -187,11 +188,12 @@ pub fn run_sequence(
         let new_eval = phases::eval_activations(&network, config, method, &new_test)?;
         let eval = |samples: &[(SpikeRaster, u16)]| -> Result<f64, NclError> {
             let refs: Vec<(&SpikeRaster, u16)> = samples.iter().map(|(r, l)| (r, *l)).collect();
-            Ok(trainer::evaluate(
+            Ok(trainer::evaluate_parallel(
                 &network,
                 &refs,
                 config.insertion_layer,
                 method.threshold_mode,
+                config.parallelism,
             )?
             .top1())
         };

@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use ncl_obs::{Counter, Gauge, Level, Registry as ObsRegistry, Stage};
 use ncl_serve::registry::ModelRegistry;
-use ncl_snn::trainer::{IncrementalTrainer, TrainOptions};
+use ncl_snn::trainer::{self, IncrementalTrainer, TrainOptions};
 use ncl_snn::Network;
 use ncl_spike::SpikeRaster;
 use ncl_tensor::Rng;
@@ -1011,27 +1011,33 @@ impl OnlineLearner {
     /// Top-1 accuracy of the *current* model over labeled raw inputs,
     /// evaluated through the method's operating pipeline (decimation +
     /// frozen stages + learning stages) — the metric an increment is
-    /// supposed to move.
+    /// supposed to move. Runs on up to `scenario.parallelism` threads
+    /// ([`trainer::map_chunks`]); the count does not depend on them.
     ///
     /// # Errors
     ///
-    /// Returns [`OnlineError`] for simulation failures.
+    /// Returns [`OnlineError`] for simulation failures: the first failing
+    /// sample's, as a serial loop would.
     pub fn evaluate(&self, samples: &[(&SpikeRaster, u16)]) -> Result<f64, OnlineError> {
-        let base = self.config.scenario.network.lif.v_threshold;
-        let mut correct = 0usize;
-        for &(raster, label) in samples {
-            let (input, _) =
-                phases::method_input(raster, &self.config.method, &self.config.scenario)?;
-            let schedule = self
-                .config
-                .method
-                .threshold_mode
-                .schedule_for(&input, base)?;
-            let logits = self.network.forward_from(0, &input, Some(&schedule))?;
-            if ncl_tensor::ops::argmax(&logits) == Some(usize::from(label)) {
-                correct += 1;
+        let scenario = &self.config.scenario;
+        let base = scenario.network.lif.v_threshold;
+        let parts = trainer::map_chunks(samples, scenario.parallelism, |chunk| {
+            let mut correct = 0usize;
+            for &(raster, label) in chunk {
+                let (input, _) = phases::method_input(raster, &self.config.method, scenario)?;
+                let schedule = self
+                    .config
+                    .method
+                    .threshold_mode
+                    .schedule_for(&input, base)?;
+                let logits = self.network.forward_from(0, &input, Some(&schedule))?;
+                if ncl_tensor::ops::argmax(&logits) == Some(usize::from(label)) {
+                    correct += 1;
+                }
             }
-        }
+            Ok::<_, OnlineError>(correct)
+        })?;
+        let correct: usize = parts.iter().sum();
         Ok(correct as f64 / samples.len().max(1) as f64)
     }
 }

@@ -467,6 +467,36 @@ impl Network {
         Ok((scratch.logits(input.steps()).collect(), activity))
     }
 
+    /// [`Network::forward_from`] on caller-owned buffers: the pass runs on
+    /// `scratch` and the logits land in `logits`, so a loop over many
+    /// rasters allocates nothing once both are warm. Bit-identical to
+    /// [`Network::forward_from`] (same pass, reused storage).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Network::forward_from`].
+    pub(crate) fn forward_from_into(
+        &self,
+        from_stage: usize,
+        input: &SpikeRaster,
+        schedule: Option<&ThresholdSchedule>,
+        scratch: &mut ForwardScratch,
+        logits: &mut Vec<f32>,
+    ) -> Result<(), SnnError> {
+        self.check_stage_input(from_stage, input)?;
+        self.pass(
+            from_stage,
+            self.layers.len(),
+            input,
+            schedule,
+            scratch,
+            &mut (),
+        );
+        logits.clear();
+        logits.extend(scratch.logits(input.steps()));
+        Ok(())
+    }
+
     /// Runs stages `1..=stage` at constant thresholds and returns the spike
     /// raster of stage `stage` — the latent-replay activation capture
     /// (`stage == 0` returns a copy of the input).

@@ -1,4 +1,6 @@
-//! Worker-count invariance of the training pool.
+//! Worker-count invariance of the training pool, and of the
+//! continual-learning pipeline that fans latent capture and evaluation
+//! out over the same `parallelism` threads.
 //!
 //! The `ncl_snn` trainer promises that trained weights are a pure
 //! function of (network, samples, options, rng seed) — the persistent
@@ -9,7 +11,9 @@
 //! produce **byte-identical** serialized models, and all of them must be
 //! byte-identical to the seed-era per-sample-allocation reference path
 //! (`train_epoch_reference`), which the zero-allocation rewrite kept as
-//! its oracle.
+//! its oracle. Above the trainer, a whole class-incremental run
+//! (`run_method`) and each of its frozen-stage phases must give equal
+//! results at 1, 2 and 4 workers.
 
 use ncl_snn::adaptive::{AdaptivePolicy, ThresholdMode};
 use ncl_snn::optimizer::Optimizer;
@@ -17,6 +21,7 @@ use ncl_snn::trainer::{self, TrainOptions, TrainScratch};
 use ncl_snn::{serialize, Network, NetworkConfig};
 use ncl_spike::SpikeRaster;
 use ncl_tensor::Rng;
+use replay4ncl::{cache, phases, scenario, MethodSpec, ScenarioConfig};
 
 /// A small but non-trivial training setup: recurrent net, two classes,
 /// batch size that does not divide the sample count.
@@ -141,6 +146,87 @@ fn worker_count_does_not_change_readout_only_weights() {
                 reports, reference_reports,
                 "{workers}-worker readout-only reports ({mode:?}) must equal the reference path"
             );
+        }
+    }
+}
+
+/// The scenarios of the pipeline checks, each with its starting network:
+/// the smoke config with its pre-trained network, and a paper-width one
+/// (700 channels, T = 100, the Fig. 6 network, untrained, few samples)
+/// whose frozen passes are slow enough that capture always fans out.
+fn cl_scenarios() -> Vec<(ScenarioConfig, Network, f64)> {
+    let smoke = ScenarioConfig::smoke();
+    let (net, acc) = cache::pretrained_network(&smoke).unwrap();
+    let mut wide = ScenarioConfig::paper();
+    wide.data.classes = 4;
+    wide.data.train_per_class = 3;
+    wide.data.test_per_class = 2;
+    wide.network.output_size = 4;
+    wide.cl_epochs = 2;
+    let wide_net = Network::new(wide.network.clone()).unwrap();
+    vec![(smoke, net, acc), (wide, wide_net, 0.0)]
+}
+
+/// SpikingLR and Replay4NCL at the scenario's timestep.
+fn cl_methods(config: &ScenarioConfig) -> [MethodSpec; 2] {
+    [
+        MethodSpec::spiking_lr(2),
+        MethodSpec::replay4ncl(2, config.data.steps * 2 / 5),
+    ]
+}
+
+#[test]
+fn worker_count_does_not_change_a_cl_run() {
+    for (config, net, acc) in cl_scenarios() {
+        for method in cl_methods(&config) {
+            let at = |workers: usize| {
+                let config = ScenarioConfig {
+                    parallelism: workers,
+                    ..config.clone()
+                };
+                scenario::run_method(&config, &method, &net, acc).unwrap()
+            };
+            let serial = at(1);
+            for workers in [2usize, 4] {
+                assert_eq!(
+                    at(workers),
+                    serial,
+                    "{} at {workers} workers must equal the serial run",
+                    method.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn worker_count_does_not_change_capture_or_evaluation_inputs() {
+    for (config, net, _) in cl_scenarios() {
+        let data = phases::scenario_data(&config).unwrap();
+        let split = phases::scenario_split(&config).unwrap();
+        let cl_train = split.continual_subset(&data.train);
+        let old_test = split.pretrain_subset(&data.test);
+        for method in cl_methods(&config) {
+            let at = |workers: usize| {
+                let config = ScenarioConfig {
+                    parallelism: workers,
+                    ..config.clone()
+                };
+                (
+                    phases::prepare_buffer(&net, &config, &method, &data.train, &split).unwrap(),
+                    phases::new_task_activations(&net, &config, &method, &cl_train).unwrap(),
+                    phases::eval_activations(&net, &config, &method, &old_test).unwrap(),
+                )
+            };
+            let (buffer, anew, eval) = at(1);
+            assert!(!buffer.0.is_empty() && !anew.0.is_empty() && !eval.is_empty());
+            for workers in [2usize, 4] {
+                let (b, a, e) = at(workers);
+                let tag = format!("{} at {workers} workers", method.name);
+                assert_eq!(b, buffer, "prepare_buffer, {tag}");
+                assert_eq!(a, anew, "new_task_activations, {tag}");
+                assert_eq!(e, eval, "eval_activations, {tag}");
+            }
         }
     }
 }
