@@ -13,7 +13,9 @@
 //! Runs whole training epochs on a demo-scale recurrent SNN — full
 //! pre-training, the CL update from stage 1, and the readout-only CL
 //! update from the last stage — through two paths and reports samples/s
-//! and epoch p50 latency for each:
+//! and epoch p50 latency for each. Every path runs five times, in five
+//! rounds that each run every path once; the report gives the median
+//! run's numbers with the slowest and fastest run's samples/s:
 //!
 //! * `reference` — the seed-era per-sample-allocation loop
 //!   (`train_epoch_reference`): a fresh weight-shaped `Gradients`, a
@@ -22,13 +24,16 @@
 //! * `pool` (workers 1, 2, 4) — the arena path
 //!   (`train_epoch_with` + `TrainScratch`): per-worker reusable arenas,
 //!   recycled gradient buffers, a persistent per-epoch worker pool and
-//!   scale-at-apply.
+//!   scale-at-apply. `workers` bounds the pool: an epoch whose timed
+//!   first samples show a helper would not pay for itself runs serially.
 //!
 //! Before timing, the tool verifies the two paths produce **byte-identical
 //! trained weights** at every worker count; a benchmark of a wrong
 //! optimization would be meaningless. The report uses the shared
 //! [`ncl_serve::bench`] format (kind `train`); the binary exits 1 if any
-//! gate failed, divergent weights included.
+//! gate failed, divergent weights included, or if the readout-only
+//! update's median at 2 workers falls below 0.8 times its median at 1
+//! worker (`cl_readout_w2_vs_w1`).
 
 use ncl_bench::train_demo;
 use ncl_serve::bench::{self, Op, Report};
@@ -242,8 +247,59 @@ fn samples_per_sec(epoch_us: &[u64], samples: usize) -> f64 {
     samples as f64 / (median as f64 / 1e6)
 }
 
+/// Timed runs of every path: one run alone cannot resolve a change
+/// under ~30% on a 2-vCPU VM.
+const RUNS: usize = 5;
+
+/// One path's timed runs, each reduced to its median epoch.
+#[derive(Default)]
+struct Spread {
+    /// Samples/s of each run.
+    sps: Vec<f64>,
+    /// Epoch p50 of each run (µs).
+    p50_us: Vec<u64>,
+}
+
+impl Spread {
+    fn push(&mut self, epoch_us: &[u64], samples: usize) {
+        self.sps.push(samples_per_sec(epoch_us, samples));
+        self.p50_us.push(p50(epoch_us.to_vec()));
+    }
+
+    /// Samples/s of the median, slowest and fastest run, and the median
+    /// run's epoch p50 (samples/s falls as the epoch p50 rises).
+    fn summary(&self) -> (f64, f64, f64, u64) {
+        let mut sps = self.sps.clone();
+        sps.sort_unstable_by(f64::total_cmp);
+        let median = sps[sps.len() / 2];
+        (median, sps[0], sps[sps.len() - 1], p50(self.p50_us.clone()))
+    }
+
+    fn median(&self) -> f64 {
+        self.summary().0
+    }
+
+    /// The path's JSON fields.
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        let (median, min, max, epoch_p50) = self.summary();
+        vec![
+            ("samples_per_sec", Value::from(median)),
+            ("samples_per_sec_min", Value::from(min)),
+            ("samples_per_sec_max", Value::from(max)),
+            ("epoch_p50_us", Value::from(epoch_p50)),
+            ("runs", Value::from(self.sps.len())),
+        ]
+    }
+
+    fn describe(&self) -> String {
+        let (median, min, max, epoch_p50) = self.summary();
+        format!("{median:.0} samples/s [{min:.0}, {max:.0}], epoch p50 {epoch_p50} us")
+    }
+}
+
 /// One benchmarked scenario: its JSON block and the numbers gated on.
 struct ScenarioRun {
+    name: &'static str,
     block: Value,
     reference_sps: f64,
     pool_sps: Vec<f64>,
@@ -251,9 +307,10 @@ struct ScenarioRun {
     bit_identical: bool,
 }
 
-/// Benchmarks one scenario: bit-identity check, then timed reference
-/// (workspace-default parallelism 2 and serial) and pool (1/2/4 workers)
-/// runs.
+/// Benchmarks one scenario: bit-identity check, then `RUNS` rounds of
+/// timed runs over the reference (workspace-default parallelism 2 and
+/// serial) and pool (1/2/4 workers) paths, every path once per round so
+/// that drift over the rounds reaches every path alike.
 fn bench_scenario(scenario: &Scenario, args: &Args) -> ScenarioRun {
     let net = train_demo::network();
     let data = train_demo::rasters(scenario.input_neurons, scenario.steps, args.samples);
@@ -284,46 +341,37 @@ fn bench_scenario(scenario: &Scenario, args: &Args) -> ScenarioRun {
     // ---- Timed runs ----------------------------------------------------
     // Baseline: the pre-PR trainer at the workspace-default parallelism 2
     // (a thread scope spawned per batch), plus its serial form.
-    let (reference_us, _) = run_path(
-        &Path::Reference { parallelism: 2 },
-        &net,
-        &refs,
-        stage,
-        args.batch,
-        args.epochs,
+    let mut paths = vec![
+        (Path::Reference { parallelism: 2 }, Spread::default()),
+        (Path::Reference { parallelism: 1 }, Spread::default()),
+    ];
+    paths.extend(
+        pool_workers
+            .iter()
+            .map(|&workers| (Path::Pool { workers }, Spread::default())),
     );
-    let reference_sps = samples_per_sec(&reference_us, args.samples);
-    let reference_p50 = p50(reference_us);
+    for _ in 0..RUNS {
+        for (path, spread) in &mut paths {
+            let (us, _) = run_path(path, &net, &refs, stage, args.batch, args.epochs);
+            spread.push(&us, args.samples);
+        }
+    }
+    let (reference, reference_serial) = (&paths[0].1, &paths[1].1);
+    let reference_sps = reference.median();
     println!(
-        "  reference w2 (alloc + per-batch spawn): {reference_sps:.0} samples/s, epoch p50 {reference_p50} us"
+        "  reference w2 (alloc + per-batch spawn): {}",
+        reference.describe()
     );
-    let (reference_serial_us, _) = run_path(
-        &Path::Reference { parallelism: 1 },
-        &net,
-        &refs,
-        stage,
-        args.batch,
-        args.epochs,
-    );
-    let reference_serial_sps = samples_per_sec(&reference_serial_us, args.samples);
-    let reference_serial_p50 = p50(reference_serial_us);
     println!(
-        "  reference w1 (alloc, serial): {reference_serial_sps:.0} samples/s, epoch p50 {reference_serial_p50} us"
+        "  reference w1 (alloc, serial): {}",
+        reference_serial.describe()
     );
 
     let mut pool_entries = Vec::new();
     let mut pool_sps = Vec::new();
     let mut best_speedup = 0.0f64;
-    for &workers in &pool_workers {
-        let (us, _) = run_path(
-            &Path::Pool { workers },
-            &net,
-            &refs,
-            stage,
-            args.batch,
-            args.epochs,
-        );
-        let sps = samples_per_sec(&us, args.samples);
+    for (&workers, (_, spread)) in pool_workers.iter().zip(&paths[2..]) {
+        let sps = spread.median();
         let speedup = if reference_sps > 0.0 {
             sps / reference_sps
         } else {
@@ -332,17 +380,17 @@ fn bench_scenario(scenario: &Scenario, args: &Args) -> ScenarioRun {
         best_speedup = best_speedup.max(speedup);
         pool_sps.push(sps);
         println!(
-            "  pool w{workers} (arena): {sps:.0} samples/s, epoch p50 {} us, {speedup:.2}x vs reference",
-            p50(us.clone())
+            "  pool w{workers} (arena): {}, {speedup:.2}x vs reference",
+            spread.describe()
         );
-        pool_entries.push(object(vec![
-            ("workers", Value::from(workers)),
-            ("samples_per_sec", Value::from(sps)),
-            ("epoch_p50_us", Value::from(p50(us))),
-            ("speedup_vs_reference", Value::from(speedup)),
-        ]));
+        let mut fields = vec![("workers", Value::from(workers))];
+        fields.extend(spread.fields());
+        fields.push(("speedup_vs_reference", Value::from(speedup)));
+        pool_entries.push(object(fields));
     }
 
+    let mut reference_fields = vec![("parallelism", Value::from(2u64))];
+    reference_fields.extend(reference.fields());
     let block = object(vec![
         ("name", Value::from(scenario.name)),
         ("description", Value::from(scenario.description)),
@@ -356,28 +404,17 @@ fn bench_scenario(scenario: &Scenario, args: &Args) -> ScenarioRun {
                 ("steps", Value::from(scenario.steps)),
                 ("batch_size", Value::from(args.batch)),
                 ("epochs_timed", Value::from(args.epochs)),
+                ("runs", Value::from(RUNS)),
             ]),
         ),
-        (
-            "reference",
-            object(vec![
-                ("parallelism", Value::from(2u64)),
-                ("samples_per_sec", Value::from(reference_sps)),
-                ("epoch_p50_us", Value::from(reference_p50)),
-            ]),
-        ),
-        (
-            "reference_serial",
-            object(vec![
-                ("samples_per_sec", Value::from(reference_serial_sps)),
-                ("epoch_p50_us", Value::from(reference_serial_p50)),
-            ]),
-        ),
+        ("reference", object(reference_fields)),
+        ("reference_serial", object(reference_serial.fields())),
         ("pool", Value::Array(pool_entries)),
         ("best_speedup_vs_reference", Value::from(best_speedup)),
         ("bit_identical_to_reference", Value::from(bit_identical)),
     ]);
     ScenarioRun {
+        name: scenario.name,
         block,
         reference_sps,
         pool_sps,
@@ -429,5 +466,17 @@ fn main() {
     report.gate("pool_runs_min", pool_runs, Op::Ge, 1.0);
     let pool_sps = bench::min(runs.iter().flat_map(|r| r.pool_sps.iter().copied()));
     report.gate("pool_samples_per_sec_min", pool_sps, Op::Gt, 0.0);
+    // A pool that costs more than it computes: µs-scale readout epochs
+    // must not slow down when a second worker is allowed.
+    let readout = runs
+        .iter()
+        .find(|r| r.name == "cl_readout")
+        .expect("cl_readout is benchmarked");
+    report.gate(
+        "cl_readout_w2_vs_w1",
+        readout.pool_sps[1] / readout.pool_sps[0],
+        Op::Ge,
+        0.8,
+    );
     report.finish(results, &args.out);
 }

@@ -6,7 +6,7 @@
 //! rasters (pre-training) and on captured latent activations (the CL
 //! phase).
 //!
-//! # Architecture: arenas + a persistent pool
+//! # Architecture: arenas + a pool sized by measured cost
 //!
 //! A steady-state epoch performs **zero heap allocation per sample**:
 //!
@@ -17,33 +17,44 @@
 //! * per-sample gradients land in recycled [`Gradients`] arenas
 //!   (zero-filled in place, never reallocated) and are folded into one
 //!   batch accumulator;
-//! * `parallelism` threads compute gradients: the driving thread is one
-//!   of them, and with `parallelism > 1` it spawns `parallelism − 1`
-//!   helpers that persist for the whole `train_epoch_with` call (one
-//!   `thread::scope` per epoch, not per batch; at `parallelism = 1` no
-//!   thread is spawned and the same body is the serial epoch). All of
-//!   them take the oldest task from one shared queue; the driver does so
-//!   whenever the next result to merge is missing and no finished reply
-//!   is waiting, and blocks only when the queue is empty. The network is
-//!   shared behind an `RwLock` that the optimizer write-locks between
-//!   batches;
+//! * up to `parallelism` threads compute gradients (the fan-out rule
+//!   below decides how many). At one thread the calling thread computes
+//!   and merges every sample itself, with no queue. Otherwise it spawns
+//!   the helpers once per `train_epoch_with` call (one `thread::scope`
+//!   per epoch, not per batch), and every thread takes the oldest task
+//!   from one shared queue; the calling thread does so whenever the next
+//!   result to merge is missing and no finished reply is waiting, and
+//!   blocks only when the queue is empty. The network is shared behind an
+//!   `RwLock` that the optimizer write-locks between batches;
 //! * the `1/batch` mean reduction is folded into
 //!   [`Optimizer::step_scaled`] (scale-at-apply), removing one O(params)
 //!   sweep per batch.
 //!
-//! # Fan-out of per-sample passes
+//! # Fan-out: a helper starts only where it pays
 //!
-//! Latent capture and evaluation run the network once per sample, and
-//! each pass is a pure function of its sample. [`map_chunks`] runs such a
-//! loop on up to `parallelism` threads: it times the first two items on
-//! the calling thread, then splits the rest into contiguous chunks, one per
-//! thread whose share is worth at least `MIN_SHARE` (100 µs, four times
-//! the ~26 µs a scoped spawn + join costs on a 2-vCPU VM); the calling
-//! thread takes the first chunk. A µs-scale loop therefore stays on the
-//! calling thread and starts no thread. Results come back in input
-//! order, and a failure is reported as the serial loop would report it:
-//! the first failing item's error. [`evaluate_parallel`] maps the serial
-//! [`evaluate`] over such chunks and sums the counts.
+//! Training, latent capture and evaluation run the network once per
+//! sample. Each of these loops first runs its first two items (`PROBE`)
+//! on the calling thread and times them, then gives the rest to as many
+//! threads as `parallelism` allows whose share is still worth its cost;
+//! a µs-scale loop therefore stays on the calling thread and starts no
+//! thread. A thread's spawn + join costs ~26 µs on a 2-vCPU VM, so its
+//! share of the whole loop must be at least `MIN_SHARE` (100 µs). A
+//! training epoch's helpers also pay a queue hand-off (~5 µs) for the
+//! tasks they take, batch after batch, so their share of one batch must
+//! in addition be at least `MIN_BATCH_SHARE` (20 µs).
+//!
+//! * [`train_epoch_with`] probes the head of the first batch, merges it
+//!   in order, and sizes the epoch's pool from it.
+//! * [`map_chunks`] runs a loop whose passes are pure functions of their
+//!   items (capture and evaluation): it splits the rest into contiguous
+//!   chunks, one per thread, the calling thread taking the first.
+//!   Results come back in input order, and a failure is reported as the
+//!   serial loop would report it: the first failing item's error.
+//!   [`evaluate_parallel`] maps the serial [`evaluate`] over such chunks
+//!   and sums the counts.
+//!
+//! The timing decides only which thread computes an item, never what is
+//! computed or in which order it is merged.
 //!
 //! # Determinism contract
 //!
@@ -77,8 +88,11 @@ pub struct TrainOptions {
     pub from_stage: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Threads computing per-sample gradients, the calling thread
-    /// included (`parallelism − 1` are spawned per epoch).
+    /// Most threads computing per-sample gradients, the calling thread
+    /// included: an upper bound. Each epoch times its first samples and
+    /// spawns helpers only when their share of the epoch and of each
+    /// batch is worth the hand-off (see the module doc), so µs-scale
+    /// epochs run on the calling thread alone.
     pub parallelism: usize,
     /// How firing thresholds are determined during training.
     pub threshold_mode: ThresholdMode,
@@ -167,6 +181,9 @@ struct WorkerArena {
     fwd: ForwardScratch,
     bptt: BpttScratch,
     schedule: ThresholdSchedule,
+    /// The thread that computed each sample on this arena, in order.
+    #[cfg(test)]
+    threads: Vec<std::thread::ThreadId>,
 }
 
 impl WorkerArena {
@@ -176,6 +193,8 @@ impl WorkerArena {
             fwd: ForwardScratch::new(),
             bptt: BpttScratch::new(),
             schedule: ThresholdSchedule::empty(),
+            #[cfg(test)]
+            threads: Vec::new(),
         }
     }
 }
@@ -271,6 +290,8 @@ fn sample_gradient_into(
     grads: &mut Gradients,
     activity: &mut Option<ForwardActivity>,
 ) -> Result<f32, SnnError> {
+    #[cfg(test)]
+    arena.threads.push(std::thread::current().id());
     let schedule = stage_schedule(
         net,
         options.from_stage,
@@ -354,6 +375,27 @@ pub fn train_epoch_with(
     rng: &mut Rng,
     scratch: &mut TrainScratch,
 ) -> Result<EpochReport, SnnError> {
+    train_epoch_with_cutoffs(
+        net,
+        samples,
+        optimizer,
+        options,
+        rng,
+        scratch,
+        Cutoffs::default(),
+    )
+}
+
+/// [`train_epoch_with`] with the least shares of a helper as a parameter.
+fn train_epoch_with_cutoffs(
+    net: &mut Network,
+    samples: &[(&SpikeRaster, u16)],
+    optimizer: &mut Optimizer,
+    options: &TrainOptions,
+    rng: &mut Rng,
+    scratch: &mut TrainScratch,
+    cutoffs: Cutoffs,
+) -> Result<EpochReport, SnnError> {
     options.validate()?;
     if samples.is_empty() {
         return Ok(EpochReport {
@@ -362,20 +404,11 @@ pub fn train_epoch_with(
             activity: None,
         });
     }
-    let workers = options.parallelism.min(samples.len());
-    let max_batch = options.batch_size.min(samples.len());
-    let grad_buffers = if workers <= 1 {
-        1
-    } else {
-        (2 * workers).min(max_batch)
-    };
-    scratch.prepare(net, options.from_stage, workers, grad_buffers)?;
-
     scratch.order.clear();
     scratch.order.extend(0..samples.len());
     rng.shuffle(&mut scratch.order);
 
-    let (loss_sum, activity) = run_epoch(net, samples, optimizer, options, scratch, workers)?;
+    let (loss_sum, activity) = run_epoch(net, samples, optimizer, options, scratch, cutoffs)?;
     Ok(EpochReport {
         mean_loss: loss_sum / samples.len() as f32,
         samples: samples.len(),
@@ -416,21 +449,112 @@ impl Pool<'_, '_> {
     }
 }
 
-/// The epoch body: `workers` threads compute sample gradients into
-/// recycled buffers — the driving thread on arena 0 and `workers − 1`
-/// helpers on the others (none at `workers = 1`, which makes this the
-/// serial epoch). The driver merges results strictly in batch order
-/// (out-of-order completions wait in `scratch.pending`), so the weights
-/// do not depend on which thread computed a sample, then write-locks the
-/// network for the optimizer step.
+/// How far an epoch has got: the shuffled-order position of the next
+/// sample to compute, the loss of the open batch's merged samples, the
+/// loss of the completed batches, and the spike activity of every sample
+/// the calling thread computed.
+#[derive(Default)]
+struct Progress {
+    next: usize,
+    batch_loss: f32,
+    loss_sum: f32,
+    activity: Option<ForwardActivity>,
+}
+
+impl TrainScratch {
+    /// Computes the samples from `progress.next` up to position `until`
+    /// of the shuffled order on the calling thread alone (arena 0, buffer
+    /// 0), merging each in order into the batch accumulator; it zeroes
+    /// the accumulator as a batch opens and steps the optimizer as one
+    /// closes.
+    fn advance(
+        &mut self,
+        net: &mut Network,
+        samples: &[(&SpikeRaster, u16)],
+        optimizer: &mut Optimizer,
+        options: &TrainOptions,
+        until: usize,
+        progress: &mut Progress,
+    ) -> Result<(), SnnError> {
+        let total = self.total.as_mut().expect("prepared by run_epoch");
+        let grads = &mut self.free_grads[0];
+        while progress.next < until {
+            let opened = progress.next - progress.next % options.batch_size;
+            let closes = (opened + options.batch_size).min(self.order.len());
+            if progress.next == opened {
+                total.zero_fill();
+                progress.batch_loss = 0.0;
+            }
+            let (raster, label) = samples[self.order[progress.next]];
+            progress.batch_loss += sample_gradient_into(
+                net,
+                raster,
+                label,
+                options,
+                &mut self.arenas[0],
+                grads,
+                &mut progress.activity,
+            )?;
+            total.accumulate(grads)?;
+            progress.next += 1;
+            if progress.next == closes {
+                optimizer.step_scaled(net, total, 1.0 / (closes - opened) as f32)?;
+                progress.loss_sum += progress.batch_loss;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The epoch body. The calling thread first computes the epoch's first
+/// `PROBE` samples alone and times them; [`Cutoffs::workers`] turns that
+/// into the epoch's thread count. At one thread it computes the rest
+/// alone as well. Otherwise `workers` threads compute the remaining
+/// sample gradients into recycled buffers — the calling thread on arena
+/// 0 and `workers − 1` helpers on the others. The calling thread merges
+/// results strictly in batch order (out-of-order completions wait in
+/// `scratch.pending`), so the weights do not depend on which thread
+/// computed a sample, then write-locks the network for the optimizer
+/// step.
 fn run_epoch(
     net: &mut Network,
     samples: &[(&SpikeRaster, u16)],
     optimizer: &mut Optimizer,
     options: &TrainOptions,
     scratch: &mut TrainScratch,
-    workers: usize,
+    cutoffs: Cutoffs,
 ) -> Result<(f32, Option<ForwardActivity>), SnnError> {
+    let max_batch = options.batch_size.min(samples.len());
+    let probe = PROBE.min(samples.len());
+    scratch.prepare(net, options.from_stage, 1, 1)?;
+    let mut progress = Progress::default();
+    let started = Instant::now();
+    scratch.advance(net, samples, optimizer, options, probe, &mut progress)?;
+    let per_item = started.elapsed() / probe as u32;
+    let workers = cutoffs.workers(
+        per_item,
+        samples.len() - probe,
+        max_batch,
+        options.parallelism,
+    );
+    if workers == 1 {
+        scratch.advance(
+            net,
+            samples,
+            optimizer,
+            options,
+            samples.len(),
+            &mut progress,
+        )?;
+        return Ok((progress.loss_sum, progress.activity));
+    }
+    scratch.prepare(
+        net,
+        options.from_stage,
+        workers,
+        (2 * workers).min(max_batch),
+    )?;
+
     let TrainScratch {
         arenas,
         free_grads,
@@ -438,10 +562,8 @@ fn run_epoch(
         order,
         pending,
     } = scratch;
-    let total = total.as_mut().expect("prepared by train_epoch_with");
-    let (own_arena, helper_arenas) = arenas[..workers]
-        .split_first_mut()
-        .expect("prepared by train_epoch_with");
+    let total = total.as_mut().expect("prepared above");
+    let (own_arena, helper_arenas) = arenas[..workers].split_first_mut().expect("prepared above");
     let net_lock = RwLock::new(net);
     let queue = TaskQueue::new();
     let pool = Pool {
@@ -463,7 +585,7 @@ fn run_epoch(
             drop(reply_tx); // the driver only receives
 
             let driven = drive_batches(
-                &pool, own_arena, optimizer, order, total, free_grads, pending, &reply_rx,
+                &pool, own_arena, optimizer, order, progress, total, free_grads, pending, &reply_rx,
             );
 
             // Close the task queue so every helper drains and exits (the
@@ -484,32 +606,44 @@ fn run_epoch(
     outcome
 }
 
-/// The per-batch dispatch/compute/merge loop of the driving thread,
+/// The per-batch dispatch/compute/merge loop of the calling thread,
 /// returning the epoch's loss sum and the spike activity of the samples
-/// it computed itself. Whenever the next result in batch order is
-/// missing, the driver takes a finished reply if there is one, else
-/// computes the oldest queued task on its own arena, and blocks only
-/// when the queue is empty (a helper holds the missing task).
+/// it computed itself. It takes the epoch over from `progress`: a batch
+/// left open resumes after its merged samples. Whenever the next result
+/// in batch order is missing, the calling thread takes a finished reply
+/// if there is one, else computes the oldest queued task on its own
+/// arena, and blocks only when the queue is empty (a helper holds the
+/// missing task).
 #[allow(clippy::too_many_arguments)]
 fn drive_batches(
     pool: &Pool<'_, '_>,
     arena: &mut WorkerArena,
     optimizer: &mut Optimizer,
     order: &[usize],
+    progress: Progress,
     total: &mut Gradients,
     free_grads: &mut Vec<Gradients>,
     pending: &mut Vec<Option<(f32, Gradients)>>,
     reply_rx: &mpsc::Receiver<TaskReply>,
 ) -> Result<(f32, Option<ForwardActivity>), SnnError> {
-    let mut loss_sum = 0.0f32;
-    let mut activity: Option<ForwardActivity> = None;
-    for batch in order.chunks(pool.options.batch_size) {
-        total.zero_fill();
+    let batch_size = pool.options.batch_size;
+    let Progress {
+        next,
+        batch_loss: open_loss,
+        mut loss_sum,
+        mut activity,
+    } = progress;
+    let batches = (0..).step_by(batch_size).zip(order.chunks(batch_size));
+    for (opened, batch) in batches.skip(next / batch_size) {
+        let (mut next_merge, mut batch_loss) = if opened < next {
+            (next - opened, open_loss)
+        } else {
+            total.zero_fill();
+            (0, 0.0)
+        };
         pending.clear();
         pending.resize_with(batch.len(), || None);
-        let mut dispatched = 0usize;
-        let mut next_merge = 0usize;
-        let mut batch_loss = 0.0f32;
+        let mut dispatched = next_merge;
 
         loop {
             // Merge every result that is next in batch order.
@@ -816,6 +950,7 @@ pub struct IncrementOutcome {
 #[derive(Debug, Default)]
 pub struct IncrementalTrainer {
     scratch: TrainScratch,
+    cutoffs: Cutoffs,
     increments: u64,
     /// Per-epoch wall-time histogram (`snn_train_epoch_us`), when an
     /// observability registry is attached.
@@ -873,13 +1008,14 @@ impl IncrementalTrainer {
         let mut activity: Option<ForwardActivity> = None;
         for _ in 0..epochs {
             let epoch_started = std::time::Instant::now();
-            let report = train_epoch_with(
+            let report = train_epoch_with_cutoffs(
                 net,
                 samples,
                 &mut optimizer,
                 options,
                 rng,
                 &mut self.scratch,
+                self.cutoffs,
             )?;
             if let Some(hist) = &self.epoch_us {
                 hist.record(epoch_started.elapsed().as_micros() as u64);
@@ -954,18 +1090,72 @@ pub fn evaluate_parallel(
     Ok(acc)
 }
 
-/// The least work worth handing to a helper thread of [`map_chunks`].
-/// Spawning and joining one scoped thread costs ~26 µs (median of 2,000
-/// on a 2-vCPU VM); a share of four times that keeps the start-up under
-/// a quarter of what the helper computes, and its timing noise out of
-/// µs-scale loops.
+/// The least work worth handing to a helper thread of [`map_chunks`] or
+/// of a training epoch. Spawning and joining one scoped thread costs
+/// ~26 µs (median of 2,000 on a 2-vCPU VM); a share of four times that
+/// keeps the start-up under a quarter of what the helper computes, and
+/// its timing noise out of µs-scale loops.
 const MIN_SHARE: Duration = Duration::from_micros(100);
 
-/// Items [`map_chunks`] times on the calling thread before it decides on
-/// a fan-out. Two rather than one: the first item of a loop also pays
-/// for `f`'s set-up and a cold cache, and alone it reads ~1.7× the
-/// steady per-item time (2.7 vs 1.6 µs in the `edge` per-epoch
-/// evaluation).
+/// The least work per batch worth handing to each helper of a training
+/// epoch. A task's queue hand-off — push, wake-up and the reply carrying
+/// its gradient buffer — takes ~5 µs (median of 2,000 round trips on a
+/// 2-vCPU VM, with a 1,020-float buffer: the `paper` readout's), and a
+/// helper pays at least one per batch; a share of four times that keeps
+/// the hand-offs under a quarter of what the helper computes.
+const MIN_BATCH_SHARE: Duration = Duration::from_micros(20);
+
+/// The least shares of a helper that make a training epoch start it.
+#[derive(Debug, Clone, Copy)]
+struct Cutoffs {
+    /// Over the whole epoch: the helper's spawn is paid once per epoch.
+    epoch: Duration,
+    /// Over one batch: the hand-offs are paid in every batch.
+    batch: Duration,
+}
+
+impl Default for Cutoffs {
+    fn default() -> Self {
+        Cutoffs {
+            epoch: MIN_SHARE,
+            batch: MIN_BATCH_SHARE,
+        }
+    }
+}
+
+impl Cutoffs {
+    /// Both cut-offs at zero: any epoch with work for a helper starts it.
+    #[cfg(test)]
+    const NONE: Cutoffs = Cutoffs {
+        epoch: Duration::ZERO,
+        batch: Duration::ZERO,
+    };
+
+    /// The threads an epoch runs on when each sample costs `per_item`,
+    /// `rest` samples remain after the probe and batches hold up to
+    /// `max_batch`: the fewer of what [`fan_out`] grants over the epoch
+    /// and over one batch.
+    fn workers(
+        self,
+        per_item: Duration,
+        rest: usize,
+        max_batch: usize,
+        parallelism: usize,
+    ) -> usize {
+        fan_out(per_item, rest, parallelism, self.epoch).min(fan_out(
+            per_item,
+            max_batch,
+            parallelism,
+            self.batch,
+        ))
+    }
+}
+
+/// Items [`map_chunks`] and a training epoch time on the calling thread
+/// before they decide on a fan-out. Two rather than one: the first item
+/// of a loop also pays for its set-up and a cold cache, and alone it
+/// reads ~1.7× the steady per-item time (2.7 vs 1.6 µs in the `edge`
+/// per-epoch evaluation).
 const PROBE: usize = 2;
 
 /// Maps `f` over contiguous chunks of `items` on up to `parallelism`
@@ -1161,59 +1351,72 @@ mod tests {
 
     /// The central determinism contract: the arena/pool path produces
     /// byte-identical trained weights and reports to the seed-era
-    /// per-sample-allocation reference, at every worker count.
+    /// per-sample-allocation reference, at every worker count, whether
+    /// the epochs fan out or stay on the calling thread — also when the
+    /// probe closes a batch (batch size 1 or 2) or leaves one open.
     #[test]
     fn pool_is_bit_identical_to_reference_at_any_worker_count() {
         let data = toy_problem(8, 12);
         let refs = toy_refs(&data);
         let base = Network::new(NetworkConfig::tiny(8, 2)).unwrap();
 
-        let mut reference_net = base.clone();
-        let mut reference_opt = Optimizer::adam(2e-3);
-        let mut reference_rng = Rng::seed_from_u64(41);
-        let mut reference_reports = Vec::new();
-        for _ in 0..3 {
-            reference_reports.push(
-                train_epoch_reference(
-                    &mut reference_net,
-                    &refs,
-                    &mut reference_opt,
-                    &TrainOptions {
-                        batch_size: 5,
-                        parallelism: 1,
-                        ..TrainOptions::default()
-                    },
-                    &mut reference_rng,
-                )
-                .unwrap(),
-            );
-        }
-
-        for workers in [1usize, 2, 4] {
-            let mut net = base.clone();
-            let mut opt = Optimizer::adam(2e-3);
-            let mut rng = Rng::seed_from_u64(41);
-            let mut scratch = TrainScratch::new();
-            let options = TrainOptions {
-                batch_size: 5,
-                parallelism: workers,
-                ..TrainOptions::default()
-            };
-            let mut reports = Vec::new();
+        for batch_size in [1usize, 2, 5] {
+            let mut reference_net = base.clone();
+            let mut reference_opt = Optimizer::adam(2e-3);
+            let mut reference_rng = Rng::seed_from_u64(41);
+            let mut reference_reports = Vec::new();
             for _ in 0..3 {
-                reports.push(
-                    train_epoch_with(&mut net, &refs, &mut opt, &options, &mut rng, &mut scratch)
-                        .unwrap(),
+                reference_reports.push(
+                    train_epoch_reference(
+                        &mut reference_net,
+                        &refs,
+                        &mut reference_opt,
+                        &TrainOptions {
+                            batch_size,
+                            parallelism: 1,
+                            ..TrainOptions::default()
+                        },
+                        &mut reference_rng,
+                    )
+                    .unwrap(),
                 );
             }
-            assert_eq!(
-                net, reference_net,
-                "{workers}-worker weights must be byte-identical to the reference path"
-            );
-            assert_eq!(
-                reports, reference_reports,
-                "{workers}-worker reports must equal the reference path"
-            );
+
+            for (workers, cutoffs) in [1usize, 2, 4]
+                .into_iter()
+                .flat_map(|w| [(w, Cutoffs::NONE), (w, Cutoffs::default())])
+            {
+                let mut net = base.clone();
+                let mut opt = Optimizer::adam(2e-3);
+                let mut rng = Rng::seed_from_u64(41);
+                let mut scratch = TrainScratch::new();
+                let options = TrainOptions {
+                    batch_size,
+                    parallelism: workers,
+                    ..TrainOptions::default()
+                };
+                let mut reports = Vec::new();
+                for _ in 0..3 {
+                    reports.push(
+                        train_epoch_with_cutoffs(
+                            &mut net,
+                            &refs,
+                            &mut opt,
+                            &options,
+                            &mut rng,
+                            &mut scratch,
+                            cutoffs,
+                        )
+                        .unwrap(),
+                    );
+                }
+                let tag = format!("{workers} workers, batch {batch_size}, {cutoffs:?}");
+                if cutoffs.epoch.is_zero() {
+                    assert_eq!(scratch.arenas.len(), workers.min(batch_size), "{tag}");
+                }
+                assert_eq!(net, reference_net, "weights: {tag}");
+                assert_eq!(reports, reference_reports, "reports: {tag}");
+            }
         }
     }
 
@@ -1272,7 +1475,10 @@ mod tests {
 
         // Two increments through one IncrementalTrainer (arenas reused)...
         let mut incremental = Network::new(NetworkConfig::tiny(8, 2)).unwrap();
-        let mut trainer = IncrementalTrainer::new();
+        let mut trainer = IncrementalTrainer {
+            cutoffs: Cutoffs::NONE,
+            ..IncrementalTrainer::new()
+        };
         let mut rng = Rng::seed_from_u64(17);
         let a = trainer
             .run_increment(&mut incremental, &refs, 1e-3, 3, &options, &mut rng)
@@ -1294,17 +1500,19 @@ mod tests {
             let mut opt = Optimizer::adam(lr);
             let mut scratch = TrainScratch::new();
             for _ in 0..epochs {
-                train_epoch_with(
+                train_epoch_with_cutoffs(
                     &mut manual,
                     &refs,
                     &mut opt,
                     &options,
                     &mut rng,
                     &mut scratch,
+                    Cutoffs::NONE,
                 )
                 .unwrap();
             }
         }
+        assert_eq!(trainer.scratch.arenas.len(), 2, "the pool ran 2 threads");
         assert_eq!(incremental, manual);
     }
 
@@ -1354,7 +1562,89 @@ mod tests {
             batch_size: 4,
             ..TrainOptions::default()
         };
-        assert!(train_epoch(&mut net, &refs, &mut opt, &options, &mut rng).is_err());
+        let mut scratch = TrainScratch::new();
+        let epoch = train_epoch_with_cutoffs(
+            &mut net,
+            &refs,
+            &mut opt,
+            &options,
+            &mut rng,
+            &mut scratch,
+            Cutoffs::NONE,
+        );
+        assert!(epoch.is_err());
+        assert_eq!(scratch.arenas.len(), 2, "the pool ran 2 threads");
+    }
+
+    /// Trains three epochs of the toy problem at parallelism 4 with
+    /// `cutoffs`, returning the thread that computed each sample.
+    fn train_threads(cutoffs: Cutoffs) -> Vec<std::thread::ThreadId> {
+        let data = toy_problem(8, 12);
+        let refs = toy_refs(&data);
+        let mut net = Network::new(NetworkConfig::tiny(8, 2)).unwrap();
+        let mut opt = Optimizer::adam(2e-3);
+        let mut rng = Rng::seed_from_u64(43);
+        let mut scratch = TrainScratch::new();
+        let options = TrainOptions {
+            batch_size: 5,
+            parallelism: 4,
+            ..TrainOptions::default()
+        };
+        for _ in 0..3 {
+            train_epoch_with_cutoffs(
+                &mut net,
+                &refs,
+                &mut opt,
+                &options,
+                &mut rng,
+                &mut scratch,
+                cutoffs,
+            )
+            .unwrap();
+        }
+        scratch
+            .arenas
+            .iter()
+            .flat_map(|a| a.threads.clone())
+            .collect()
+    }
+
+    #[test]
+    fn training_starts_no_helper_below_either_cut_off() {
+        let me = std::thread::current().id();
+        for cutoffs in [
+            Cutoffs {
+                epoch: Duration::MAX,
+                ..Cutoffs::NONE
+            },
+            Cutoffs {
+                batch: Duration::MAX,
+                ..Cutoffs::NONE
+            },
+        ] {
+            let threads = train_threads(cutoffs);
+            assert_eq!(threads.len(), 3 * 16, "every sample computed once");
+            assert!(threads.iter().all(|&id| id == me), "{cutoffs:?}");
+        }
+
+        // The scoped shapes, as (per-sample time, samples after the
+        // probe, batch size) at parallelism 2.
+        let ns = Duration::from_nanos;
+        let workers = |per_item, rest, batch| Cutoffs::default().workers(per_item, rest, batch, 2);
+        // `edge` Replay4NCL epochs: ~7 µs of helper work per batch.
+        assert_eq!(workers(ns(3_500), 160, 4), 1);
+        // Demo SpikingLR at T = 60, ~18 µs per batch: a tie, kept serial.
+        assert_eq!(workers(ns(9_000), 160, 4), 1);
+        // An increment with ~55 µs of helper work per epoch (the `edge`
+        // learner's) stays serial on the epoch cut alone...
+        assert_eq!(workers(ns(11_000), 10, 4), 1);
+        assert_eq!(fan_out(ns(11_000), 4, 2, MIN_BATCH_SHARE), 2);
+        // ...while `paper` Replay4NCL at T* = 40 (~44 µs per batch) and
+        // demo stage-0 pre-training (~200 µs per batch) fan out.
+        assert_eq!(workers(ns(5_500), 500, 16), 2);
+        assert_eq!(workers(ns(100_000), 106, 4), 2);
+        // Never more threads than a batch holds.
+        assert_eq!(Cutoffs::default().workers(ns(100_000), 100, 3, 8), 3);
     }
 
     #[test]

@@ -23,7 +23,7 @@ OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le, "==": operator.eq
 # Adding a gate: one gate call in the emitter plus its name here.
 REQUIRED_GATES = {
     "train": ("pool_bit_identical", "scenarios", "reference_samples_per_sec_min",
-              "pool_runs_min", "pool_samples_per_sec_min"),
+              "pool_runs_min", "pool_samples_per_sec_min", "cl_readout_w2_vs_w1"),
     "serve": ("requests_ok", "requests_failed", "hot_swap_ok"),
     "online": ("events_per_sec", "warm_events_per_sec", "increments", "train_wall_ms_min",
                "predictions_failed", "checkpoint_round_trip", "final_version"),

@@ -13,7 +13,10 @@
 //! (`train_epoch_reference`), which the zero-allocation rewrite kept as
 //! its oracle. Above the trainer, a whole class-incremental run
 //! (`run_method`) and each of its frozen-stage phases must give equal
-//! results at 1, 2 and 4 workers.
+//! results at 1, 2 and 4 workers. An epoch times its first samples and
+//! starts helpers only where they pay, so the cases span both sides of
+//! that cut: µs-scale readout-only updates that stay on the calling
+//! thread, and paper-width epochs whose ms-scale samples fan out.
 
 use ncl_snn::adaptive::{AdaptivePolicy, ThresholdMode};
 use ncl_snn::optimizer::Optimizer;
@@ -228,5 +231,86 @@ fn worker_count_does_not_change_capture_or_evaluation_inputs() {
                 assert_eq!(e, eval, "eval_activations, {tag}");
             }
         }
+    }
+}
+
+/// A µs-scale class-incremental run: the smoke scenario with the
+/// insertion layer at the last stage, so only the readout trains, on
+/// samples far below a helper's cut-off.
+#[test]
+fn worker_count_does_not_change_a_readout_only_cl_run() {
+    let mut config = ScenarioConfig::smoke();
+    config.insertion_layer = config.network.hidden_sizes.len();
+    let (net, acc) = cache::pretrained_network(&config).unwrap();
+    for method in cl_methods(&config) {
+        let at = |workers: usize| {
+            let config = ScenarioConfig {
+                parallelism: workers,
+                ..config.clone()
+            };
+            scenario::run_method(&config, &method, &net, acc).unwrap()
+        };
+        let serial = at(1);
+        for workers in [2usize, 4] {
+            assert_eq!(
+                at(workers),
+                serial,
+                "readout-only {} at {workers} workers must equal the serial run",
+                method.name
+            );
+        }
+    }
+}
+
+/// A paper-width stage-0 epoch (700 channels, T = 100, the Fig. 6
+/// network): each sample's full BPTT takes milliseconds, far above both
+/// cut-offs, so the 2- and 4-worker epochs start helpers. Their weights
+/// and reports must equal the serial epoch's and the reference path's.
+#[test]
+fn worker_count_does_not_change_a_paper_width_epoch() {
+    let config = NetworkConfig::paper();
+    let classes = config.output_size as u16;
+    let base = Network::new(config.clone()).unwrap();
+    let mut rng = Rng::seed_from_u64(91);
+    let data: Vec<(SpikeRaster, u16)> = (0..10u16)
+        .map(|i| {
+            let label = i % classes;
+            let raster = SpikeRaster::from_fn(config.input_size, 100, |n, _| {
+                n % usize::from(classes) == usize::from(label) && rng.bernoulli(0.3)
+            });
+            (raster, label)
+        })
+        .collect();
+    let refs: Vec<(&SpikeRaster, u16)> = data.iter().map(|(r, l)| (r, *l)).collect();
+    let epoch = |workers: usize, reference: bool| {
+        let mut net = base.clone();
+        let mut optimizer = Optimizer::adam(1e-3);
+        let options = TrainOptions {
+            from_stage: 0,
+            batch_size: 4,
+            parallelism: workers,
+            threshold_mode: ThresholdMode::Constant,
+        };
+        let mut rng = Rng::seed_from_u64(0x5EED);
+        let report = if reference {
+            trainer::train_epoch_reference(&mut net, &refs, &mut optimizer, &options, &mut rng)
+        } else {
+            trainer::train_epoch_with(
+                &mut net,
+                &refs,
+                &mut optimizer,
+                &options,
+                &mut rng,
+                &mut TrainScratch::new(),
+            )
+        };
+        (serialize::to_bytes(&net), report.unwrap())
+    };
+    let reference = epoch(1, true);
+    for workers in [1usize, 2, 4] {
+        assert!(
+            epoch(workers, false) == reference,
+            "a {workers}-worker paper-width epoch must equal the reference path"
+        );
     }
 }
