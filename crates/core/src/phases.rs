@@ -1,5 +1,6 @@
-//! The three phases of Alg. 1: pre-training, network preparation (latent
-//! replay generation) and new-task activation capture.
+//! The phases of Alg. 1: pre-training, network preparation (latent
+//! replay generation), new-task activation capture and the NCL training
+//! phase every continual-learning caller runs ([`increment`]).
 
 use std::sync::Arc;
 
@@ -10,9 +11,8 @@ use ncl_data::split::{replay_subset, ClassIncrementalSplit};
 use ncl_data::{Dataset, LabeledSample};
 use ncl_hw::OpCounts;
 use ncl_snn::adaptive::ThresholdMode;
-use ncl_snn::optimizer::Optimizer;
-use ncl_snn::trainer::{self, TrainOptions};
-use ncl_snn::Network;
+use ncl_snn::trainer::{self, EpochReport, IncrementOutcome, IncrementalTrainer, TrainOptions};
+use ncl_snn::{Network, SnnError};
 use ncl_spike::codec;
 use ncl_spike::resample::{resample, ResampleStrategy};
 use ncl_spike::SpikeRaster;
@@ -135,43 +135,51 @@ pub fn method_input(
 ///
 /// Returns [`NclError`] for invalid configs or training failures.
 pub fn pretrain(config: &ScenarioConfig) -> Result<PretrainOutcome, NclError> {
+    pretrain_on(
+        config,
+        &scenario_split(config)?,
+        Rng::seed_from_u64(config.seed ^ PRETRAIN_SALT),
+    )
+}
+
+/// [`pretrain`] on the pre-training classes of `split`, shuffling with
+/// `rng`: a fresh network trained from stage 0 for
+/// `config.pretrain_epochs` epochs, then evaluated on those classes'
+/// test samples.
+///
+/// # Errors
+///
+/// Returns [`NclError`] for invalid configs or training failures.
+pub(crate) fn pretrain_on(
+    config: &ScenarioConfig,
+    split: &ClassIncrementalSplit,
+    mut rng: Rng,
+) -> Result<PretrainOutcome, NclError> {
     config.validate()?;
     let data = scenario_data(config)?;
-    let split = scenario_split(config)?;
     let train = split.pretrain_subset(&data.train);
     let test = split.pretrain_subset(&data.test);
 
     let mut network = Network::new(config.network.clone())?;
-    let mut optimizer = Optimizer::adam(config.pretrain_lr);
     let options = TrainOptions {
         from_stage: 0,
         batch_size: config.batch_size,
         parallelism: config.parallelism,
         threshold_mode: ThresholdMode::Constant,
     };
-    let mut rng = Rng::seed_from_u64(config.seed ^ PRETRAIN_SALT);
+    let outcome = IncrementalTrainer::new().run_increment(
+        &mut network,
+        &sample_refs(&train),
+        config.pretrain_lr,
+        config.pretrain_epochs,
+        &options,
+        &mut rng,
+        |_, _| Ok(()),
+    )?;
 
-    let refs = sample_refs(&train);
-    let mut epoch_losses = Vec::with_capacity(config.pretrain_epochs);
-    // One arena set for the whole phase: epochs after the first allocate
-    // nothing on the training hot path.
-    let mut scratch = trainer::TrainScratch::new();
-    for _ in 0..config.pretrain_epochs {
-        let report = trainer::train_epoch_with(
-            &mut network,
-            &refs,
-            &mut optimizer,
-            &options,
-            &mut rng,
-            &mut scratch,
-        )?;
-        epoch_losses.push(report.mean_loss);
-    }
-
-    let test_refs = sample_refs(&test);
     let acc = trainer::evaluate_parallel(
         &network,
-        &test_refs,
+        &sample_refs(&test),
         0,
         ThresholdMode::Constant,
         config.parallelism,
@@ -179,8 +187,46 @@ pub fn pretrain(config: &ScenarioConfig) -> Result<PretrainOutcome, NclError> {
     Ok(PretrainOutcome {
         network,
         test_acc: acc.top1(),
-        epoch_losses,
+        epoch_losses: outcome.epoch_losses,
     })
+}
+
+/// The NCL training phase (Alg. 1 lines 21–33), one per increment, for
+/// every caller: `config.cl_epochs` epochs of the learning stages (from
+/// `config.insertion_layer`) over `train_set` under the method's
+/// threshold policy, with a fresh Adam at the reduced rate
+/// `pretrain_lr / lr_divisor`, on `config.parallelism` threads. Which
+/// samples make up `train_set` — how replay and new samples mix — stays
+/// the caller's choice. `observe` sees the network and the epoch's
+/// report after every epoch; its first error ends the phase.
+///
+/// # Errors
+///
+/// Returns [`NclError`] for training failures and `observe`'s errors.
+pub fn increment(
+    trainer: &mut IncrementalTrainer,
+    network: &mut Network,
+    config: &ScenarioConfig,
+    method: &MethodSpec,
+    train_set: &[(&SpikeRaster, u16)],
+    rng: &mut Rng,
+    observe: impl FnMut(&Network, &EpochReport) -> Result<(), SnnError>,
+) -> Result<IncrementOutcome, NclError> {
+    let options = TrainOptions {
+        from_stage: config.insertion_layer,
+        batch_size: config.batch_size,
+        parallelism: config.parallelism,
+        threshold_mode: method.threshold_mode,
+    };
+    Ok(trainer.run_increment(
+        network,
+        train_set,
+        config.pretrain_lr / method.lr_divisor,
+        config.cl_epochs,
+        &options,
+        rng,
+        observe,
+    )?)
 }
 
 /// Runs `raster` through a method's frozen pipeline: decimation to the
@@ -189,7 +235,11 @@ pub fn pretrain(config: &ScenarioConfig) -> Result<PretrainOutcome, NclError> {
 /// the method's threshold policy — Alg. 1 lines 8–19 adapt `V_thr`
 /// during latent generation, not only during training. Returns the
 /// activation and the device work of both steps.
-fn capture(
+///
+/// # Errors
+///
+/// Returns [`NclError`] for resampling or simulation failures.
+pub fn capture(
     network: &Network,
     config: &ScenarioConfig,
     method: &MethodSpec,

@@ -12,8 +12,7 @@
 
 use ncl_hw::memory::MemoryFootprint;
 use ncl_hw::{CostReport, HardwareProfile, OpCounts};
-use ncl_snn::optimizer::Optimizer;
-use ncl_snn::trainer::{self, TrainOptions};
+use ncl_snn::trainer::{self, IncrementalTrainer};
 use ncl_snn::Network;
 use ncl_spike::SpikeRaster;
 use serde::{Deserialize, Serialize};
@@ -172,57 +171,43 @@ pub fn run_method(
     let new_eval_refs: Vec<(&SpikeRaster, u16)> = new_eval.iter().map(|(r, l)| (r, *l)).collect();
 
     // --- NCL training phase (Alg. 1 lines 21-33) ------------------------
-    let mut optimizer = Optimizer::adam(config.pretrain_lr / method.lr_divisor);
-    let options = TrainOptions {
-        from_stage: config.insertion_layer,
-        batch_size: config.batch_size,
-        parallelism: config.parallelism,
-        threshold_mode: method.threshold_mode,
-    };
-    let mut rng = phases::cl_rng(config);
-
     let mut train_set: Vec<(&SpikeRaster, u16)> = Vec::new();
     train_set.extend(new_samples.iter().map(|(r, l)| (r, *l)));
     train_set.extend(replay_samples.iter().map(|(r, l)| (r, *l)));
 
     let trained_params = network.trainable_params(config.insertion_layer)? as u64;
     let mut epochs = Vec::with_capacity(config.cl_epochs);
-    // One arena set for the whole CL phase (zero-allocation hot path).
-    let mut scratch = trainer::TrainScratch::new();
-    for epoch in 0..config.cl_epochs {
-        let report = trainer::train_epoch_with(
-            &mut network,
-            &train_set,
-            &mut optimizer,
-            &options,
-            &mut rng,
-            &mut scratch,
-        )?;
-        let mut ops = anew_epoch_ops + replay_epoch_ops;
-        if let Some(activity) = &report.activity {
-            ops += OpCounts::training(activity, config.network.recurrent, trained_params);
-        }
-
-        let eval = |refs: &[(&SpikeRaster, u16)]| {
-            trainer::evaluate_parallel(
-                &network,
-                refs,
-                config.insertion_layer,
-                method.threshold_mode,
-                config.parallelism,
-            )
-        };
-        let old_acc = eval(&old_eval_refs)?.top1();
-        let new_acc = eval(&new_eval_refs)?.top1();
-
-        epochs.push(EpochRecord {
-            epoch,
-            mean_loss: report.mean_loss,
-            old_acc,
-            new_acc,
-            ops,
-        });
-    }
+    phases::increment(
+        &mut IncrementalTrainer::new(),
+        &mut network,
+        config,
+        method,
+        &train_set,
+        &mut phases::cl_rng(config),
+        |network, report| {
+            let mut ops = anew_epoch_ops + replay_epoch_ops;
+            if let Some(activity) = &report.activity {
+                ops += OpCounts::training(activity, config.network.recurrent, trained_params);
+            }
+            let eval = |refs: &[(&SpikeRaster, u16)]| {
+                trainer::evaluate_parallel(
+                    network,
+                    refs,
+                    config.insertion_layer,
+                    method.threshold_mode,
+                    config.parallelism,
+                )
+            };
+            epochs.push(EpochRecord {
+                epoch: epochs.len(),
+                mean_loss: report.mean_loss,
+                old_acc: eval(&old_eval_refs)?.top1(),
+                new_acc: eval(&new_eval_refs)?.top1(),
+                ops,
+            });
+            Ok(())
+        },
+    )?;
 
     Ok(ScenarioResult {
         method: method.name.clone(),

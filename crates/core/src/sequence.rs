@@ -5,10 +5,12 @@
 //! one after another, and the latent store grows with each. This module
 //! generalizes the scenario driver to a *sequence* of class increments:
 //!
-//! 1. pre-train on the first `C − k` classes;
+//! 1. pre-train on the first `C − k` classes (`phases::pretrain_on`);
 //! 2. for each remaining class: generate/extend the latent-replay buffer
 //!    (old classes *and* previously-learned increments), train the
-//!    learning stages on replay ∪ new, evaluate on everything seen.
+//!    learning stages on replay ∪ new through [`phases::increment`] — the
+//!    same CL phase [`crate::scenario::run_method`] and the online learner
+//!    run — and evaluate on everything seen.
 //!
 //! Because the frozen stages never change, latent entries captured in
 //! earlier increments remain valid — the defining property that makes
@@ -17,15 +19,18 @@
 use ncl_data::split::ClassIncrementalSplit;
 use ncl_hw::memory::MemoryFootprint;
 use ncl_hw::OpCounts;
-use ncl_snn::optimizer::Optimizer;
-use ncl_snn::trainer::{self, TrainOptions};
+use ncl_snn::trainer::{self, IncrementalTrainer};
 use ncl_spike::SpikeRaster;
+use ncl_tensor::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::ScenarioConfig;
 use crate::error::NclError;
 use crate::methods::MethodSpec;
 use crate::phases;
+
+/// Seed salt of the sequence's pre-training stream.
+const SEQUENCE_PRETRAIN_SALT: u64 = 0x5E0;
 
 /// Outcome of one class increment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -84,40 +89,9 @@ pub fn run_sequence(
     let data = phases::scenario_data(config)?;
     let pre_split =
         ClassIncrementalSplit::new((0..first_new).collect(), (first_new..classes).collect())?;
-    let pre_train_set = pre_split.pretrain_subset(&data.train);
-    let pre_test_set = pre_split.pretrain_subset(&data.test);
-
-    let mut network = ncl_snn::Network::new(config.network.clone())?;
-    let mut optimizer = Optimizer::adam(config.pretrain_lr);
-    let options = TrainOptions {
-        from_stage: 0,
-        batch_size: config.batch_size,
-        parallelism: config.parallelism,
-        threshold_mode: ncl_snn::adaptive::ThresholdMode::Constant,
-    };
-    let mut rng = ncl_tensor::Rng::seed_from_u64(config.seed ^ 0x5E0);
-    let refs = phases::sample_refs(&pre_train_set);
-    // One arena set reused across the pre-training epochs and every
-    // increment's CL epochs (reshaped automatically at the stage switch).
-    let mut scratch = trainer::TrainScratch::new();
-    for _ in 0..config.pretrain_epochs {
-        trainer::train_epoch_with(
-            &mut network,
-            &refs,
-            &mut optimizer,
-            &options,
-            &mut rng,
-            &mut scratch,
-        )?;
-    }
-    let pretrain_acc = trainer::evaluate_parallel(
-        &network,
-        &phases::sample_refs(&pre_test_set),
-        0,
-        ncl_snn::adaptive::ThresholdMode::Constant,
-        config.parallelism,
-    )?
-    .top1();
+    let rng = Rng::seed_from_u64(config.seed ^ SEQUENCE_PRETRAIN_SALT);
+    let pre = phases::pretrain_on(config, &pre_split, rng)?;
+    let mut network = pre.network;
 
     // --- increments ------------------------------------------------------
     let mut total_ops = OpCounts::default();
@@ -128,22 +102,25 @@ pub fn run_sequence(
         payload_bits_per_sample: 0,
         total_bits: 0,
     };
+    // One set of training arenas for every increment's CL phase
+    // (reshaped, not reallocated, from one increment to the next).
+    let mut trainer = IncrementalTrainer::new();
 
     for class in first_new..classes {
         let split = ClassIncrementalSplit::new(seen.clone(), vec![class])?;
 
         // (Re)build the latent buffer over everything seen so far. The
         // frozen stages are unchanged, so this equals extending the store
-        // incrementally; the generation cost of only the *new* entries is
-        // charged (previous entries persist in latent memory).
+        // incrementally, and only the generation of entries no earlier
+        // increment paid for is charged: all of them on the first
+        // increment, one class's worth of them after it.
         let (buffer, prep_ops) =
             phases::prepare_buffer(&network, config, method, &data.train, &split)?;
-        if method.uses_replay() {
-            // Charge generation for one class's worth of entries (the new
-            // additions); earlier increments already paid for theirs.
-            let fresh_fraction = 1.0 / seen.len().max(1) as f64;
-            total_ops += scale_ops(&prep_ops, fresh_fraction);
-        }
+        total_ops += if class == first_new {
+            prep_ops
+        } else {
+            scale_ops(&prep_ops, 1.0 / seen.len() as f64)
+        };
         final_memory = buffer.footprint();
 
         let decompress = method.replay.as_ref().is_some_and(|r| r.decompress);
@@ -153,33 +130,27 @@ pub fn run_sequence(
         let (new_samples, anew_ops) =
             phases::new_task_activations(&network, config, method, &cl_train)?;
 
-        let mut optimizer = Optimizer::adam(config.pretrain_lr / method.lr_divisor);
-        let options = TrainOptions {
-            from_stage: config.insertion_layer,
-            batch_size: config.batch_size,
-            parallelism: config.parallelism,
-            threshold_mode: method.threshold_mode,
-        };
-        let mut rng = phases::cl_rng(config).fork(u64::from(class));
         let mut train_set: Vec<(&SpikeRaster, u16)> = Vec::new();
         train_set.extend(new_samples.iter().map(|(r, l)| (r, *l)));
         train_set.extend(replay_samples.iter().map(|(r, l)| (r, *l)));
 
         let trained_params = network.trainable_params(config.insertion_layer)? as u64;
-        for _ in 0..config.cl_epochs {
-            let report = trainer::train_epoch_with(
-                &mut network,
-                &train_set,
-                &mut optimizer,
-                &options,
-                &mut rng,
-                &mut scratch,
-            )?;
-            total_ops += anew_ops;
-            if let Some(activity) = &report.activity {
-                total_ops += OpCounts::training(activity, config.network.recurrent, trained_params);
-            }
-        }
+        phases::increment(
+            &mut trainer,
+            &mut network,
+            config,
+            method,
+            &train_set,
+            &mut phases::cl_rng(config).fork(u64::from(class)),
+            |_, report| {
+                total_ops += anew_ops;
+                if let Some(activity) = &report.activity {
+                    total_ops +=
+                        OpCounts::training(activity, config.network.recurrent, trained_params);
+                }
+                Ok(())
+            },
+        )?;
 
         // Evaluate on old (seen-before), new, and everything.
         let old_test = split.pretrain_subset(&data.test);
@@ -218,7 +189,7 @@ pub fn run_sequence(
 
     Ok(SequenceResult {
         method: method.name.clone(),
-        pretrain_acc,
+        pretrain_acc: pre.test_acc,
         increments,
         total_ops,
         final_memory,
@@ -290,6 +261,53 @@ mod tests {
         );
         // Baseline stores nothing.
         assert_eq!(naive.final_memory.total_bits, 0);
+    }
+
+    #[test]
+    fn first_increment_pays_for_the_whole_pretrained_store() {
+        let c = config();
+        let m = MethodSpec::replay4ncl(4, 16).with_lr_divisor(2.0);
+        let r = run_sequence(&c, &m, 1).unwrap();
+
+        // The one increment, re-run by hand: its store holds every entry
+        // of the pre-trained classes, none of which was generated before.
+        let class = c.data.classes - 1;
+        let split = ClassIncrementalSplit::new((0..class).collect(), vec![class]).unwrap();
+        let rng = Rng::seed_from_u64(c.seed ^ SEQUENCE_PRETRAIN_SALT);
+        let network = phases::pretrain_on(&c, &split, rng).unwrap().network;
+        let data = phases::scenario_data(&c).unwrap();
+        let (buffer, prep_ops) =
+            phases::prepare_buffer(&network, &c, &m, &data.train, &split).unwrap();
+        let cl_train = split.continual_subset(&data.train);
+        let (new_samples, anew_ops) =
+            phases::new_task_activations(&network, &c, &m, &cl_train).unwrap();
+        let replay = buffer.replay_samples(false).unwrap();
+        let train_set: Vec<(&SpikeRaster, u16)> = new_samples
+            .iter()
+            .chain(&replay)
+            .map(|(r, l)| (r, *l))
+            .collect();
+        let trained_params = network.trainable_params(c.insertion_layer).unwrap() as u64;
+        let mut epoch_ops = OpCounts::default();
+        phases::increment(
+            &mut IncrementalTrainer::new(),
+            &mut network.clone(),
+            &c,
+            &m,
+            &train_set,
+            &mut phases::cl_rng(&c).fork(u64::from(class)),
+            |_, report| {
+                let activity = report.activity.as_ref().expect("a non-empty epoch");
+                epoch_ops += anew_ops;
+                epoch_ops += OpCounts::training(activity, c.network.recurrent, trained_params);
+                Ok(())
+            },
+        )
+        .unwrap();
+
+        assert!(!prep_ops.is_zero());
+        // total_ops − the summed epoch work = the full preparation.
+        assert_eq!(r.total_ops, prep_ops + epoch_ops);
     }
 
     #[test]

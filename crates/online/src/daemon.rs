@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use ncl_obs::{Counter, Gauge, Level, Registry as ObsRegistry, Stage};
 use ncl_serve::registry::ModelRegistry;
-use ncl_snn::trainer::{self, IncrementalTrainer, TrainOptions};
+use ncl_snn::trainer::{self, IncrementalTrainer};
 use ncl_snn::Network;
 use ncl_spike::SpikeRaster;
 use ncl_tensor::Rng;
@@ -710,24 +710,19 @@ impl OnlineLearner {
         Ok(path.clone())
     }
 
-    /// Captures the latent activation of one raw input: decimate to the
-    /// method's operating timestep, apply the method's threshold policy to
-    /// the frozen stages, read the insertion-layer activation.
+    /// Captures the latent activation of one raw input
+    /// ([`phases::capture`]): decimate to the method's operating timestep,
+    /// apply the method's threshold policy to the frozen stages, read the
+    /// insertion-layer activation.
     fn capture_latent(&self, raster: &SpikeRaster) -> Result<SpikeRaster, OnlineError> {
         let _span = self.obs.capture.enter();
-        let (input, _ops) =
-            phases::method_input(raster, &self.config.method, &self.config.scenario)?;
-        let base = self.config.scenario.network.lif.v_threshold;
-        let schedule = self
-            .config
-            .method
-            .threshold_mode
-            .schedule_for(&input, base)?;
-        Ok(self.network.activations_at_scheduled(
-            self.config.scenario.insertion_layer,
-            &input,
-            Some(&schedule),
-        )?)
+        let (latent, _ops) = phases::capture(
+            &self.network,
+            &self.config.scenario,
+            &self.config.method,
+            raster,
+        )?;
+        Ok(latent)
     }
 
     /// Ingests one stream event. Events must arrive in sequence order
@@ -892,30 +887,24 @@ impl OnlineLearner {
         train_set.extend(replay.iter().map(|(r, l)| (r, *l)));
         drop(mix_span);
 
-        let options = TrainOptions {
-            from_stage: scenario.insertion_layer,
-            batch_size: scenario.batch_size,
-            parallelism: scenario.parallelism,
-            threshold_mode: method.threshold_mode,
-        };
         // The RNG stream depends only on the scenario seed and the
         // version being produced — identical across worker counts and
         // across crash/resume boundaries.
         let mut rng = Rng::seed_from_u64(scenario.seed ^ INCREMENT_SALT ^ (self.version + 1));
-        let lr = scenario.pretrain_lr / method.lr_divisor;
 
         // Train a candidate, not self.network: a failed epoch may leave
         // partially-applied optimizer steps behind, and the learner must
         // stay untouched for the retry.
         let mut candidate = self.network.clone();
         let train_span = obs.train.enter_traced(tracer, &stage_ctx);
-        let outcome = self.trainer.run_increment(
+        let outcome = phases::increment(
+            &mut self.trainer,
             &mut candidate,
+            scenario,
+            method,
             &train_set,
-            lr,
-            scenario.cl_epochs,
-            &options,
             &mut rng,
+            |_, _| Ok(()),
         )?;
         let train_wall = train_span.close();
         drop(train_set);

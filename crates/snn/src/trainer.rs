@@ -927,22 +927,22 @@ pub struct IncrementOutcome {
     pub epoch_losses: Vec<f32>,
     /// Samples trained on per epoch.
     pub samples: usize,
-    /// Summed spike activity of every training forward pass across all
-    /// epochs (`None` for an empty increment).
-    pub activity: Option<ForwardActivity>,
 }
 
-/// A trainer that persists across continual-learning increments.
+/// A trainer that persists across continual-learning increments: every
+/// CL phase of the workspace runs through it — the offline scenario and
+/// sequence drivers, the online learner and the serving example (all via
+/// `replay4ncl::phases::increment`), and pre-training too.
 ///
-/// An online system runs many increments over the lifetime of one
-/// process; allocating fresh worker arenas for each would reintroduce the
-/// per-phase allocation cost the [`TrainScratch`] rework removed. This
-/// wrapper owns one scratch and reuses it for every increment (arenas are
-/// reshaped, not reallocated, when the stage or architecture changes),
-/// while the *optimizer* is fresh per increment — Alg. 1 starts every CL
-/// phase from a clean Adam state at the reduced learning rate, and
-/// carrying first/second-moment estimates across increments would leak
-/// one increment's gradient history into the next.
+/// A caller that runs many increments would otherwise allocate fresh
+/// worker arenas for each, reintroducing the per-phase allocation cost
+/// the [`TrainScratch`] rework removed. This wrapper owns one scratch and
+/// reuses it for every increment (arenas are reshaped, not reallocated,
+/// when the stage or architecture changes), while the *optimizer* is
+/// fresh per increment — Alg. 1 starts every CL phase from a clean Adam
+/// state at the reduced learning rate, and carrying first/second-moment
+/// estimates across increments would leak one increment's gradient
+/// history into the next.
 ///
 /// Results are byte-identical to running the same epochs through
 /// [`train_epoch_with`] with a fresh scratch (the unit tests below pin
@@ -951,7 +951,6 @@ pub struct IncrementOutcome {
 pub struct IncrementalTrainer {
     scratch: TrainScratch,
     cutoffs: Cutoffs,
-    increments: u64,
     /// Per-epoch wall-time histogram (`snn_train_epoch_us`), when an
     /// observability registry is attached.
     epoch_us: Option<std::sync::Arc<ncl_obs::Log2Histogram>>,
@@ -981,19 +980,17 @@ impl IncrementalTrainer {
         ));
     }
 
-    /// Number of increments run so far.
-    #[must_use]
-    pub fn increments(&self) -> u64 {
-        self.increments
-    }
-
     /// Runs one increment: `epochs` epochs over `samples` with a fresh
-    /// Adam optimizer at `lr`, reusing this trainer's arenas.
+    /// Adam optimizer at `lr`, reusing this trainer's arenas. After each
+    /// epoch, `observe` sees the trained network and the epoch's report
+    /// (its loss and spike activity); it runs after the epoch's wall time
+    /// is recorded, so `snn_train_epoch_us` times the epoch alone.
     ///
     /// # Errors
     ///
     /// Returns [`SnnError`] on invalid options, shape mismatches or label
-    /// range violations; the increment counter only advances on success.
+    /// range violations, and the first error `observe` returns.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_increment(
         &mut self,
         net: &mut Network,
@@ -1002,10 +999,10 @@ impl IncrementalTrainer {
         epochs: usize,
         options: &TrainOptions,
         rng: &mut Rng,
+        mut observe: impl FnMut(&Network, &EpochReport) -> Result<(), SnnError>,
     ) -> Result<IncrementOutcome, SnnError> {
         let mut optimizer = Optimizer::adam(lr);
         let mut epoch_losses = Vec::with_capacity(epochs);
-        let mut activity: Option<ForwardActivity> = None;
         for _ in 0..epochs {
             let epoch_started = std::time::Instant::now();
             let report = train_epoch_with_cutoffs(
@@ -1023,14 +1020,12 @@ impl IncrementalTrainer {
             if let Some(total) = &self.epochs_total {
                 total.inc();
             }
+            observe(net, &report)?;
             epoch_losses.push(report.mean_loss);
-            fold_activity(&mut activity, report.activity)?;
         }
-        self.increments += 1;
         Ok(IncrementOutcome {
             epoch_losses,
             samples: samples.len(),
-            activity,
         })
     }
 }
@@ -1463,6 +1458,11 @@ mod tests {
         );
     }
 
+    /// An increment observer that watches nothing.
+    fn unobserved(_: &Network, _: &EpochReport) -> Result<(), SnnError> {
+        Ok(())
+    }
+
     #[test]
     fn incremental_trainer_matches_fresh_scratch_runs_bit_exactly() {
         let data = toy_problem(4, 10);
@@ -1480,17 +1480,40 @@ mod tests {
             ..IncrementalTrainer::new()
         };
         let mut rng = Rng::seed_from_u64(17);
+        let mut observed = Vec::new();
         let a = trainer
-            .run_increment(&mut incremental, &refs, 1e-3, 3, &options, &mut rng)
+            .run_increment(
+                &mut incremental,
+                &refs,
+                1e-3,
+                3,
+                &options,
+                &mut rng,
+                |_, r| {
+                    assert!(r.activity.is_some(), "each epoch reports its activity");
+                    observed.push(r.mean_loss);
+                    Ok(())
+                },
+            )
             .unwrap();
         let b = trainer
-            .run_increment(&mut incremental, &refs, 5e-4, 2, &options, &mut rng)
+            .run_increment(
+                &mut incremental,
+                &refs,
+                5e-4,
+                2,
+                &options,
+                &mut rng,
+                unobserved,
+            )
             .unwrap();
-        assert_eq!(trainer.increments(), 2);
         assert_eq!(a.epoch_losses.len(), 3);
+        assert_eq!(
+            a.epoch_losses, observed,
+            "one observation per epoch, in order"
+        );
         assert_eq!(b.epoch_losses.len(), 2);
         assert_eq!(a.samples, refs.len());
-        assert!(a.activity.is_some());
 
         // ...must be byte-identical to fresh optimizer + fresh scratch
         // epoch loops (the increment abstraction adds no drift).
@@ -1526,7 +1549,15 @@ mod tests {
         let mut trainer = IncrementalTrainer::new();
         let mut rng = Rng::seed_from_u64(23);
         trainer
-            .run_increment(&mut net, &refs, 1e-3, 2, &TrainOptions::default(), &mut rng)
+            .run_increment(
+                &mut net,
+                &refs,
+                1e-3,
+                2,
+                &TrainOptions::default(),
+                &mut rng,
+                unobserved,
+            )
             .unwrap();
         let acts: Vec<(SpikeRaster, u16)> = data
             .iter()
@@ -1539,11 +1570,10 @@ mod tests {
             ..TrainOptions::default()
         };
         let outcome = trainer
-            .run_increment(&mut net, &act_refs, 1e-4, 2, &stage1, &mut rng)
+            .run_increment(&mut net, &act_refs, 1e-4, 2, &stage1, &mut rng, unobserved)
             .unwrap();
         assert!(outcome.epoch_losses.iter().all(|l| l.is_finite()));
         assert_eq!(net.layer(0).w_ff(), &frozen_before, "frozen layer intact");
-        assert_eq!(trainer.increments(), 2);
     }
 
     #[test]

@@ -26,9 +26,8 @@ use ncl_serve::client::NclClient;
 use ncl_serve::protocol;
 use ncl_serve::registry::ModelRegistry;
 use ncl_serve::server::{Server, ServerConfig};
-use ncl_snn::optimizer::Optimizer;
 use ncl_snn::serialize;
-use ncl_snn::trainer::{self, TrainOptions};
+use ncl_snn::trainer::IncrementalTrainer;
 use ncl_spike::SpikeRaster;
 use replay4ncl::{cache, methods::MethodSpec, phases, report, ScenarioConfig};
 use serde_json::Value;
@@ -104,31 +103,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cl_train = split.continual_subset(&data.train);
     let (new_samples, _) = phases::new_task_activations(&updated, &config, &method, &cl_train)?;
 
-    let mut optimizer = Optimizer::adam(config.pretrain_lr / method.lr_divisor);
-    let options = TrainOptions {
-        from_stage: config.insertion_layer,
-        batch_size: config.batch_size,
-        parallelism: config.parallelism,
-        threshold_mode: method.threshold_mode,
-    };
-    let mut rng = phases::cl_rng(&config);
     let mut train_set: Vec<(&SpikeRaster, u16)> = Vec::new();
     train_set.extend(new_samples.iter().map(|(r, l)| (r, *l)));
     train_set.extend(replay_samples.iter().map(|(r, l)| (r, *l)));
-    let mut scratch = trainer::TrainScratch::new();
-    for epoch in 0..config.cl_epochs {
-        let ep = trainer::train_epoch_with(
-            &mut updated,
-            &train_set,
-            &mut optimizer,
-            &options,
-            &mut rng,
-            &mut scratch,
-        )?;
-        if epoch % 4 == 0 || epoch + 1 == config.cl_epochs {
-            println!("  CL epoch {epoch}: mean loss {:.4}", ep.mean_loss);
-        }
-    }
+    let mut epoch = 0;
+    phases::increment(
+        &mut IncrementalTrainer::new(),
+        &mut updated,
+        &config,
+        &method,
+        &train_set,
+        &mut phases::cl_rng(&config),
+        |_, report| {
+            if epoch % 4 == 0 || epoch + 1 == config.cl_epochs {
+                println!("  CL epoch {epoch}: mean loss {:.4}", report.mean_loss);
+            }
+            epoch += 1;
+            Ok(())
+        },
+    )?;
 
     // --- 4. Hot-swap through the wire protocol, under load --------------
     let ckpt_dir = std::env::temp_dir().join("ncl-continual-serving");
