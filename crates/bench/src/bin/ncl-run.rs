@@ -1,16 +1,21 @@
-//! `ncl-run` — the suite driver: loads (or presets) an experiment suite
-//! and executes it on the `ncl_runtime` engine.
+//! `ncl-run` — the experiment driver: runs a paper figure, a suite file
+//! or the default insertion grid on the `ncl_runtime` engine.
 //!
 //! ```sh
-//! ncl-run [--demo | --paper | --suite <file.json>] [--jobs <n>]
-//!         [--seed <u64>] [--json] [--quiet]
+//! ncl-run [--figure <name> | --suite <file.json>] [--demo | --paper]
+//!         [--jobs <n>] [--seed <u64>] [--json] [--quiet]
 //! ```
 //!
-//! * `--demo` (default) — the demo-scale insertion grid: SpikingLR and
-//!   Replay4NCL at every insertion layer 0–3 (8 jobs).
-//! * `--paper` — the same grid at full paper scale. Slow on small machines.
+//! * `--figure <name>` — one entry of `ncl_bench::figures::FIGURES`
+//!   (`fig01`, `fig02a`, `fig02b`, `fig08`, `fig10`, `fig11`, `fig12`,
+//!   `fig13`, `headline`, `ablation-knobs`, `ablation-surrogate`,
+//!   `calibrate`), printed as the figure's tables.
 //! * `--suite <file.json>` — load a suite file (schema: see
 //!   `ncl_runtime::job`; base presets `smoke`, `demo`, `paper`).
+//! * neither — Fig. 10's grid: SpikingLR and Replay4NCL at every
+//!   insertion layer 0–3 (8 jobs), printed as the generic suite table.
+//! * `--demo` (default) / `--paper` — the scale a figure or the default
+//!   grid runs at; `--paper` is slow on small machines.
 //! * `--jobs <n>` — worker threads (default: half the cores). The report
 //!   is bit-identical for any value.
 //! * `--seed <u64>` — override every job's scenario seed.
@@ -19,11 +24,13 @@
 
 use std::path::PathBuf;
 
-use ncl_bench::{default_jobs, demo_config, replay4ncl_spec, spiking_lr_spec, Scale};
+use ncl_bench::figures::{self, Figure, FIGURES};
+use ncl_bench::{default_jobs, demo_config, Scale};
 use ncl_runtime::{Engine, NullSink, StderrProgress, Suite};
 use replay4ncl::ScenarioConfig;
 
 struct Args {
+    figure: Option<&'static Figure>,
     suite_file: Option<PathBuf>,
     scale: Scale,
     jobs: usize,
@@ -36,15 +43,18 @@ fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     eprintln!(
-        "usage: ncl-run [--demo | --paper | --suite <file.json>] [--jobs <n>] \
-         [--seed <u64>] [--json] [--quiet]"
+        "usage: ncl-run [--figure <name> | --suite <file.json>] [--demo | --paper] \
+         [--jobs <n>] [--seed <u64>] [--json] [--quiet]\nfigures: {}",
+        names.join(", ")
     );
     std::process::exit(2);
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
+        figure: None,
         suite_file: None,
         scale: Scale::Demo,
         jobs: default_jobs(),
@@ -57,6 +67,14 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--demo" => args.scale = Scale::Demo,
             "--paper" => args.scale = Scale::Paper,
+            "--figure" => {
+                let v = iter
+                    .next()
+                    .unwrap_or_else(|| usage("--figure needs a name"));
+                let figure =
+                    figures::figure(&v).unwrap_or_else(|| usage(&format!("unknown figure {v}")));
+                args.figure = Some(figure);
+            }
             "--suite" => {
                 let v = iter.next().unwrap_or_else(|| usage("--suite needs a path"));
                 args.suite_file = Some(PathBuf::from(v));
@@ -78,6 +96,9 @@ fn parse_args() -> Args {
             other => usage(&format!("unknown flag {other}")),
         }
     }
+    if args.figure.is_some() && args.suite_file.is_some() {
+        usage("--figure and --suite are exclusive");
+    }
     args
 }
 
@@ -90,22 +111,6 @@ fn resolve_base(name: &str) -> Option<ScenarioConfig> {
     }
 }
 
-/// The preset grid: both replay methods at every insertion layer — the
-/// Fig. 10 comparison as one suite (8 jobs at demo/paper scale).
-fn preset_suite(scale: Scale) -> Suite {
-    let base = match scale {
-        Scale::Demo => demo_config(),
-        Scale::Paper => ScenarioConfig::paper(),
-    };
-    let methods = [spiking_lr_spec(&base), replay4ncl_spec(&base, scale)];
-    let mut suite = ncl_runtime::suites::insertion_sweep(&base, &methods);
-    suite.name = match scale {
-        Scale::Demo => "demo-insertion-grid".into(),
-        Scale::Paper => "paper-insertion-grid".into(),
-    };
-    suite
-}
-
 fn main() {
     let args = parse_args();
     let mut suite = match &args.suite_file {
@@ -116,7 +121,17 @@ fn main() {
                 std::process::exit(2);
             }
         },
-        None => preset_suite(args.scale),
+        None => {
+            let base = match args.scale {
+                Scale::Demo => demo_config(),
+                Scale::Paper => ScenarioConfig::paper(),
+            };
+            let figure = args
+                .figure
+                .or_else(|| figures::figure("fig10"))
+                .expect("fig10 is a figure");
+            (figure.build)(&base, args.scale)
+        }
     };
     if let Some(seed) = args.seed {
         for job in &mut suite.jobs {
@@ -148,6 +163,8 @@ fn main() {
 
     if args.json {
         println!("{}", report.to_json().to_json_pretty());
+    } else if let Some(figure) = args.figure {
+        println!("{}", figure.page(&suite, &report));
     } else {
         println!("{}", report.render());
     }

@@ -1,24 +1,21 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! The experiment harness: the paper's figures and ablations as engine
+//! suites ([`figures`], run with `ncl-run --figure NAME`), the harness's
+//! standard method specs and the two scales they run at.
 //!
-//! Every binary in `src/bin/` reproduces one figure of the paper (see
-//! DESIGN.md §6) and accepts the same flags:
-//!
-//! * `--paper` — full paper scale (700-channel data, 20 classes, T = 100,
-//!   the Fig. 6 network, 50 CL epochs). Slow on small machines.
-//! * default — a reduced "demo" scale with the same structure (3 hidden
-//!   layers, 10 classes, T = 60) that finishes quickly while preserving
-//!   every qualitative shape.
-//! * `--seed <u64>` — override the scenario seed.
-//! * `--insertion <k>` — override the insertion layer where applicable.
-//! * `--jobs <n>` — worker threads for engine-driven sweeps (default: half
-//!   the available cores, since each job additionally runs
-//!   `config.parallelism` gradient workers). Results are bit-identical for
-//!   any worker count.
+//! * [`Scale::Demo`] (`--demo`, the default) — a reduced scale with the
+//!   same structure as the paper setup (3 hidden layers, 10 classes,
+//!   T = 60) that finishes quickly while preserving every qualitative
+//!   shape.
+//! * [`Scale::Paper`] (`--paper`) — full paper scale (700-channel data,
+//!   20 classes, T = 100, the Fig. 6 network, 50 CL epochs). Slow on
+//!   small machines.
 //!
 //! Pre-trained models are cached under `target/ncl-cache` (see
 //! `replay4ncl::cache`), so sweeps re-use one pre-training run.
 
 use replay4ncl::ScenarioConfig;
+
+pub mod figures;
 
 /// Which experiment scale to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,107 +26,9 @@ pub enum Scale {
     Paper,
 }
 
-/// Parsed command-line arguments shared by all figure binaries.
-#[derive(Debug, Clone)]
-pub struct RunArgs {
-    /// Selected scale.
-    pub scale: Scale,
-    /// Optional seed override.
-    pub seed: Option<u64>,
-    /// Optional insertion-layer override.
-    pub insertion: Option<usize>,
-    /// Optional engine worker-count override (`--jobs`).
-    pub jobs: Option<usize>,
-}
-
-impl RunArgs {
-    /// Parses `std::env::args()`. Unknown flags abort with usage help.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut args = RunArgs {
-            scale: Scale::Demo,
-            seed: None,
-            insertion: None,
-            jobs: None,
-        };
-        let mut iter = std::env::args().skip(1);
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--paper" => args.scale = Scale::Paper,
-                "--seed" => {
-                    let v = iter.next().unwrap_or_else(|| usage("--seed needs a value"));
-                    args.seed = Some(v.parse().unwrap_or_else(|_| usage("--seed must be a u64")));
-                }
-                "--insertion" => {
-                    let v = iter
-                        .next()
-                        .unwrap_or_else(|| usage("--insertion needs a value"));
-                    args.insertion = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| usage("--insertion must be a usize")),
-                    );
-                }
-                "--jobs" => {
-                    let v = iter.next().unwrap_or_else(|| usage("--jobs needs a value"));
-                    let n: usize = v
-                        .parse()
-                        .unwrap_or_else(|_| usage("--jobs must be a positive integer"));
-                    if n == 0 {
-                        usage("--jobs must be at least 1");
-                    }
-                    args.jobs = Some(n);
-                }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag {other}")),
-            }
-        }
-        args
-    }
-
-    /// Effective engine worker count: the `--jobs` override, or half the
-    /// available cores (each job itself runs `config.parallelism` gradient
-    /// threads, so a full-core pool would oversubscribe 2x).
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs.unwrap_or_else(default_jobs)
-    }
-
-    /// Builds the scenario configuration for the selected scale, applying
-    /// overrides.
-    #[must_use]
-    pub fn config(&self) -> ScenarioConfig {
-        let mut config = match self.scale {
-            Scale::Paper => ScenarioConfig::paper(),
-            Scale::Demo => demo_config(),
-        };
-        if let Some(seed) = self.seed {
-            config.seed = seed;
-        }
-        if let Some(insertion) = self.insertion {
-            config.insertion_layer = insertion;
-        }
-        config
-    }
-
-    /// Human-readable scale tag for report headers.
-    #[must_use]
-    fn scale_tag(&self) -> &'static str {
-        match self.scale {
-            Scale::Paper => "paper scale",
-            Scale::Demo => "demo scale (use --paper for full scale)",
-        }
-    }
-}
-
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!("usage: <bin> [--paper] [--seed <u64>] [--insertion <k>] [--jobs <n>]");
-    std::process::exit(2);
-}
-
-/// Default engine worker count: half the available cores, at least 1.
+/// Default engine worker count: half the available cores, at least 1
+/// (each job itself runs `config.parallelism` threads, so a full-core
+/// pool would oversubscribe 2x).
 #[must_use]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| (n.get() / 2).max(1))
@@ -206,7 +105,7 @@ pub mod train_demo {
 /// The paper's T* (reduced replay timesteps) for a given native T:
 /// 40 at T = 100, scaled proportionally elsewhere.
 #[must_use]
-pub fn t_star_of(native_steps: usize) -> usize {
+pub(crate) fn t_star_of(native_steps: usize) -> usize {
     (native_steps * 2 / 5).max(1)
 }
 
@@ -224,9 +123,9 @@ pub fn replay_per_class(config: &ScenarioConfig) -> usize {
 /// (~10⁴ optimizer steps). These reproductions take two to three orders of
 /// magnitude fewer steps, so the divisor is rescaled to keep the *total
 /// parameter displacement* of the careful-update mechanism comparable
-/// (calibrated with the `calibrate` binary).
+/// (picked from the sweep `ncl-run --figure calibrate` prints).
 #[must_use]
-pub fn cl_lr_divisor(scale: Scale) -> f32 {
+pub(crate) fn cl_lr_divisor(scale: Scale) -> f32 {
     match scale {
         Scale::Demo => 2.0,
         Scale::Paper => 5.0,
@@ -244,21 +143,6 @@ pub fn replay4ncl_spec(config: &ScenarioConfig, scale: Scale) -> replay4ncl::Met
 #[must_use]
 pub fn spiking_lr_spec(config: &ScenarioConfig) -> replay4ncl::MethodSpec {
     replay4ncl::MethodSpec::spiking_lr(replay_per_class(config))
-}
-
-/// Prints the standard figure-binary header.
-pub fn print_header(figure: &str, what: &str, args: &RunArgs, config: &ScenarioConfig) {
-    println!("=== {figure}: {what} ===");
-    println!(
-        "[{}] {} channels, {} classes, T={}, net {:?}, insertion {}, {} CL epochs",
-        args.scale_tag(),
-        config.data.channels,
-        config.data.classes,
-        config.data.steps,
-        config.network.hidden_sizes,
-        config.insertion_layer,
-        config.cl_epochs,
-    );
 }
 
 #[cfg(test)]
@@ -285,37 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn args_config_applies_overrides() {
-        let args = RunArgs {
-            scale: Scale::Demo,
-            seed: Some(99),
-            insertion: Some(2),
-            jobs: None,
-        };
-        let c = args.config();
-        assert_eq!(c.seed, 99);
-        assert_eq!(c.insertion_layer, 2);
-        let paper = RunArgs {
-            scale: Scale::Paper,
-            seed: None,
-            insertion: None,
-            jobs: None,
-        }
-        .config();
-        assert_eq!(paper.data.channels, 700);
-    }
-
-    #[test]
-    fn jobs_default_and_override() {
-        let mut args = RunArgs {
-            scale: Scale::Demo,
-            seed: None,
-            insertion: None,
-            jobs: None,
-        };
-        assert!(args.jobs() >= 1);
-        args.jobs = Some(3);
-        assert_eq!(args.jobs(), 3);
+    fn default_jobs_is_at_least_one() {
         assert!(default_jobs() >= 1);
     }
 

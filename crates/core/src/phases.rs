@@ -328,6 +328,26 @@ pub fn prepare_buffer(
     Ok((buffer, ops))
 }
 
+/// The replay work of one CL epoch: Alg. 1 reads the latent store every
+/// epoch, so every stored payload bit is charged, and a method that
+/// decompresses on replay (SpikingLR) also re-expands each entry through
+/// the codec. Codec output frames go to working memory, not the latent
+/// store, so only the frame operations are charged for them.
+#[must_use]
+pub(crate) fn replay_epoch_ops(buffer: &LatentReplayBuffer, method: &MethodSpec) -> OpCounts {
+    let mut ops = OpCounts::default();
+    let Some(replay) = &method.replay else {
+        return ops;
+    };
+    ops.mem_read_bits = buffer.payload_bits();
+    if replay.decompress {
+        for e in buffer {
+            ops += OpCounts::codec(e.original_steps() as u64, 0, false);
+        }
+    }
+    ops
+}
+
 /// New-task activation capture (Alg. 1 line 23): decimates each CL
 /// training sample to the method's operating timestep, then runs the
 /// frozen stages on it, on up to `config.parallelism` threads. Returns

@@ -142,20 +142,7 @@ pub fn run_method(
     // Latent replay samples, materialized per the method's replay policy.
     let decompress = method.replay.as_ref().is_some_and(|r| r.decompress);
     let replay_samples: Vec<(SpikeRaster, u16)> = buffer.replay_samples(decompress)?;
-
-    // Per-epoch replay device work: the stored bits are read every epoch;
-    // SpikingLR additionally re-expands each entry through the codec.
-    let mut replay_epoch_ops = OpCounts::default();
-    if method.uses_replay() {
-        replay_epoch_ops.mem_read_bits = buffer.payload_bits();
-        if decompress {
-            for e in &buffer {
-                replay_epoch_ops += OpCounts::codec(e.original_steps() as u64, 0, false);
-            }
-            // Codec output frames are produced into working memory, not the
-            // latent store; only the frame operations are charged above.
-        }
-    }
+    let replay_epoch_ops = phases::replay_epoch_ops(&buffer, method);
 
     // --- New-task activations (regenerated per epoch per Alg. 1) --------
     let cl_train = split.continual_subset(&data.train);

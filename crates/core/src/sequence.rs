@@ -125,6 +125,7 @@ pub fn run_sequence(
 
         let decompress = method.replay.as_ref().is_some_and(|r| r.decompress);
         let replay_samples = buffer.replay_samples(decompress)?;
+        let replay_ops = phases::replay_epoch_ops(&buffer, method);
 
         let cl_train = split.continual_subset(&data.train);
         let (new_samples, anew_ops) =
@@ -143,7 +144,7 @@ pub fn run_sequence(
             &train_set,
             &mut phases::cl_rng(config).fork(u64::from(class)),
             |_, report| {
-                total_ops += anew_ops;
+                total_ops += anew_ops + replay_ops;
                 if let Some(activity) = &report.activity {
                     total_ops +=
                         OpCounts::training(activity, config.network.recurrent, trained_params);
@@ -282,6 +283,7 @@ mod tests {
         let (new_samples, anew_ops) =
             phases::new_task_activations(&network, &c, &m, &cl_train).unwrap();
         let replay = buffer.replay_samples(false).unwrap();
+        let replay_ops = phases::replay_epoch_ops(&buffer, &m);
         let train_set: Vec<(&SpikeRaster, u16)> = new_samples
             .iter()
             .chain(&replay)
@@ -298,7 +300,7 @@ mod tests {
             &mut phases::cl_rng(&c).fork(u64::from(class)),
             |_, report| {
                 let activity = report.activity.as_ref().expect("a non-empty epoch");
-                epoch_ops += anew_ops;
+                epoch_ops += anew_ops + replay_ops;
                 epoch_ops += OpCounts::training(activity, c.network.recurrent, trained_params);
                 Ok(())
             },
@@ -308,6 +310,11 @@ mod tests {
         assert!(!prep_ops.is_zero());
         // total_ops − the summed epoch work = the full preparation.
         assert_eq!(r.total_ops, prep_ops + epoch_ops);
+        // Every epoch reads the whole store once, and nothing else reads.
+        assert_eq!(
+            r.total_ops.mem_read_bits,
+            c.cl_epochs as u64 * buffer.payload_bits()
+        );
     }
 
     #[test]

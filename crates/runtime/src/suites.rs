@@ -2,9 +2,9 @@
 //!
 //! The paper's two grid studies — the Fig. 8 timestep sweep and the
 //! Fig. 10 insertion-layer sweep — are expressed here as suite builders so
-//! the sweep logic lives in one place: the figure binaries, the `ncl-run`
-//! presets and the examples all build the *same* job grids and differ only
-//! in scale and rendering.
+//! the sweep logic lives in one place: the figure table of `ncl_bench`
+//! (run by `ncl-run --figure`) and the examples build the *same* job grids
+//! and differ only in scale and rendering.
 
 use replay4ncl::{MethodSpec, ScenarioConfig};
 
@@ -14,7 +14,7 @@ use crate::job::{Job, Suite};
 /// `(fraction, steps)` pairs — 1.0, 0.6, 0.4, 0.2 (the paper's
 /// 100/60/40/20), each clamped to at least one step.
 #[must_use]
-pub fn timestep_fractions(native_steps: usize) -> Vec<(f64, usize)> {
+pub(crate) fn timestep_fractions(native_steps: usize) -> Vec<(f64, usize)> {
     let t = native_steps;
     [(1.0, t), (0.6, t * 3 / 5), (0.4, t * 2 / 5), (0.2, t / 5)]
         .into_iter()

@@ -31,7 +31,7 @@
 //!   timing-based value applies only at interval-boundary timesteps and
 //!   every other timestep takes the decayed (~0.5) value. This floods the
 //!   network with extra spikes; it is kept as an ablation
-//!   (`ablation_knobs` bench).
+//!   (`ncl-run --figure ablation-knobs`).
 
 use ncl_spike::{metrics, SpikeRaster};
 use serde::{Deserialize, Serialize};

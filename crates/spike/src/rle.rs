@@ -7,8 +7,8 @@
 //! ([`crate::codec`]) achieves a *fixed, predictable* memory budget
 //! (essential for embedded latent stores) at the cost of dropped frames,
 //! while RLE is exact but content-dependent — a dense raster can even
-//! expand. The `fig12` reproduction can be re-run against this codec to
-//! see why the paper chose decimation.
+//! expand. The Fig. 12 reproduction (`ncl-run --figure fig12`) can be
+//! re-run against this codec to see why the paper chose decimation.
 
 use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};

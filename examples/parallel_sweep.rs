@@ -5,7 +5,7 @@
 //! cargo run --release --example parallel_sweep
 //! ```
 //!
-//! The same grid that `fig10_insertion_sweep` renders as paper tables is
+//! The same grid that `ncl-run --figure fig10` renders as paper tables is
 //! built here with the shared suite builder and executed on a worker
 //! pool, with progress streamed to stderr. Re-run with any worker count —
 //! the report is bit-identical, a property `tests/engine_determinism.rs`

@@ -156,13 +156,13 @@ fn golden_digests_pin_every_cl_driver() {
     }
     words.extend(memory_words(&seq.final_memory));
     checks.push(("run_sequence records", digest(words), 0x7DD8_0658_EEF8_81BB));
-    // Recorded after the sequence began charging its first increment the
-    // full generation of the pre-trained classes' store; every other
-    // digest reads the same before and after that change.
+    // Recorded after the sequence began charging each CL epoch's replay
+    // reads (`phases::replay_epoch_ops`, the charge `run_method` makes);
+    // every other digest reads the same before and after that change.
     checks.push((
         "run_sequence total_ops",
         digest(ops_words(&seq.total_ops)),
-        0xAD47_64A9_25D6_95DD,
+        0x2E6B_64A9_938E_ABDD,
     ));
 
     let mut online = OnlineConfig::smoke();

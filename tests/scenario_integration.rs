@@ -116,7 +116,7 @@ fn timestep_reduction_without_enhancements_costs_accuracy_at_aggressive_settings
     // the overall outcome (old accuracy, new accuracy, or both). At this
     // tiny smoke scale the gap can close to a tie on some seeds, so the
     // invariant asserted here is "never better"; the full degradation
-    // curve is regenerated by the fig02_timestep_drop / fig08 benches.
+    // curve is regenerated by `ncl-run --figure fig02b` / `--figure fig08`.
     let native_score = native.final_old_acc() + native.final_new_acc();
     let aggressive_score = aggressive.final_old_acc() + aggressive.final_new_acc();
     assert!(
