@@ -3,13 +3,15 @@
 //! Each [`Figure`] pairs a suite builder — the experiment cells the figure
 //! needs, composed from the `ncl_runtime::suites` grids and the harness
 //! specs — with a renderer that turns the suite's report into the figure's
-//! tables, and a one-line note of the shape the paper shows. A figure
-//! whose cells are a subset of another's shares that figure's builder and
-//! renders only the cells it needs: Fig. 1(a) is Fig. 2(a)'s `Baseline@L0`,
-//! Fig. 2(b) is Fig. 8's `T` and `T/5` cells, Fig. 11 is two of the
-//! headline's three jobs and Fig. 12 reads the latent footprint every
-//! Fig. 10 job returns. Each figure fixes its own insertion layer; other
-//! grids are `ncl-run --suite` files.
+//! tables, and a one-line note of the shape the paper shows. Every result
+//! carries the [`MethodSpec`] it ran, so a renderer reads which variant a
+//! row is from the result itself, and a figure builds only the cells its
+//! renderer prints. Fig. 1(a) runs the baseline at insertion layer 0
+//! alone, Fig. 2(b) only Fig. 8's `T` and `T/5` cells and Fig. 11 only the
+//! headline's SpikingLR and Replay4NCL cells. Fig. 12 runs Fig. 10's grid
+//! at one CL epoch: `phases::prepare_buffer` fixes a footprint before any
+//! epoch runs. Each figure fixes its own insertion layer; other grids are
+//! `ncl-run --suite` files.
 //!
 //! `ncl-run --figure NAME` runs an entry. `control_rate_coded` is not in
 //! the table: it trains its own networks on rate-coded data, so it is not
@@ -79,7 +81,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig01",
         title: "Fig. 1(a), catastrophic forgetting of the no-NCL baseline at insertion layer 0",
-        build: overhead_grid,
+        build: baseline_cell,
         render: render_fig01,
         note: "paper shape: old-task accuracy drops sharply as the new task is learned \
                (Fig. 1(a))",
@@ -95,7 +97,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig02b",
         title: "Fig. 2(b), accuracy under aggressive timestep reduction",
-        build: timestep_grid,
+        build: timestep_ends,
         render: render_fig02b,
         note: "paper shape: significant accuracy degradation at T/5 without enhancements",
     },
@@ -118,7 +120,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig11",
         title: "Fig. 11, epoch profiles at the headline insertion layer",
-        build: headline_jobs,
+        build: method_pair,
         render: render_fig11,
         note: "paper: old-task top-1 86.22% (SpikingLR) vs 90.43% (Replay4NCL); \
                36.4% energy saving at layer 3",
@@ -126,7 +128,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig12",
         title: "Fig. 12, latent memory across insertion layers",
-        build: insertion_grid,
+        build: footprint_grid,
         render: render_fig12,
         note: "paper shapes: memory shrinks toward later layers; Replay4NCL saves \
                20%-21.88% at every insertion layer",
@@ -197,28 +199,49 @@ fn method_jobs(name: String, config: &ScenarioConfig, methods: Vec<MethodSpec>) 
     suite
 }
 
-/// Fig. 2(a)'s grid (and Fig. 1(a)'s baseline): the no-NCL baseline and
-/// SpikingLR at every insertion layer.
+/// Fig. 1(a)'s one cell: the no-NCL baseline at insertion layer 0.
+fn baseline_cell(config: &ScenarioConfig, _scale: Scale) -> Suite {
+    let config = at_layer(config, 0);
+    method_jobs("fig01".into(), &config, vec![MethodSpec::baseline()])
+}
+
+/// Fig. 2(a)'s grid: the no-NCL baseline and SpikingLR at every insertion
+/// layer.
 fn overhead_grid(config: &ScenarioConfig, _scale: Scale) -> Suite {
     suites::insertion_sweep(config, &[MethodSpec::baseline(), spiking_lr_spec(config)])
 }
 
-/// Fig. 8's grid (and Fig. 2(b)'s two cells): SpikingLR at native T and
-/// naively reduced to 0.6/0.4/0.2 T, at the deepest insertion layer.
+/// Fig. 8's grid: SpikingLR at native T and naively reduced to
+/// 0.6/0.4/0.2 T, at the deepest insertion layer.
 fn timestep_grid(config: &ScenarioConfig, _scale: Scale) -> Suite {
     let config = at_layer(config, config.network.layers());
     suites::timestep_sweep(&config, replay_per_class(&config))
 }
 
-/// Fig. 10's grid (and Fig. 12's footprints): SpikingLR and Replay4NCL at
-/// every insertion layer.
+/// Fig. 2(b)'s two cells: the ends of Fig. 8's grid, T and T/5.
+fn timestep_ends(config: &ScenarioConfig, scale: Scale) -> Suite {
+    let mut suite = timestep_grid(config, scale);
+    let inner = 1..suite.jobs.len() - 1;
+    suite.jobs.drain(inner);
+    suite
+}
+
+/// Fig. 10's grid: SpikingLR and Replay4NCL at every insertion layer.
 fn insertion_grid(config: &ScenarioConfig, scale: Scale) -> Suite {
     let methods = [spiking_lr_spec(config), replay4ncl_spec(config, scale)];
     suites::insertion_sweep(config, &methods)
 }
 
-/// The headline jobs (and Fig. 11's two): baseline, SpikingLR and
-/// Replay4NCL at the deepest insertion layer.
+/// Fig. 12's grid: Fig. 10's at one CL epoch, which is enough to read
+/// every cell's latent footprint.
+fn footprint_grid(config: &ScenarioConfig, scale: Scale) -> Suite {
+    let mut config = config.clone();
+    config.cl_epochs = 1;
+    insertion_grid(&config, scale)
+}
+
+/// The headline jobs: baseline, SpikingLR and Replay4NCL at the deepest
+/// insertion layer.
 fn headline_jobs(config: &ScenarioConfig, scale: Scale) -> Suite {
     let config = at_layer(config, config.network.layers());
     let methods = vec![
@@ -229,27 +252,31 @@ fn headline_jobs(config: &ScenarioConfig, scale: Scale) -> Suite {
     method_jobs("headline".into(), &config, methods)
 }
 
-/// Fig. 13: SpikingLR and Replay4NCL at the deepest insertion layer over
-/// an extended run — the paper's 150 epochs, or three times the demo's
-/// budget.
+/// Fig. 11's cells: the headline's SpikingLR and Replay4NCL.
+fn method_pair(config: &ScenarioConfig, scale: Scale) -> Suite {
+    let mut suite = headline_jobs(config, scale);
+    suite.jobs.remove(0);
+    suite
+}
+
+/// Fig. 13: [`method_pair`] over an extended run — the paper's 150
+/// epochs, or three times the demo's budget.
 fn long_training(config: &ScenarioConfig, scale: Scale) -> Suite {
-    let mut config = at_layer(config, config.network.layers());
+    let mut config = config.clone();
     config.cl_epochs = match scale {
         Scale::Paper => 150,
         Scale::Demo => 3 * config.cl_epochs,
     };
-    let methods = vec![spiking_lr_spec(&config), replay4ncl_spec(&config, scale)];
-    method_jobs(
-        format!("long-training-{}", config.cl_epochs),
-        &config,
-        methods,
-    )
+    let mut suite = method_pair(&config, scale);
+    suite.name = format!("long-training-{}", config.cl_epochs);
+    suite
 }
 
 /// The knob ablation at insertion layer 1 (hidden layers train, so every
 /// knob acts): the SpikingLR reference, then at 0.4 T and 0.2 T naive
 /// reduction, each enhancement alone, full Replay4NCL and the literal
-/// Alg. 1 threshold. Variant jobs are labelled `<variant>@T*=<steps>`.
+/// Alg. 1 threshold. Each variant's spec is named by its row text and its
+/// job labelled `<variant>@T*=<steps>`.
 fn knob_ablation(config: &ScenarioConfig, scale: Scale) -> Suite {
     let config = at_layer(config, 1);
     let per_class = replay_per_class(&config);
@@ -284,7 +311,8 @@ fn knob_ablation(config: &ScenarioConfig, scale: Scale) -> Suite {
                 literal_threshold(per_class, t_star, divisor),
             ),
         ];
-        for (variant, method) in variants {
+        for (variant, mut method) in variants {
+            method.name = variant.into();
             suite.push(Job::new(
                 format!("{variant}@T*={t_star}"),
                 config.clone(),
@@ -323,17 +351,17 @@ fn surrogate_ablation(config: &ScenarioConfig, scale: Scale) -> Suite {
     suite
 }
 
-/// The calibration sweep at the deepest insertion layer: the baseline,
-/// SpikingLR at T and T*, and Replay4NCL over divisors, threshold modes
-/// and T*. Jobs are labelled `<method> /<divisor>`.
-fn calibration(config: &ScenarioConfig, _scale: Scale) -> Suite {
-    let config = at_layer(config, config.network.layers());
+/// The calibration sweep at the deepest insertion layer: the headline
+/// jobs, then SpikingLR at T* and Replay4NCL over the divisors, threshold
+/// modes and T* the headline does not run.
+fn calibration(config: &ScenarioConfig, scale: Scale) -> Suite {
+    let mut suite = headline_jobs(config, scale);
+    suite.name = "calibrate".into();
+    let config = suite.jobs[0].config.clone();
     let per_class = replay_per_class(&config);
     let t = config.data.steps;
     let t_star = t_star_of(t);
     let methods = [
-        MethodSpec::baseline(),
-        MethodSpec::spiking_lr(per_class),
         MethodSpec::spiking_lr_reduced(per_class, t_star),
         MethodSpec::replay4ncl(per_class, t_star).with_lr_divisor(2.0),
         MethodSpec::replay4ncl(per_class, t_star).with_lr_divisor(3.0),
@@ -343,19 +371,21 @@ fn calibration(config: &ScenarioConfig, _scale: Scale) -> Suite {
         literal_threshold(per_class, t_star, 3.0),
         MethodSpec::replay4ncl(per_class, (t / 5).max(1)).with_lr_divisor(3.0),
     ];
-    let mut suite = Suite::new("calibrate");
     for method in methods {
-        let label = format!("{} /{:.1}", method.name, method.lr_divisor);
-        suite.push(Job::new(label, config.clone(), method));
+        if suite.jobs.iter().all(|j| j.method != method) {
+            suite.push(Job::new(method.name.clone(), config.clone(), method));
+        }
     }
     suite
 }
 
-/// The result labelled `label`; builders and renderers agree on labels.
-fn job<'a>(report: &'a SuiteReport, label: &str) -> &'a ScenarioResult {
-    report
-        .job(label)
-        .unwrap_or_else(|| panic!("suite '{}' has no job '{label}'", report.suite))
+/// The last two results of a report: [`method_pair`]'s SpikingLR and
+/// Replay4NCL (last in the headline's too), or Fig. 2(b)'s T and T/5.
+fn last_two(report: &SuiteReport) -> (&ScenarioResult, &ScenarioResult) {
+    let [.., a, b] = &report.jobs[..] else {
+        panic!("suite '{}' has fewer than two jobs", report.suite)
+    };
+    (&a.result, &b.result)
 }
 
 /// The results of an insertion-sweep suite as `(first, second)` method
@@ -428,7 +458,7 @@ fn new_acc(e: &EpochRecord) -> f64 {
 }
 
 fn render_fig01(report: &SuiteReport) -> String {
-    let result = job(report, "Baseline@L0");
+    let result = &report.jobs[0].result;
     let rows: Vec<Vec<String>> = result
         .epochs
         .iter()
@@ -489,8 +519,7 @@ fn render_fig02a(report: &SuiteReport) -> String {
 }
 
 fn render_fig02b(report: &SuiteReport) -> String {
-    let native = &report.jobs[0].result;
-    let reduced = &report.jobs[report.jobs.len() - 1].result;
+    let (native, reduced) = last_two(report);
     let (t, t5) = (native.operating_steps, reduced.operating_steps);
     let headers = [
         "epoch",
@@ -593,8 +622,7 @@ fn render_fig10(report: &SuiteReport) -> String {
 }
 
 fn render_fig11(report: &SuiteReport) -> String {
-    let sota = job(report, "SpikingLR");
-    let ours = job(report, "Replay4NCL");
+    let (sota, ours) = last_two(report);
     let accuracy = epoch_table(
         &["epoch", "SpikingLR old acc", "Replay4NCL old acc"],
         &[sota, ours],
@@ -650,8 +678,7 @@ fn render_fig12(report: &SuiteReport) -> String {
 }
 
 fn render_fig13(report: &SuiteReport) -> String {
-    let sota = job(report, "SpikingLR");
-    let ours = job(report, "Replay4NCL");
+    let (sota, ours) = last_two(report);
     format!(
         "--- new-task accuracy per epoch ---\n{}\n\n\
          learning-curve roughness (mean |step|, lower = smoother): \
@@ -672,8 +699,7 @@ fn render_fig13(report: &SuiteReport) -> String {
 }
 
 fn render_headline(report: &SuiteReport) -> String {
-    let sota = job(report, "SpikingLR");
-    let ours = job(report, "Replay4NCL");
+    let (sota, ours) = last_two(report);
     let summaries: Vec<String> = report
         .jobs
         .iter()
@@ -707,10 +733,9 @@ fn render_knob_ablation(report: &SuiteReport) -> String {
         .iter()
         .map(|j| {
             let (r, cost) = (&j.result, j.result.total_cost());
-            let variant = j.label.split_once('@').map_or(j.label.as_str(), |(v, _)| v);
             vec![
                 format!("{}", r.operating_steps),
-                variant.to_owned(),
+                r.method.name.clone(),
                 report::pct(r.final_old_acc()),
                 report::pct(r.final_new_acc()),
                 format!("{:.2}x", cost.speedup_vs(&sota_cost)),
@@ -762,25 +787,26 @@ fn render_surrogate_ablation(report: &SuiteReport) -> String {
 }
 
 fn render_calibration(report: &SuiteReport) -> String {
+    // `headline_jobs` leads: the baseline (no speed-up), then SpikingLR.
     let first = &report.jobs[0].result;
-    // Rows before the SpikingLR reference have no speed-up.
-    let mut sota_latency = None;
+    let sota_latency = report.jobs[1].result.total_cost().latency;
     let rows: Vec<Vec<String>> = report
         .jobs
         .iter()
-        .map(|j| {
-            let (r, cost) = (&j.result, j.result.total_cost());
-            if r.method == "SpikingLR" {
-                sota_latency = Some(cost.latency);
-            }
+        .enumerate()
+        .map(|(i, j)| {
+            let r = &j.result;
+            let speedup = if i == 0 {
+                "-".to_owned()
+            } else {
+                format!("{:.2}x", sota_latency.ratio_to(r.total_cost().latency))
+            };
             vec![
-                j.label.clone(),
+                format!("{} /{:.1}", r.method.name, r.method.lr_divisor),
                 format!("{}", r.operating_steps),
                 report::pct(r.final_old_acc()),
                 report::pct(r.final_new_acc()),
-                sota_latency.map_or("-".to_owned(), |s| {
-                    format!("{:.2}x", s.ratio_to(cost.latency))
-                }),
+                speedup,
             ]
         })
         .collect();
@@ -821,38 +847,21 @@ mod tests {
     }
 
     #[test]
-    fn subset_figures_build_their_superset_suite() {
-        let c = tiny();
-        for (subset, superset) in [
-            ("fig01", "fig02a"),
-            ("fig02b", "fig08"),
-            ("fig11", "headline"),
-            ("fig12", "fig10"),
-        ] {
-            let build = |name| (figure(name).unwrap().build)(&c, Scale::Demo);
-            assert_eq!(build(subset), build(superset), "{subset} vs {superset}");
-        }
-    }
-
-    #[test]
     fn every_figure_builds_runs_and_renders() {
         let c = tiny();
         let engine = Engine::new(1);
-        // Subset figures share a suite: run each distinct suite once.
-        let mut ran: Vec<(Suite, SuiteReport)> = Vec::new();
         for f in FIGURES {
             let suite = (f.build)(&c, Scale::Demo);
             suite.validate().expect(f.name);
-            let index = match ran.iter().position(|(s, _)| *s == suite) {
-                Some(i) => i,
-                None => {
-                    let report = engine.run(&suite).expect(f.name);
-                    ran.push((suite, report));
-                    ran.len() - 1
-                }
+            // Subset figures build only the cells they print.
+            let cells = match f.name {
+                "fig01" => 1,
+                "fig02b" | "fig11" => 2,
+                _ => suite.len(),
             };
-            let (suite, report) = &ran[index];
-            let page = f.page(suite, report);
+            assert_eq!(suite.len(), cells, "{}", f.name);
+            let report = engine.run(&suite).expect(f.name);
+            let page = f.page(&suite, &report);
             assert!(page.contains(f.title) && page.contains(f.note), "{page}");
         }
     }

@@ -10,7 +10,10 @@
 //! | [`MethodSpec::spiking_lr`] | yes | `T / 2` (codec ×2) | yes | constant | 1 |
 //! | [`MethodSpec::replay4ncl`] | yes | `T*` (reduced) | no | adaptive | 100 |
 
-use ncl_snn::adaptive::{AdaptivePolicy, ThresholdMode};
+use ncl_snn::adaptive::AdaptivePolicy;
+/// The type of [`MethodSpec::threshold_mode`], for callers that do not
+/// depend on `ncl_snn`.
+pub use ncl_snn::adaptive::ThresholdMode;
 use ncl_spike::codec::CompressionFactor;
 use serde::{Deserialize, Serialize};
 

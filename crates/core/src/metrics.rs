@@ -45,7 +45,7 @@ mod tests {
 
     fn fake_result(old: f64, new: f64, pre: f64) -> ScenarioResult {
         ScenarioResult {
-            method: "Fake".into(),
+            method: crate::MethodSpec::baseline(),
             insertion_layer: 3,
             operating_steps: 40,
             pretrain_acc: pre,

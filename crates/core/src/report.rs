@@ -73,7 +73,7 @@ pub fn summarize(result: &ScenarioResult) -> String {
     format!(
         "{} @ insertion layer {} (T={}): old {} / new {} (forgetting {}), \
          latent memory {:.2} KiB, CL latency {}, energy {}",
-        result.method,
+        result.method.name,
         result.insertion_layer,
         result.operating_steps,
         pct(m.old_top1),
@@ -93,7 +93,7 @@ pub fn comparison_row(ours: &ScenarioResult, sota: &ScenarioResult) -> Vec<Strin
     let our_cost = ours.total_cost();
     let sota_cost = sota.total_cost();
     vec![
-        ours.method.clone(),
+        ours.method.name.clone(),
         pct(ours.final_old_acc()),
         pct(ours.final_new_acc()),
         format!("{:.2}x", our_cost.speedup_vs(&sota_cost)),
@@ -105,13 +105,16 @@ pub fn comparison_row(ours: &ScenarioResult, sota: &ScenarioResult) -> Vec<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::MethodSpec;
     use crate::scenario::EpochRecord;
     use ncl_hw::memory::MemoryFootprint;
     use ncl_hw::{HardwareProfile, OpCounts};
 
     fn result(name: &str, ops_scale: u64, bits: u64) -> ScenarioResult {
+        let mut method = MethodSpec::baseline();
+        method.name = name.into();
         ScenarioResult {
-            method: name.into(),
+            method,
             insertion_layer: 3,
             operating_steps: 40,
             pretrain_acc: 0.95,

@@ -40,8 +40,8 @@ pub struct EpochRecord {
 /// Full outcome of one method under one scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioResult {
-    /// Method display name.
-    pub method: String,
+    /// The method that ran, with every knob it ran with.
+    pub method: MethodSpec,
     /// Insertion layer used.
     pub insertion_layer: usize,
     /// Timesteps the learning stages operated at.
@@ -197,7 +197,7 @@ pub fn run_method(
     )?;
 
     Ok(ScenarioResult {
-        method: method.name.clone(),
+        method: method.clone(),
         insertion_layer: config.insertion_layer,
         operating_steps: method.operating_steps(config.data.steps),
         pretrain_acc,
@@ -231,7 +231,7 @@ mod tests {
         let (net, acc) = pretrained(&config);
         let result = run_method(&config, &MethodSpec::baseline(), &net, acc).unwrap();
         assert_eq!(result.epochs.len(), 12);
-        assert_eq!(result.method, "Baseline");
+        assert_eq!(result.method, MethodSpec::baseline());
         assert!(result.memory.total_bits == 0, "baseline stores nothing");
         assert!(result.prep_ops.is_zero(), "baseline prepares nothing");
         assert!(result.total_ops().synaptic_ops > 0);

@@ -50,8 +50,8 @@ pub struct IncrementRecord {
 /// Outcome of a full increment sequence.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SequenceResult {
-    /// Method display name.
-    pub method: String,
+    /// The method that ran, with every knob it ran with.
+    pub method: MethodSpec,
     /// Test accuracy on the pre-trained classes before any increment.
     pub pretrain_acc: f64,
     /// One record per increment, in order.
@@ -189,7 +189,7 @@ pub fn run_sequence(
     }
 
     Ok(SequenceResult {
-        method: method.name.clone(),
+        method: method.clone(),
         pretrain_acc: pre.test_acc,
         increments,
         total_ops,

@@ -5,8 +5,9 @@
 //! That dataset is not available offline, so this crate generates a
 //! *synthetic SHD-like* workload with the same interface properties
 //! (700 channels, 20 classes, ~1 s of events binned into T timesteps,
-//! within-class variability) — see DESIGN.md §3 for the substitution
-//! rationale.
+//! within-class variability), so the protocol, network shapes and device
+//! costs run at SHD's sizes while absolute accuracies are not comparable
+//! with the paper's.
 //!
 //! Class identity is carried by a *channel trajectory*: each class is a
 //! sequence of waypoint channels interpolated over time (a caricature of a

@@ -326,8 +326,9 @@ mod tests {
             .expect("suite runs");
         let labels: Vec<&str> = report.jobs.iter().map(|j| j.label.as_str()).collect();
         assert_eq!(labels, ["baseline", "spikinglr", "replay4ncl"]);
-        assert_eq!(report.jobs[0].result.method, "Baseline");
-        assert_eq!(report.jobs[2].result.method, "Replay4NCL");
+        for (job, record) in suite.jobs.iter().zip(&report.jobs) {
+            assert_eq!(record.result.method, job.method);
+        }
 
         let events = recorder.0.into_inner();
         let started = events
@@ -388,7 +389,7 @@ mod tests {
         use ncl_hw::memory::MemoryFootprint;
         use ncl_hw::{HardwareProfile, OpCounts};
         replay4ncl::ScenarioResult {
-            method: "Fake".into(),
+            method: MethodSpec::baseline(),
             insertion_layer: 0,
             operating_steps: 8,
             pretrain_acc: 0.9,

@@ -11,7 +11,8 @@
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use replay4ncl::{report as text, ScenarioResult};
+use replay4ncl::methods::{StoragePolicy, ThresholdMode};
+use replay4ncl::{report as text, MethodSpec, ScenarioResult};
 
 /// One job's outcome, labelled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,15 +58,6 @@ impl SuiteReport {
         SuiteReport { suite, jobs }
     }
 
-    /// Looks a job's result up by label (first match).
-    #[must_use]
-    pub fn job(&self, label: &str) -> Option<&ScenarioResult> {
-        self.jobs
-            .iter()
-            .find(|j| j.label == label)
-            .map(|j| &j.result)
-    }
-
     /// Computes the cross-job summary. Totals are accumulated in suite
     /// order so the floating-point sums are deterministic.
     #[must_use]
@@ -104,63 +96,36 @@ impl SuiteReport {
     #[must_use]
     pub fn to_json(&self) -> Value {
         let summary = self.summary();
-        Value::Object(
-            [
-                ("suite".to_owned(), Value::from(self.suite.as_str())),
-                (
-                    "jobs".to_owned(),
-                    self.jobs
-                        .iter()
-                        .map(|j| {
-                            Value::Object(
-                                [
-                                    ("label".to_owned(), Value::from(j.label.as_str())),
-                                    ("result".to_owned(), result_to_json(&j.result)),
-                                ]
-                                .into_iter()
-                                .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-                (
-                    "summary".to_owned(),
-                    Value::Object(
-                        [
-                            ("jobs".to_owned(), Value::from(summary.jobs)),
-                            (
-                                "best_forgetting".to_owned(),
-                                stat_to_json(&summary.best_forgetting),
-                            ),
-                            (
-                                "worst_forgetting".to_owned(),
-                                stat_to_json(&summary.worst_forgetting),
-                            ),
-                            (
-                                "total_latency_s".to_owned(),
-                                Value::from(summary.total_latency_s),
-                            ),
-                            (
-                                "total_energy_j".to_owned(),
-                                Value::from(summary.total_energy_j),
-                            ),
-                            (
-                                "total_memory_bits".to_owned(),
-                                Value::from(summary.total_memory_bits),
-                            ),
-                            (
-                                "total_synaptic_ops".to_owned(),
-                                Value::from(summary.total_synaptic_ops),
-                            ),
-                        ]
-                        .into_iter()
-                        .collect(),
+        object([
+            ("suite", Value::from(self.suite.as_str())),
+            (
+                "jobs",
+                self.jobs
+                    .iter()
+                    .map(|j| {
+                        object([
+                            ("label", Value::from(j.label.as_str())),
+                            ("result", result_to_json(&j.result)),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "summary",
+                object([
+                    ("jobs", Value::from(summary.jobs)),
+                    ("best_forgetting", stat_to_json(&summary.best_forgetting)),
+                    ("worst_forgetting", stat_to_json(&summary.worst_forgetting)),
+                    ("total_latency_s", Value::from(summary.total_latency_s)),
+                    ("total_energy_j", Value::from(summary.total_energy_j)),
+                    ("total_memory_bits", Value::from(summary.total_memory_bits)),
+                    (
+                        "total_synaptic_ops",
+                        Value::from(summary.total_synaptic_ops),
                     ),
-                ),
-            ]
-            .into_iter()
-            .collect(),
-        )
+                ]),
+            ),
+        ])
     }
 
     /// Renders the report as the standard text table plus summary lines.
@@ -174,7 +139,7 @@ impl SuiteReport {
                 let cost = r.total_cost();
                 vec![
                     j.label.clone(),
-                    r.method.clone(),
+                    r.method.name.clone(),
                     format!("{}", r.insertion_layer),
                     format!("{}", r.operating_steps),
                     text::pct(r.final_old_acc()),
@@ -220,116 +185,108 @@ impl SuiteReport {
     }
 }
 
-fn stat_to_json(stat: &(String, f64)) -> Value {
-    Value::Object(
-        [
-            ("label".to_owned(), Value::from(stat.0.as_str())),
-            ("value".to_owned(), Value::from(stat.1)),
-        ]
-        .into_iter()
-        .collect(),
-    )
+/// A JSON object of `fields` (keys sort on insertion).
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()
 }
 
-/// Encodes a full [`ScenarioResult`] — accuracy curve, op counts, memory
-/// and modeled cost — as a deterministic JSON tree.
-#[must_use]
+fn stat_to_json(stat: &(String, f64)) -> Value {
+    object([
+        ("label", Value::from(stat.0.as_str())),
+        ("value", Value::from(stat.1)),
+    ])
+}
+
+/// Encodes a [`MethodSpec`] with every knob it sets, in the shape serde's
+/// derive gives it: enums are externally tagged (`"Constant"`,
+/// `{"Reduced": 40}`).
+fn method_to_json(method: &MethodSpec) -> Value {
+    let replay = method.replay.as_ref().map_or(Value::Null, |r| {
+        let storage = match r.storage {
+            StoragePolicy::Codec(factor) => {
+                object([("Codec", Value::from(u64::from(factor.get())))])
+            }
+            StoragePolicy::Reduced(t_star) => object([("Reduced", Value::from(t_star))]),
+        };
+        object([
+            ("per_class", Value::from(r.per_class)),
+            ("storage", storage),
+            ("decompress", Value::from(r.decompress)),
+        ])
+    });
+    let threshold_mode = match method.threshold_mode {
+        ThresholdMode::Constant => Value::from("Constant"),
+        ThresholdMode::Adaptive(p) => object([(
+            "Adaptive",
+            object([
+                ("adjust_interval", Value::from(p.adjust_interval)),
+                ("base", Value::from(p.base)),
+                ("timing_coef", Value::from(p.timing_coef)),
+                ("decay_rate", Value::from(p.decay_rate)),
+                ("variant", Value::from(format!("{:?}", p.variant))),
+            ]),
+        )]),
+    };
+    object([
+        ("name", Value::from(method.name.as_str())),
+        ("replay", replay),
+        ("threshold_mode", threshold_mode),
+        ("lr_divisor", Value::from(method.lr_divisor)),
+    ])
+}
+
+/// Encodes a full [`ScenarioResult`] — the method spec, accuracy curve, op
+/// counts, memory and modeled cost — as a deterministic JSON tree.
 fn result_to_json(result: &ScenarioResult) -> Value {
     let cost = result.total_cost();
-    Value::Object(
-        [
-            ("method".to_owned(), Value::from(result.method.as_str())),
-            (
-                "insertion_layer".to_owned(),
-                Value::from(result.insertion_layer),
-            ),
-            (
-                "operating_steps".to_owned(),
-                Value::from(result.operating_steps),
-            ),
-            ("pretrain_acc".to_owned(), Value::from(result.pretrain_acc)),
-            (
-                "final_old_acc".to_owned(),
-                Value::from(result.final_old_acc()),
-            ),
-            (
-                "final_new_acc".to_owned(),
-                Value::from(result.final_new_acc()),
-            ),
-            ("forgetting".to_owned(), Value::from(result.forgetting())),
-            (
-                "epochs".to_owned(),
-                result
-                    .epochs
-                    .iter()
-                    .map(|e| {
-                        Value::Object(
-                            [
-                                ("epoch".to_owned(), Value::from(e.epoch)),
-                                ("mean_loss".to_owned(), Value::from(e.mean_loss)),
-                                ("old_acc".to_owned(), Value::from(e.old_acc)),
-                                ("new_acc".to_owned(), Value::from(e.new_acc)),
-                                ("synaptic_ops".to_owned(), Value::from(e.ops.synaptic_ops)),
-                                (
-                                    "neuron_updates".to_owned(),
-                                    Value::from(e.ops.neuron_updates),
-                                ),
-                            ]
-                            .into_iter()
-                            .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-            (
-                "memory".to_owned(),
-                Value::Object(
-                    [
-                        ("samples".to_owned(), Value::from(result.memory.samples)),
-                        (
-                            "payload_bits_per_sample".to_owned(),
-                            Value::from(result.memory.payload_bits_per_sample),
-                        ),
-                        (
-                            "total_bits".to_owned(),
-                            Value::from(result.memory.total_bits),
-                        ),
-                    ]
-                    .into_iter()
-                    .collect(),
+    object([
+        ("method", method_to_json(&result.method)),
+        ("insertion_layer", Value::from(result.insertion_layer)),
+        ("operating_steps", Value::from(result.operating_steps)),
+        ("pretrain_acc", Value::from(result.pretrain_acc)),
+        ("final_old_acc", Value::from(result.final_old_acc())),
+        ("final_new_acc", Value::from(result.final_new_acc())),
+        ("forgetting", Value::from(result.forgetting())),
+        (
+            "epochs",
+            result
+                .epochs
+                .iter()
+                .map(|e| {
+                    object([
+                        ("epoch", Value::from(e.epoch)),
+                        ("mean_loss", Value::from(e.mean_loss)),
+                        ("old_acc", Value::from(e.old_acc)),
+                        ("new_acc", Value::from(e.new_acc)),
+                        ("synaptic_ops", Value::from(e.ops.synaptic_ops)),
+                        ("neuron_updates", Value::from(e.ops.neuron_updates)),
+                    ])
+                })
+                .collect(),
+        ),
+        (
+            "memory",
+            object([
+                ("samples", Value::from(result.memory.samples)),
+                (
+                    "payload_bits_per_sample",
+                    Value::from(result.memory.payload_bits_per_sample),
                 ),
-            ),
-            (
-                "cost".to_owned(),
-                Value::Object(
-                    [
-                        ("latency_s".to_owned(), Value::from(cost.latency.seconds())),
-                        ("energy_j".to_owned(), Value::from(cost.energy.joules())),
-                        (
-                            "synaptic_ops".to_owned(),
-                            Value::from(cost.ops.synaptic_ops),
-                        ),
-                        (
-                            "weight_updates".to_owned(),
-                            Value::from(cost.ops.weight_updates),
-                        ),
-                        (
-                            "mem_read_bits".to_owned(),
-                            Value::from(cost.ops.mem_read_bits),
-                        ),
-                        (
-                            "mem_write_bits".to_owned(),
-                            Value::from(cost.ops.mem_write_bits),
-                        ),
-                    ]
-                    .into_iter()
-                    .collect(),
-                ),
-            ),
-        ]
-        .into_iter()
-        .collect(),
-    )
+                ("total_bits", Value::from(result.memory.total_bits)),
+            ]),
+        ),
+        (
+            "cost",
+            object([
+                ("latency_s", Value::from(cost.latency.seconds())),
+                ("energy_j", Value::from(cost.energy.joules())),
+                ("synaptic_ops", Value::from(cost.ops.synaptic_ops)),
+                ("weight_updates", Value::from(cost.ops.weight_updates)),
+                ("mem_read_bits", Value::from(cost.ops.mem_read_bits)),
+                ("mem_write_bits", Value::from(cost.ops.mem_write_bits)),
+            ]),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -343,7 +300,7 @@ mod tests {
         JobRecord {
             label: label.into(),
             result: ScenarioResult {
-                method: "Fake".into(),
+                method: MethodSpec::baseline(),
                 insertion_layer: 1,
                 operating_steps: 16,
                 pretrain_acc: 0.9,
@@ -398,14 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn job_lookup_by_label() {
-        let r = report();
-        assert!(r.job("good").is_some());
-        assert!((r.job("bad").unwrap().final_old_acc() - 0.5).abs() < 1e-12);
-        assert!(r.job("missing").is_none());
-    }
-
-    #[test]
     fn json_is_deterministic_and_parseable() {
         let a = report().to_json().to_json();
         let b = report().to_json().to_json();
@@ -423,6 +372,26 @@ mod tests {
                 .and_then(Value::as_u64),
             Some(2)
         );
+    }
+
+    #[test]
+    fn json_tells_apart_specs_that_share_a_name() {
+        let encode = |method: MethodSpec| {
+            let mut job = fake("r", 0.8, 1000, 600);
+            job.result.method = method;
+            SuiteReport::new("s".into(), vec![job]).to_json().to_json()
+        };
+        let spec = MethodSpec::replay4ncl(3, 16);
+        let mut constant = spec.clone();
+        constant.threshold_mode = ThresholdMode::Constant;
+        let json = [
+            encode(spec.clone()),
+            encode(spec.with_lr_divisor(3.0)),
+            encode(constant),
+        ];
+        assert!(json.iter().all(|j| j.contains("\"Replay4NCL\"")));
+        assert_ne!(json[0], json[1], "lr_divisor");
+        assert_ne!(json[0], json[2], "threshold mode");
     }
 
     #[test]

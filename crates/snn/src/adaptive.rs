@@ -15,7 +15,8 @@
 //!
 //! The schedule is derived from the spike timing of the *input* raster to
 //! the learning stages (the latent/current activation data), so it is fully
-//! deterministic given the data — see DESIGN.md §4.
+//! deterministic given the data: the same raster always yields the same
+//! schedule, and no RNG or carried state enters the forward pass.
 //!
 //! Alg. 1's pseudocode is ambiguous about *when* the sigmoidal decay
 //! applies; both readings are implemented as [`AdaptiveVariant`]s:

@@ -2,7 +2,7 @@
 //! [`LiReadout`], with stage-based execution for the latent-replay
 //! frozen/learning split.
 //!
-//! **Stage convention** (fixed across the workspace, see DESIGN.md §4):
+//! **Stage convention** (every crate in the workspace counts stages so):
 //! stage 0 is the raw input raster; stage `k` (1-based) is the spike output
 //! of hidden layer `k`; the readout consumes the last hidden stage. The
 //! latent-replay *insertion layer* `k` means: activations are captured at

@@ -44,7 +44,7 @@ fn main() -> Result<(), NclError> {
         .map(|r| {
             let cost = r.total_cost();
             vec![
-                r.method.clone(),
+                r.method.name.clone(),
                 report::pct(r.final_old_acc()),
                 report::pct(r.final_new_acc()),
                 report::pct(r.forgetting()),

@@ -30,7 +30,7 @@ fn main() -> Result<(), NclError> {
         println!();
         println!(
             "== {} (pre-train accuracy {}) ==",
-            result.method,
+            result.method.name,
             report::pct(result.pretrain_acc)
         );
         let rows: Vec<Vec<String>> = result

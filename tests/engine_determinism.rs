@@ -85,4 +85,5 @@ fn engine_matches_the_serial_scenario_driver() {
         .expect("scenario");
 
     assert_eq!(report.jobs[0].result, direct);
+    assert_eq!(report.jobs[0].result.method, suite.jobs[0].method);
 }
